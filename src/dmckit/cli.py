@@ -9,6 +9,7 @@ seed; the optional run record (timestamps) goes to a side file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -192,7 +193,7 @@ def _cmd_partition(args) -> int:
         joint = product_index(joint, extra)
     slices = build_uniformizing_partition(dist, joint, delta=delta, rho=rho)
     eq = build_equal_image_partition(channels, dist, ground, messages, eta,
-                                     delta_n=float(delta_n) if delta_n else None,
+                                     delta_n=None if delta_n is None else float(delta_n),
                                      schedule=schedule)
     obj = {
         "uniformizing": {
@@ -262,9 +263,7 @@ def _cmd_fano(args, criterion: str) -> int:
 
 def _cmd_wiretap(args) -> int:
     inst = WiretapInstance(main=load_channel(args.main), eve=load_channel(args.eve))
-    res = secrecy_bound_single_letter(inst, args.usize, starts=args.starts,
-                                      grid=args.grid, seed=args.seed,
-                                      threads=args.threads)
+    res = secrecy_bound_single_letter(inst, args.usize)
     obj = {"value": res.value, "P_U": res.p_u, "P_X_given_U": res.p_x_given_u}
     _emit(json_text(obj, indent=1), args.out)
     return 0
@@ -288,6 +287,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# built once per process: building it costs more than a small job
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmckit",
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write the JSON report here (default stdout)")
         p.add_argument("--threads", type=int, default=1,
-                       help="internal parallelism; outputs do not depend on it")
+                       help="accepted; no effect")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--record", action="store_true",
                        help="write a run record (with timestamps) next to --out")
@@ -341,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--main", required=True)
     p.add_argument("--eve", required=True)
     p.add_argument("--usize", type=int, default=None)
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--starts", type=int, default=32, help="accepted; no effect")
+    p.add_argument("--grid", type=int, default=20, help="accepted; no effect")
     common(p)
     p.set_defaults(func=_cmd_wiretap)
 

@@ -93,6 +93,13 @@ class Sequence:
         return cls(n=len(digits), base=base, value=value)
 
 
+def _int64_ids(ids: list[int], n: int, base: int) -> np.ndarray:
+    """Python-int ids as int64, rejecting any outside [0, base**n) or int64."""
+    if ids and (min(ids) < 0 or max(ids) >= min(base ** n, 2 ** 63)):
+        raise ValidationError("sequence id out of range for base**n or int64")
+    return np.asarray(ids, dtype=np.int64)
+
+
 def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
     out = []
     for _ in range(n):
@@ -116,7 +123,8 @@ class Channel:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match alphabets "
                 f"({self.input.size}, {self.output.size})")
-        if np.any(m < -GRID) or np.any(m > 1.0 + GRID):
+        # a negative entry, however small, makes products negative
+        if np.any(m < 0.0) or np.any(m > 1.0 + GRID):
             raise ValidationError("channel entries must lie in [0, 1]")
         rows = m.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-12):
@@ -228,7 +236,7 @@ class SequenceSet:
 
     @classmethod
     def from_ids(cls, n: int, base: int, ids) -> "SequenceSet":
-        return cls(n, base, np.asarray(sorted(set(int(i) for i in ids)), dtype=np.int64))
+        return cls(n, base, _int64_ids(sorted({int(i) for i in ids}), n, base))
 
     @classmethod
     def full_space(cls, n: int, base: int) -> "SequenceSet":
@@ -329,9 +337,10 @@ class SequenceDist:
     def from_json_obj(cls, obj: dict) -> "SequenceDist":
         try:
             entries = obj["entries"]
-            ids = np.array([int(e[0]) for e in entries], dtype=np.int64)
+            n, base = int(obj["n"]), int(obj["alphabet_size"])
+            ids = _int64_ids([int(e[0]) for e in entries], n, base)
             probs = np.array([float(e[1]) for e in entries])
-            return cls(int(obj["n"]), int(obj["alphabet_size"]), ids, probs)
+            return cls(n, base, ids, probs)
         except (KeyError, IndexError, TypeError) as exc:
             raise ValidationError(f"malformed distribution file: {exc}") from exc
 

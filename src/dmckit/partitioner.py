@@ -608,6 +608,8 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     n = A.n
     if delta_n is None:
         delta_n = 1.0 / math.ceil(math.sqrt(n))
+    elif not 0.0 < delta_n < 1.0:
+        raise DomainError("delta_n must lie in (0, 1)")
     schedule = schedule or Schedule()
     subsets = tuple(
         tuple(j for j in range(J) if mask >> j & 1) for mask in range(1 << J))

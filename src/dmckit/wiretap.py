@@ -4,15 +4,15 @@ bound with a cardinality-bounded auxiliary variable."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Channel, SequenceSet, aexp, mutual_information, output_rows
-from .errors import (DimensionMismatchError, DomainError, InvariantError,
-                     PreconditionError)
+from .errors import (CapacityError, DimensionMismatchError, DomainError,
+                     InvariantError, PreconditionError)
 from .fano import Code, FanoReport, avg_error, strong_fano_avg
 from .reports import BoundReport
 
@@ -30,17 +30,19 @@ class WiretapInstance:
                 "main and eavesdropper channels must share the input alphabet")
 
 
-def _message_output_joint(code: Code, channel: Channel) -> np.ndarray:
-    pairs = code.pairs()
+def _message_output_joint(channel: Channel, pairs, n: int, base: int,
+                          total: float = 1.0) -> np.ndarray:
+    """Joint law of (message, output word) of (m, x, weight) pairs, each
+    weight divided by `total`."""
     xs = sorted({x for _, x, _ in pairs})
-    xset = SequenceSet.from_ids(code.n, code.base, xs)
+    xset = SequenceSet.from_ids(n, base, xs)
     rows = output_rows(channel, xset)
     row_of = {x: rows[i] for i, x in enumerate(xs)}
     m_vals = sorted({m for m, _, _ in pairs})
     col = {m: i for i, m in enumerate(m_vals)}
     joint = np.zeros((len(m_vals), rows.shape[1]))
     for m, x, p in pairs:
-        joint[col[m]] += p * row_of[x]
+        joint[col[m]] += (p / total) * row_of[x]
     return joint
 
 
@@ -49,7 +51,8 @@ def evaluate_wtc_code(instance: WiretapInstance, code: Code) -> tuple[float, flo
     if code.J != 1 or len(code.decoders) != 1:
         raise PreconditionError("wiretap evaluation needs J = 1 and one receiver")
     eps = avg_error(code, [instance.main], 0)
-    leakage = mutual_information(_message_output_joint(code, instance.eve))
+    leakage = mutual_information(
+        _message_output_joint(instance.eve, code.pairs(), code.n, code.base))
     return eps, leakage
 
 
@@ -108,25 +111,15 @@ class WiretapReport:
         }
 
 
-def _pairs_mi(instance_channel: Channel, pairs, n: int, base: int) -> float:
+def _pairs_mi(channel: Channel, pairs, n: int, base: int) -> float:
     """I(M; Z^n) in bits of a weighted pair list (normalized internally)."""
     total = sum(p for _, _, p in pairs)
-    xs = sorted({x for _, x, _ in pairs})
-    xset = SequenceSet.from_ids(n, base, xs)
-    rows = output_rows(instance_channel, xset)
-    row_of = {x: rows[i] for i, x in enumerate(xs)}
-    m_vals = sorted({m for m, _, _ in pairs})
-    col = {m: i for i, m in enumerate(m_vals)}
-    joint = np.zeros((len(m_vals), rows.shape[1]))
-    for m, x, p in pairs:
-        joint[col[m]] += (p / total) * row_of[x]
-    return mutual_information(joint)
+    return mutual_information(_message_output_joint(channel, pairs, n, base, total))
 
 
 def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
                        eta: float = 0.5, delta_n: float | None = None,
-                       rho: int = 1, single_letter_starts: int = 32,
-                       seed: int = 0, threads: int = 1) -> WiretapReport:
+                       rho: int = 1) -> WiretapReport:
     """Run the average-error report, restrict to its passing index set, and
     evaluate every term of the secrecy converse chain exactly.
 
@@ -195,8 +188,7 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
     final_theorem = (mi_main_star - mi_eve_star / n) + mu \
         + deflation_theorem + cell_count_term
 
-    single = secrecy_bound_single_letter(instance, starts=single_letter_starts,
-                                         seed=seed, threads=threads).value
+    single = secrecy_bound_single_letter(instance).value
     target = (1.0 - eps) / 4.0
     return WiretapReport(
         rate=rate, epsilon=eps, leakage=leakage, n=n, q_count=rep.q_count,
@@ -215,25 +207,22 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
 # single-letter secrecy bound
 # ---------------------------------------------------------------------------
 
+#: lattice steps G (input laws in multiples of 1/G) per input size: 1000 for
+#: the binary chain, else the finest G with at most 30,000 lattice points.
+#: Beyond |X| = 4 Qhull outgrows desk scale (|X| = 5, G = 20: 18 s, 170 MB)
+LATTICE_STEPS = {2: 1000, 3: 243, 4: 54}
+#: points per local grid, and the half-width at which it stops shrinking,
+#: of the tangent-point search and of the peak zoom
+TANGENT_POINTS, TANGENT_TOL = 201, 1e-10
+PEAK_POINTS, PEAK_TOL = 2001, 1e-12
+
+
 @dataclass
 class SecrecyBoundResult:
     value: float
     p_u: list[float]
     p_x_given_u: list[list[float]]
     u_size: int
-    starts: int
-    grid: int
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    cond = u - css / ind > 0
-    rho = int(ind[cond][-1])
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def _secrecy_objective(p_u: np.ndarray, p_xgu: np.ndarray,
@@ -242,158 +231,156 @@ def _secrecy_objective(p_u: np.ndarray, p_xgu: np.ndarray,
     return mutual_information(p_ux @ wy) - mutual_information(p_ux @ wz)
 
 
-def _simplex_grid_points(dim: int, G: int) -> list[tuple[float, ...]]:
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining / G,))
-            return
-        for take in range(remaining + 1):
-            rec(prefix + (take / G,), remaining - take, slots - 1)
-
-    rec((), G, dim)
-    return out
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
-def _ascend(theta: np.ndarray, blocks: list[tuple[int, int]], f,
-            fd_step: float = 1e-6, tol: float = 1e-10,
-            max_iters: int = 300) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent with finite differences and step halving."""
+def _lattice(nx: int, steps: int) -> np.ndarray:
+    """Input laws in multiples of 1/steps as counts, first count ascending."""
+    bars = np.array(list(itertools.combinations(range(steps + nx - 1), nx - 1)))
+    return np.diff(bars, axis=1, prepend=-1, append=steps + nx - 1) - 1
 
-    def project_all(vec):
-        out = vec.copy()
-        for lo, hi in blocks:
-            out[lo:hi] = project_simplex(out[lo:hi])
-        return out
 
-    theta = project_all(theta)
-    val = f(theta)
-    for _ in range(max_iters):
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            up = theta.copy()
-            dn = theta.copy()
-            up[i] += fd_step
-            dn[i] -= fd_step
-            grad[i] = (f(project_all(up)) - f(project_all(dn))) / (2 * fd_step)
-        step = 0.25
-        improved = False
-        while step >= 1e-12:
-            cand = project_all(theta + step * grad)
-            cand_val = f(cand)
-            if cand_val > val + tol:
-                theta, val = cand, cand_val
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
-            break
-    return val, theta
+def _widest_facet(counts: np.ndarray, fv: np.ndarray):
+    """Corners of the lower hull facet of the lifted lattice (counts, F) with
+    the largest gap at a lattice point inside it, or None without a gap."""
+    if counts.shape[1] == 2:  # monotone chain over the first count
+        pts = list(zip(counts[:, 0].tolist(), fv.tolist()))
+        chain: list[int] = []
+        for i, (x, y) in enumerate(pts):
+            while len(chain) >= 2:
+                (xa, ya), (xb, yb) = pts[chain[-2]], pts[chain[-1]]
+                if (yb - ya) * (x - xa) < (y - ya) * (xb - xa):
+                    break
+                chain.pop()  # on or above the chord from chain[-2] to i
+            chain.append(i)
+        facets = np.column_stack([chain[:-1], chain[1:]])
+    else:
+        # imported here: scipy.spatial costs 0.35 s and 35 MB to import
+        from scipy.spatial import ConvexHull
+
+        # a point high above caps the hull, so Qhull skips the upper hull,
+        # and a flat lifted lattice (affine F) needs no joggle
+        lifted = np.column_stack([counts[:, :-1], fv])
+        apex = np.append(lifted[:, :-1].mean(axis=0), fv.max() + counts[0].sum())
+        hull = ConvexHull(np.vstack([lifted, apex]))
+        facets = hull.simplices[hull.equations[:, -2] < -1e-9]  # facing down
+    # only lattice points that are no facet's corner can sit above the hull
+    above = np.flatnonzero(np.bincount(facets.ravel(), minlength=len(counts)) == 0)
+    span = np.ptp(counts[facets][:, :, :-1], axis=1).max(axis=1)
+    best, widest = 1e-12, None  # less lattice room is rounding noise
+    # a facet inside one lattice cube covers no lattice point but its corners
+    for facet in facets[span > 1] if above.size else ():
+        corners = counts[facet].T
+        if abs(np.linalg.det(corners)) < 0.5:
+            continue  # a flat simplex of the triangulation covers no area
+        weights = np.linalg.inv(corners) @ counts[above].T
+        inside = np.flatnonzero(weights.min(axis=0) >= -1e-9)
+        room = fv[above[inside]] - fv[facet] @ weights[:, inside]
+        if room.size and room.max() > best:
+            best, widest = float(room.max()), facet
+    return widest
+
+
+def _local_grid(center: np.ndarray, half: float, budget: int):
+    """About `budget` laws on an odd cube grid of half-width `half` around
+    `center` (in the chart of its leading coordinates), pushed back onto the
+    simplex.  Returns the laws and the grid step."""
+    d = center.size - 1
+    k = int(round(budget ** (1.0 / d))) | 1
+    offsets = np.linspace(-half, half, k)
+    mesh = np.stack(np.meshgrid(*[offsets] * d, indexing="ij"), axis=-1)
+    head = center[:d] + mesh.reshape(-1, d)
+    laws = np.maximum(np.column_stack([head, 1.0 - head.sum(axis=1)]), 0.0)
+    return laws / laws.sum(axis=1, keepdims=True), 2.0 * half / (k - 1)
+
+
+def _envelope(wy: np.ndarray, wz: np.ndarray):
+    """(P_U, P_X|U) at the widest gap between F(P) = H(P W_Y) - H(P W_Z) and
+    its lower convex envelope; a constant U (value 0) when the lattice shows
+    no gap.
+
+    Each round zooms in on the peak of F above the plane through the widest
+    facet's corners, then moves each corner to the minimum of F minus the
+    tangent plane at the peak on a shrinking local grid.  Taking the slope
+    at the peak, not through the corners, keeps the rounds well posed when
+    corners merge, as they do where the optimum needs fewer than |X| laws.
+    """
+    nx = wy.shape[0]
+    steps = LATTICE_STEPS[nx]
+    counts = _lattice(nx, steps)
+
+    def f(p):
+        return _entropy_rows(p @ wy) - _entropy_rows(p @ wz)
+
+    facet = _widest_facet(counts, f(counts / steps))
+    if facet is None:
+        return np.eye(nx)[0], np.eye(nx)
+    corners, half = counts[facet] / steps, 2.0 / steps
+    while True:
+        f_corners = f(corners)
+        weights, zoom = np.full(nx, 1.0 / nx), 1.0 - 1.0 / nx
+        while zoom > PEAK_TOL:
+            grid, zoom = _local_grid(weights, zoom, PEAK_POINTS)
+            weights = grid[np.argmax(f(grid @ corners) - grid @ f_corners)]
+        if half <= TANGENT_TOL:
+            return weights, corners
+        qy, qz = weights @ corners @ wy, weights @ corners @ wz
+        slope = (wz @ np.log2(np.where(qz > 0.0, qz, 1.0))
+                 - wy @ np.log2(np.where(qy > 0.0, qy, 1.0)))  # grad F at the peak
+        for i in range(nx):
+            grid, step = _local_grid(corners[i], half, TANGENT_POINTS)
+            corners[i] = grid[np.argmin(f(grid) - grid @ slope)]
+        half = 2.0 * step
+
+
+def _decompositions(wy: np.ndarray, wz: np.ndarray, k: int):
+    """Candidate (P_U, P_X|U) with 2 <= |U| <= k, smaller |U| first: below
+    |X|, the envelopes of the channels V_S W for every s-subset S of the
+    input letters (V = I) and of the full envelope's facet corners."""
+    nx = wy.shape[0]
+    full = _envelope(wy, wz)
+    for s in range(2, min(k, nx - 1) + 1):
+        for base in (np.eye(nx), full[1]):
+            for subset in itertools.combinations(range(nx), s):
+                virtual = base[list(subset)]
+                sub = _envelope(virtual @ wy, virtual @ wz)
+                yield sub[0], sub[1] @ virtual
+    if k >= nx:
+        yield full
 
 
 def secrecy_bound_single_letter(instance: WiretapInstance,
-                                u_size: int | None = None, *,
-                                starts: int = 32, grid: int = 20,
-                                seed: int = 0, threads: int = 1,
-                                _grid_cap: int = 200_000) -> SecrecyBoundResult:
-    """Maximize I(U;Y) - I(U;Z) over P_U and P_{X|U}, floored at 0.
+                                u_size: int | None = None) -> SecrecyBoundResult:
+    """Maximize I(U;Y) - I(U;Z) over P_U and P_{X|U} with |U| <= u_size,
+    floored at 0.
 
-    Initializers come from the full 1/grid lattice when it is small enough
-    (top `starts` points), otherwise from seeded grid-snapped random draws;
-    each is refined by projected gradient ascent.  The reported value for
-    |U| = k is the best over all |U| <= k, so enlarging the auxiliary
-    alphabet never decreases the result.
+    I(U;Y) - I(U;Z) = F(P_X) - sum_u P_U(u) F(P_X|U=u) for
+    F(P) = H(P W_Y) - H(P W_Z), so the maximum is the widest gap between F
+    and its lower convex envelope (Csiszar-Korner 1978): P_X|U are the
+    corners of its facet, P_U the weights of its peak, and the value is
+    evaluated exactly there.  u_size >= |X| gives the full envelope; the
+    value is the best over all |U| <= u_size, so it grows with u_size.
     """
     nx = instance.main.input.size
     if u_size is None:
         u_size = nx
     if u_size < 1:
         raise DomainError("auxiliary alphabet needs at least one symbol")
-    wy = instance.main.matrix
-    wz = instance.eve.matrix
-
-    best_overall = (0.0, np.array([1.0]), np.full((1, nx), 1.0 / nx), 1)
-    for u in range(1, u_size + 1):
-        val, p_u, p_xgu = _best_for_size(u, nx, wy, wz, starts, grid, seed,
-                                         threads, _grid_cap)
-        if val > best_overall[0] + 0.0:
-            best_overall = (val, p_u, p_xgu, u)
-    value, p_u, p_xgu, u_at = best_overall
-    if u_at < u_size:
-        pad = u_size - u_at
-        p_u = np.concatenate([p_u, np.zeros(pad)])
-        p_xgu = np.vstack([p_xgu, np.full((pad, nx), 1.0 / nx)])
+    wy, wz = instance.main.matrix, instance.eve.matrix
+    value, p_u, p_xgu = 0.0, np.array([1.0]), np.full((1, nx), 1.0 / nx)
+    if min(u_size, nx) > 1:
+        if nx not in LATTICE_STEPS:
+            raise CapacityError("the secrecy envelope supports at most "
+                                f"{max(LATTICE_STEPS)} input letters")
+        for cand_u, cand_rows in _decompositions(wy, wz, u_size):
+            val = _secrecy_objective(cand_u, cand_rows, wy, wz)
+            if val > value:
+                value, p_u, p_xgu = val, cand_u, cand_rows
+    pad = u_size - len(p_u)
+    p_u = np.concatenate([p_u, np.zeros(pad)])
+    p_xgu = np.vstack([p_xgu, np.full((pad, nx), 1.0 / nx)])
     return SecrecyBoundResult(value=max(0.0, value),
                               p_u=[float(v) for v in p_u],
                               p_x_given_u=[[float(v) for v in row] for row in p_xgu],
-                              u_size=u_size, starts=starts, grid=grid)
-
-
-def _best_for_size(u, nx, wy, wz, starts, grid, seed, threads, grid_cap):
-    blocks = [(0, u)]
-    for i in range(u):
-        blocks.append((u + i * nx, u + (i + 1) * nx))
-    dim = u + u * nx
-
-    def f(theta):
-        return _secrecy_objective(theta[:u], theta[u:].reshape(u, nx), wy, wz)
-
-    def pack(p_u, rows):
-        return np.concatenate([np.asarray(p_u, dtype=np.float64),
-                               np.asarray(rows, dtype=np.float64).ravel()])
-
-    u_points = _simplex_grid_points(u, grid)
-    x_points = _simplex_grid_points(nx, grid)
-    total = len(u_points) * len(x_points) ** u
-
-    candidates: list[np.ndarray] = []
-    if total <= grid_cap:
-        scored = []
-        idx = 0
-        row_choices = [x_points] * u
-
-        def rec(rows_so_far, depth):
-            nonlocal idx
-            if depth == u:
-                for pu in u_points:
-                    theta = pack(pu, rows_so_far)
-                    scored.append((f(theta), idx, theta))
-                    idx += 1
-                return
-            for row in row_choices[depth]:
-                rec(rows_so_far + [row], depth + 1)
-
-        rec([], 0)
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        candidates = [t[2] for t in scored[:starts]]
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(starts):
-            pu = rng.dirichlet(np.ones(u))
-            rows = rng.dirichlet(np.ones(nx), size=u)
-            pu = np.round(pu * grid) / grid
-            rows = np.round(rows * grid) / grid
-            pu = project_simplex(pu)
-            rows = np.vstack([project_simplex(r) for r in rows])
-            candidates.append(pack(pu, rows))
-    # canonical starts: uniform-over-everything and an identity-like embedding
-    pu0 = np.full(u, 1.0 / u)
-    rows0 = np.zeros((u, nx))
-    for i in range(u):
-        rows0[i, i % nx] = 1.0
-    candidates.append(pack(pu0, rows0))
-    candidates.append(pack(pu0, np.full((u, nx), 1.0 / nx)))
-
-    def refine(theta):
-        return _ascend(theta, blocks, f)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(refine, candidates))
-    else:
-        results = [refine(c) for c in candidates]
-    best_idx = max(range(len(results)),
-                   key=lambda i: (results[i][0], -i))
-    best_val, best_theta = results[best_idx]
-    return best_val, best_theta[:u], best_theta[u:].reshape(u, nx)
+                              u_size=u_size)

@@ -176,3 +176,58 @@ def test_reports_byte_identical_across_runs(files):
         assert main(["spectrum", "--dist", files["dist"], "--delta-n", "0.3",
                      "--delta", "0.5", "--out", out]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+def test_negative_channel_entry_exits_2(files, tmp_path):
+    # a sub-grid negative entry would make product probabilities negative
+    bad = tmp_path / "neg.json"
+    write_json(bad, {"input_size": 2, "output_size": 2,
+                     "rows": [[1 + 5e-13, -5e-13], [0.5, 0.5]]})
+    rc = main(["image-size", "--channel", str(bad), "--set", files["set"],
+               "--eta", "0.5"])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("loader", ["set", "dist"])
+def test_id_beyond_int64_exits_2(tmp_path, loader):
+    ch = tmp_path / "id3.json"
+    write_json(ch, {"input_size": 3, "output_size": 3,
+                    "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    path = tmp_path / "big.json"
+    if loader == "set":
+        write_json(path, {"n": 41, "alphabet_size": 3, "ids": [2 ** 63]})
+        argv = ["image-size", "--channel", str(ch), "--set", str(path),
+                "--eta", "0.5"]
+    else:
+        write_json(path, {"n": 41, "alphabet_size": 3,
+                          "entries": [[2 ** 63, 1.0]]})
+        argv = ["spectrum", "--dist", str(path), "--delta-n", "0.3",
+                "--delta", "0.5"]
+    assert main(argv) == 2
+
+
+def test_partition_zero_delta_n_exits_2(files, tmp_path):
+    params = tmp_path / "params.json"
+    write_json(params, {"delta_n": 0})
+    rc = main(["partition", "--channel", files["bsc01"], "--dist", files["dist"],
+               "--messages", files["msg"], "--params", str(params)])
+    assert rc == 2
+
+
+def test_binary_wiretap_bound_never_imports_scipy(files):
+    import subprocess
+    import sys
+
+    import dmckit
+    script = ("import sys\n"
+              "from dmckit.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    argv = ["wiretap-bound", "--main", files["bsc01"], "--eve", files["bsc03"],
+            "--out", str(files["tmp"] / "w.json")]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(dmckit.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
