@@ -1,0 +1,80 @@
+"""Golden lock: small CLI runs whose report bytes must never move.
+
+The inputs live in `tests/golden/`; `tests/golden/digests.json` holds the
+sha256 of every JSON report and `.csv` side file these runs wrote when the
+lock was made.  A change that alters a digest must explain why in
+CHANGES.md (for example a last-ulp change from a new summation order); the
+digest itself is never regenerated to make this test pass.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from dmckit.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+#: case name -> argv, input file names relative to tests/golden
+CASES = {
+    "image-size-bracket-bsc-n8": [
+        "image-size", "--channel", "bsc01.json", "--set", "set_b8.json",
+        "--eta", "0.9"],
+    "image-size-bracket-z23-n5": [
+        "image-size", "--channel", "erasure23.json", "--set", "set_z5.json",
+        "--eta", "0.75"],
+    "image-size-exact-bsc-n4": [
+        "image-size", "--channel", "bsc02.json", "--set", "set_b4.json",
+        "--eta", "0.8", "--exact"],
+    "image-size-exact-tern-n2": [
+        "image-size", "--channel", "tern33.json", "--set", "set_t2.json",
+        "--eta", "0.6", "--exact"],
+    "partition-bsc-n7": [
+        "partition", "--channel", "bsc01.json", "--dist", "dist7.json",
+        "--messages", "msg7.json"],
+    "partition-two-channels-n7": [
+        "partition", "--channel", "bsc02.json", "--channel", "erasure23.json",
+        "--dist", "dist7.json", "--messages", "msg7.json", "--eta", "0.6"],
+    "fano-max-n4": [
+        "fano-max", "--code", "code4.json", "--channel", "bsc01.json"],
+    "fano-avg-n4": [
+        "fano-avg", "--code", "code4.json", "--channel", "bsc01.json"],
+    "fano-max-two-receivers-n4": [
+        "fano-max", "--code", "code4j2.json", "--channel", "bsc01.json",
+        "--channel", "bsc02.json"],
+    "fano-avg-two-receivers-n4": [
+        "fano-avg", "--code", "code4j2.json", "--channel", "bsc01.json",
+        "--channel", "bsc02.json"],
+    "spectrum-n6": [
+        "spectrum", "--dist", "dist6.json", "--delta-n", "0.2", "--delta", "0.5"],
+}
+
+
+def run_case(name: str, workdir) -> dict:
+    """Run one case, writing into `workdir`; sha256 of each file it wrote."""
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a
+            for a in CASES[name]]
+    out = os.path.join(str(workdir), name + ".json")
+    assert main(argv + ["--out", out]) == 0
+    digests = {}
+    for path in (out, out + ".csv"):
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def _expected() -> dict:
+    with open(os.path.join(GOLDEN, "digests.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_case():
+    assert sorted(_expected()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_digests(name, tmp_path):
+    assert run_case(name, tmp_path) == _expected()[name]
