@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here (default stdout)")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted; no effect")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--record", action="store_true",
                        help="write a run record (with timestamps) next to --out")
 
@@ -348,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wiretap)
 
     p = sub.add_parser("verify-lemmas", help="randomized unconditional lemma suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n", type=int, default=6)
     common(p)

@@ -100,14 +100,6 @@ def _int64_ids(ids: list[int], n: int, base: int) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(value % base)
-        value //= base
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True)
 class Channel:
     """A DMC given by a row-stochastic |X| x |Y| matrix."""
@@ -363,12 +355,45 @@ def product_prob(ch: Channel, x: Sequence, y: Sequence) -> float:
     return float(2.0 ** math.fsum(math.log2(f) for f in factors))
 
 
-def _row_output_vector(ch: Channel, digits) -> np.ndarray:
-    """Dense conditional distribution on the whole output space given one word."""
-    v = np.ones(1)
-    for d in digits:
-        v = np.multiply.outer(v, ch.matrix[d]).ravel()
-    return v
+#: Floats in a block of partial rows: `_product_rows` applies letters by
+#: outer products while its rows fit in one, and `output_dist` builds the
+#: rows of its support one block at a time (64 KB).
+_BLOCK = 1 << 13
+
+
+def _product_rows(ch: Channel, ids: np.ndarray, n: int) -> np.ndarray:
+    """P(y^n | x^n) for every packed word x in `ids`, one row per word.
+
+    All words go together, one letter at a time, so every entry is the
+    left-to-right product 1.0 * W[x_1, y_1] * W[x_2, y_2] * ... * W[x_n, y_n].
+    Digits come from repeated divmod by the base (a vector of place values
+    base**k would wrap around in int64).
+    """
+    m, ny = ids.size, ch.output.size
+    digits = np.empty((n, m), dtype=np.intp)
+    rest = ids.astype(np.int64)
+    for k in range(n - 1, -1, -1):
+        rest, digits[k] = np.divmod(rest, ch.input.size)
+    factors = ch.matrix[digits, None]  # (n, m, 1, ny): W[x_k, .] per word
+    part = np.ones((m, 1))
+    k = 0
+    while k < n and part.size * ny <= _BLOCK:
+        part = (part[:, :, None] * factors[k]).reshape(m, part.shape[1] * ny)
+        k += 1
+    if k == n:
+        return part
+    # the full array is allocated once and filled in place: after k letters
+    # the product for y_1..y_k sits in column (y_1..y_k) * step, and letter
+    # k+1 spreads it over the ny columns (y_1..y_k, y) * step / ny,
+    # overwriting its own column last
+    rows = np.empty((m, ny ** n))
+    rows[:, ::ny ** (n - k)] = part
+    for k in range(k, n):
+        step = ny ** (n - k)
+        head = rows[:, ::step]
+        for y in range(ny - 1, -1, -1):
+            np.multiply(head, factors[k, :, :, y], out=rows[:, y * (step // ny)::step])
+    return rows
 
 
 def output_rows(ch: Channel, A: SequenceSet) -> np.ndarray:
@@ -378,22 +403,29 @@ def output_rows(ch: Channel, A: SequenceSet) -> np.ndarray:
     out_space = ch.output.size ** A.n
     if out_space > DENSE_CAP:
         raise CapacityError("output space exceeds the dense cap 2**26")
-    rows = np.empty((A.size, out_space))
-    for i, seq_id in enumerate(A.ids.tolist()):
-        rows[i] = _row_output_vector(ch, _digits_of(seq_id, A.n, ch.input.size))
-    return rows
+    if A.size * out_space > DENSE_CAP:
+        raise CapacityError("row matrix |A|*|Y|^n exceeds the dense cap 2**26")
+    return _product_rows(ch, A.ids, A.n)
 
 
 def output_dist(ch: Channel, input_dist: SequenceDist) -> SequenceDist:
-    """Exact output marginal of the product channel applied to `input_dist`."""
+    """Exact output marginal of the product channel applied to `input_dist`.
+
+    Adds p(x) * P(. | x) word by word in support order, building the rows in
+    blocks of at most 2**13 floats.
+    """
     if input_dist.base != ch.input.size:
         raise DimensionMismatchError("input alphabet does not match the channel")
     out_space = ch.output.size ** input_dist.n
     if out_space > DENSE_CAP:
         raise CapacityError("output space exceeds the dense cap 2**26")
     acc = np.zeros(out_space)
-    for seq_id, p in input_dist.items():
-        acc += p * _row_output_vector(ch, _digits_of(seq_id, input_dist.n, ch.input.size))
+    step = max(1, _BLOCK // out_space)
+    for lo in range(0, input_dist.ids.size, step):
+        rows = _product_rows(ch, input_dist.ids[lo:lo + step], input_dist.n)
+        rows *= input_dist.probs[lo:lo + step, None]
+        for row in rows:
+            acc += row
     return SequenceDist.from_dense(input_dist.n, ch.output.size, acc)
 
 

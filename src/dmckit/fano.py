@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DENSE_CAP, Channel, Sequence, SequenceDist, SequenceSet,
+from .core import (DENSE_CAP, Channel, SequenceDist, SequenceSet,
                    aexp, entropy_bits, mutual_information, output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
-from .images import ETA_TOL, min_image, min_image_exact, singleton_image_size
+from .images import ETA_TOL, _singleton_sizes, min_image, min_image_exact
 from .partitioner import (Schedule, build_equal_image_partition,
                           build_uniformizing_partition)
 from .reports import BoundReport
@@ -182,11 +182,13 @@ def ml_decoder(messages: MessageSpace, encoder, channel: Channel, n: int,
         raise CapacityError("output space exceeds the dense cap")
     score = np.zeros((len(m_values), out_space))
     col = {m: i for i, m in enumerate(m_values)}
+    xset = SequenceSet.from_ids(n, channel.input.size,
+                                {x for row in enc.values() for x, _ in row})
+    rows = output_rows(channel, xset)
     for m, pm in messages.items():
         key = tuple(m[j] for j in S)
         for x, px in enc[m]:
-            xs = SequenceSet.from_ids(n, channel.input.size, [x])
-            score[col[key]] += pm * px * output_rows(channel, xs)[0]
+            score[col[key]] += pm * px * rows[np.searchsorted(xset.ids, x)]
     table = np.zeros((out_space, len(m_values)))
     best = np.argmax(score, axis=0)  # argmax returns the smallest index on ties
     table[np.arange(out_space), best] = 1.0
@@ -347,9 +349,7 @@ def sphere_packing_check(code: Code, channel: Channel, mu: float,
     n = code.n
     A = SequenceSet.from_ids(n, code.base, sorted(set(codeword_of.values())))
     g_outer = min_image_exact(channel, A, mu + eps).lower
-    g_inner = min(
-        singleton_image_size(channel, Sequence(n, code.base, x), mu)
-        for x in codeword_of.values())
+    g_inner = int(_singleton_sizes(output_rows(channel, A), mu).min())
     lhs = aexp(len(code.messages.support), n)
     rhs = aexp(g_outer, n) - aexp(g_inner, n)
     report = BoundReport("sphere-packing-rate-bound",

@@ -71,47 +71,55 @@ def min_quasi_image(ch: Channel, input_dist: SequenceDist | None,
         input_dist = SequenceDist.uniform_on(A)
     out = output_dist(ch, input_dist.conditioned_on(A))
     order = np.lexsort((out.ids, -out.probs))
-    cum = 0.0
-    chosen: list[int] = []
-    for idx in order:
-        chosen.append(int(out.ids[idx]))
-        cum += float(out.probs[idx])
-        if cum >= eta - ETA_TOL:
-            break
-    witness = SequenceSet.from_ids(out.n, out.base, chosen)
-    return QuasiImageResult(size=witness.size, witness=witness, eta_achieved=cum)
+    cum = out.probs[order]
+    size = int(_cut(cum, eta))
+    witness = SequenceSet(out.n, out.base, out.ids[order[:size]])
+    return QuasiImageResult(size=size, witness=witness,
+                            eta_achieved=float(cum[size - 1]))
+
+
+def _cut(desc: np.ndarray, eta: float) -> np.ndarray:
+    """How many leading entries of each row of `desc` (sorted in decreasing
+    order along the last axis) a running sum needs to reach eta, or all of
+    them if it never does.  Overwrites `desc` with its running sums, which
+    are the same left-to-right float additions as a loop over the entries.
+    """
+    np.cumsum(desc, axis=-1, out=desc)
+    return np.minimum((desc < eta - ETA_TOL).sum(axis=-1) + 1, desc.shape[-1])
+
+
+def _singleton_sizes(rows: np.ndarray, eta: float) -> np.ndarray:
+    """Minimum eta-image size of each row's input word; sorts `rows` in place.
+
+    Tied entries are equal, so sorting by value alone gives the same running
+    sums as taking the outputs in decreasing order with ties by ascending id.
+    """
+    rows.sort(axis=1)
+    return _cut(rows[:, ::-1], eta)
 
 
 def singleton_image_size(ch: Channel, x: Sequence, eta: float) -> int:
     """Minimum image size of a single input word: greedy over its row."""
     _check_eta(eta)
     A = SequenceSet.from_ids(x.n, x.base, [x.value])
-    row = output_rows(ch, A)[0]
-    order = np.lexsort((np.arange(row.size), -row))
-    cum = 0.0
-    count = 0
-    for idx in order:
-        cum += float(row[idx])
-        count += 1
-        if cum >= eta - ETA_TOL:
-            return count
-    return count
+    return int(_singleton_sizes(output_rows(ch, A), eta)[0])
 
 
 def _greedy_cover(rows: np.ndarray, eta: float) -> list[int]:
     """Greedy eta-image: repeatedly serve the row with the largest remaining
     deficit, adding the output that reduces that row's deficit the most."""
     n_rows, n_cols = rows.shape
+    threshold = eta - ETA_TOL
     mass = np.zeros(n_rows)
     available = np.ones(n_cols, dtype=bool)
     chosen: list[int] = []
     while True:
-        deficits = eta - ETA_TOL - mass
-        worst = int(np.argmax(deficits))
+        deficits = threshold - mass
+        worst = deficits.argmax()
         if deficits[worst] <= 0.0:
             return chosen
         gains = np.where(available, rows[worst], -1.0)
-        best = int(np.lexsort((np.arange(n_cols), -gains))[0])
+        best = int(gains.argmax())  # the first maximum: ties to the smallest id
         if gains[best] <= 0.0:
             # row sums to 1, so a positive-deficit row always has mass left
             raise DomainError("eta unreachable for some row")
@@ -237,14 +245,17 @@ def min_image_bracket(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
     _check_eta(eta)
     if A.size == 0:
         raise DomainError("A must be nonempty")
-    n_cols = ch.output.size ** A.n
     rows = output_rows(ch, A)
     upper_cols = _greedy_cover(rows, eta)
     witness = SequenceSet.from_ids(A.n, ch.output.size, upper_cols)
-    singleton_lb = max(
-        singleton_image_size(ch, Sequence(A.n, ch.input.size, sid), eta)
-        for sid in A.ids_list())
-    quasi_lb = min_quasi_image(ch, None, A, eta).size
+    # output_dist(ch, SequenceDist.uniform_on(A).conditioned_on(A)), with
+    # the same normalisation and the same order of additions
+    uniform = np.full(A.size, 1.0 / A.size)
+    mixture = np.zeros(rows.shape[1])
+    for p, row in zip(uniform / float(np.sum(uniform)), rows):
+        mixture += p * row
+    quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
+    singleton_lb = int(_singleton_sizes(rows, eta).max())
     lower = max(singleton_lb, quasi_lb)
     return ImageBracket(lower=lower, upper=len(upper_cols), upper_witness=witness,
                         exact=lower == len(upper_cols),

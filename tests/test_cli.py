@@ -231,3 +231,26 @@ def test_binary_wiretap_bound_never_imports_scipy(files):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_row_matrix_beyond_cap_exits_3_without_allocating(files, tmp_path):
+    # 65,536 rows of 2**20 outputs would be 512 GiB of float64
+    import tracemalloc
+    bigset = tmp_path / "rows.json"
+    write_json(bigset, {"n": 20, "alphabet_size": 2, "ids": list(range(1 << 16))})
+    tracemalloc.start()
+    try:
+        rc = main(["image-size", "--channel", files["bsc01"], "--set", str(bigset),
+                   "--eta", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 64 << 20
+
+
+def test_seed_only_on_verify_lemmas(files):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--channel", files["bsc01"], "--dist", files["dist"],
+              "--messages", files["msg"], "--seed", "3"])
+    assert exc.value.code == 2

@@ -1,0 +1,105 @@
+"""The product-channel kernel and the single-build image bracket against the
+word-by-word paths they replaced (`kernel_oracles`), bit for bit."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kernel_oracles as old
+from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
+                         SequenceSet, output_dist, output_rows)
+from dmckit.images import (_greedy_cover, _singleton_sizes, min_image_bracket,
+                           min_quasi_image, singleton_image_size)
+
+
+def random_channel(rng, nx: int, ny: int) -> Channel:
+    """Row-stochastic matrix; a third of them with some exact zeros."""
+    m = rng.uniform(0.05, 1.0, size=(nx, ny))
+    if rng.uniform() < 1 / 3:
+        kill = rng.uniform(size=(nx, ny)) < 0.25
+        kill[np.arange(nx), rng.integers(0, ny, size=nx)] = False
+        m[kill] = 0.0
+    return Channel(Alphabet(nx), Alphabet(ny), m / m.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def instances(draw):
+    """(channel, set A, input distribution on A, eta): |X|, |Y| in {2, 3, 4},
+    n = 1..6, A of up to 12 words."""
+    nx = draw(st.sampled_from((2, 3, 4)))
+    ny = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, min(12, nx ** n)))
+    A = SequenceSet.from_ids(n, nx, rng.choice(nx ** n, size, replace=False).tolist())
+    w = rng.uniform(0.1, 1.0, size)
+    dist = SequenceDist(n, nx, A.ids, w / w.sum())
+    eta = draw(st.sampled_from((0.05, 0.3, 0.5, 0.8, 0.95, 1.0)))
+    return random_channel(rng, nx, ny), A, dist, eta
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_output_rows_and_dist_bitwise(inst):
+    ch, A, dist, _ = inst
+    assert np.array_equal(output_rows(ch, A), old.output_rows(ch, A))
+    new, ref = output_dist(ch, dist), old.output_dist(ch, dist)
+    assert np.array_equal(new.ids, ref.ids)
+    assert np.array_equal(new.probs, ref.probs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_bracket_bounds_bitwise(inst):
+    ch, A, _, eta = inst
+    rows = output_rows(ch, A)
+    upper, singleton, quasi = old.bracket_bounds(ch, A, eta)
+    assert np.array_equal(_greedy_cover(rows, eta), upper)
+    br = min_image_bracket(ch, A, eta)
+    assert br.upper == len(upper)
+    assert np.array_equal(br.upper_witness.ids, sorted(upper))
+    assert br.lower == max(singleton, quasi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_singleton_and_quasi_bounds_bitwise(inst):
+    ch, A, dist, eta = inst
+    sizes = _singleton_sizes(output_rows(ch, A), eta)
+    ref = [old.singleton_image_size(ch, A.n, sid, eta) for sid in A.ids_list()]
+    assert np.array_equal(sizes, ref)
+    sid = A.ids_list()[0]
+    assert singleton_image_size(ch, Sequence(A.n, A.base, sid), eta) == ref[0]
+    for d in (None, dist):
+        got = min_quasi_image(ch, d, A, eta)
+        size, witness, achieved = old.min_quasi_image(ch, d, A, eta)
+        assert got.size == size
+        assert got.witness.ids_list() == witness
+        assert np.array_equal(got.eta_achieved, achieved)
+
+
+def test_thousand_letter_input_at_n8():
+    # 1024 ** 7 wraps to 0 in int64, so place values cannot give the digits
+    rng = np.random.default_rng(5)
+    ch = random_channel(rng, 1024, 2)
+    ids = sorted({int(v) for v in rng.integers(0, 2 ** 63 - 1, size=6)} | {1023, 2 ** 63 - 1})
+    A = SequenceSet.from_ids(8, 1024, ids)
+    assert np.array_equal(output_rows(ch, A), old.output_rows(ch, A))
+    dist = SequenceDist.uniform_on(A)
+    assert np.array_equal(output_dist(ch, dist).probs, old.output_dist(ch, dist).probs)
+    for eta in (0.3, 0.9):
+        upper, singleton, quasi = old.bracket_bounds(ch, A, eta)
+        br = min_image_bracket(ch, A, eta)
+        assert (br.upper, br.lower) == (len(upper), max(singleton, quasi))
+        assert min_quasi_image(ch, None, A, eta).size == quasi
+
+
+def test_output_dist_spans_several_blocks():
+    # 2**13 floats per block: 3**9 columns take one word per block, 2**4 take 512
+    rng = np.random.default_rng(11)
+    for nx, ny, n, size in ((2, 3, 9, 5), (2, 2, 4, 16), (4, 2, 6, 1500)):
+        ch = random_channel(rng, nx, ny)
+        ids = rng.choice(nx ** n, min(size, nx ** n), replace=False).tolist()
+        dist = SequenceDist.uniform_on(SequenceSet.from_ids(n, nx, ids))
+        assert np.array_equal(output_dist(ch, dist).probs,
+                              old.output_dist(ch, dist).probs)
