@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import Channel, SequenceDist, SequenceSet
+from .core import DENSE_CAP, Channel, SequenceDist, SequenceSet
 from .errors import (CapacityError, InvariantError, ToolkitError,
                      ValidationError)
 from .fano import Code, Decoder, MessageSpace, strong_fano_avg, strong_fano_max
@@ -97,6 +97,9 @@ def load_code(path: str) -> Code:
                                      for row in rows_raw.values()
                                      for m, _ in row}))
             col = {m: i for i, m in enumerate(m_values)}
+            if space * len(m_values) > DENSE_CAP:
+                raise CapacityError(
+                    "decoder table |Y|^n*|M_S| exceeds the dense cap 2**26")
             table = np.zeros((space, len(m_values)))
             for y in range(space):
                 if y not in rows_raw:

@@ -306,8 +306,7 @@ def build_decoding_sets(code: Code, channels: list[Channel], k: int,
             counts[c_set.ids] += 1
             members = [x for x in cell.ids_list() if m_S in by_x.get(x, ())]
             rows = output_rows(ch, SequenceSet.from_ids(n, ch.input.size, members))
-            mask = np.isin(np.arange(out_space), c_set.ids)
-            min_mass = float(rows[:, mask].sum(axis=1).min())
+            min_mass = float(rows[:, c_set.ids].sum(axis=1).min())
             certificates.add(f"{label}:{m_S}", alpha / 4.0, min_mass,
                              min_mass >= alpha / 4.0 - ETA_TOL,
                              slack=min_mass - alpha / 4.0)

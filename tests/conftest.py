@@ -32,14 +32,18 @@ def exhaustive_min_quasi_size(out_dist, eta, tol=1e-12):
     return best
 
 
-def exhaustive_min_image_size(rows, eta, tol=1e-12):
-    """Brute-force minimum eta-image size, vectorized over all subsets."""
+def exhaustive_min_image(rows, eta, tol=1e-12):
+    """(minimum eta-image size, lexicographically least minimum cover) by
+    brute force over all nonempty subsets, vectorized; (m + 1, None) when no
+    subset reaches eta on every row."""
     n_rows, m = rows.shape
     subsets = np.arange(1, 1 << m, dtype=np.int64)
     bits = ((subsets[:, None] >> np.arange(m)) & 1).astype(np.float64)
     masses = bits @ rows.T
     feasible = (masses >= eta - tol).all(axis=1)
     if not feasible.any():
-        return m + 1
+        return m + 1, None
     sizes = bits.sum(axis=1)
-    return int(sizes[feasible].min())
+    best = int(sizes[feasible].min())
+    covers = bits[feasible & (sizes == best)]
+    return best, min(np.flatnonzero(c).tolist() for c in covers)

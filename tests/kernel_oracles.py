@@ -1,5 +1,6 @@
 """The word-by-word product-channel paths that `core._product_rows` and the
-single-build image bracket replaced, kept as test oracles.
+single-build image bracket replaced, and the branch-and-bound that the
+subset-sum table of `min_image_exact` replaced, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
@@ -99,3 +100,80 @@ def bracket_bounds(ch, A: SequenceSet, eta: float) -> tuple[list[int], int, int]
     singleton = max(singleton_image_size(ch, A.n, sid, eta) for sid in A.ids_list())
     quasi = min_quasi_image(ch, None, A, eta)[0]
     return upper, singleton, quasi
+
+
+def min_image_branch_and_bound(rows: np.ndarray, eta: float) -> tuple[int, list[int]]:
+    """(minimum eta-image size, lexicographically least witness) of the row
+    matrix: a depth-first branch-and-bound for the size, then a second
+    lexicographic search for the least witness of that size."""
+    n_cols = rows.shape[1]
+    best_size = len(greedy_cover(rows, eta))
+    col_order = np.arange(n_cols)
+    order_desc = np.argsort(-rows, axis=1, kind="stable")
+
+    def count_lower_bound(mass, available) -> int:
+        """Minimum number of further columns any completion needs."""
+        need = 0
+        for i in range(rows.shape[0]):
+            deficit = eta - ETA_TOL - mass[i]
+            if deficit <= 0.0:
+                continue
+            cum = 0.0
+            cnt = 0
+            covered = False
+            for j in order_desc[i]:
+                if not available[j]:
+                    continue
+                cum += float(rows[i, j])
+                cnt += 1
+                if cum >= deficit:
+                    covered = True
+                    break
+            if not covered:
+                return n_cols + 1  # infeasible under current exclusions
+            need = max(need, cnt)
+        return need
+
+    def search(mass, available, chosen_count):
+        nonlocal best_size
+        deficits = eta - ETA_TOL - mass
+        worst = int(np.argmax(deficits))
+        if deficits[worst] <= 0.0:
+            best_size = min(best_size, chosen_count)
+            return
+        if chosen_count + count_lower_bound(mass, available) >= best_size:
+            return
+        gains = np.where(available, rows[worst], -1.0)
+        candidates = [int(j) for j in np.lexsort((col_order, -gains))
+                      if available[j] and gains[j] > 0.0]
+        # branch i commits to candidate i and forbids candidates 0..i-1, so
+        # every feasible cover is reached exactly once
+        remaining = available.copy()
+        for j in candidates:
+            if chosen_count + 1 >= best_size:
+                return
+            remaining[j] = False
+            search(mass + rows[:, j], remaining.copy(), chosen_count + 1)
+
+    def lex_min(start, mass, chosen):
+        """Lexicographically least feasible column set of size <= best_size."""
+        deficits = eta - ETA_TOL - mass
+        if float(np.max(deficits)) <= 0.0:
+            return chosen
+        if len(chosen) >= best_size:
+            return None
+        available = np.zeros(n_cols, dtype=bool)
+        available[start:] = True
+        if len(chosen) + count_lower_bound(mass, available) > best_size:
+            return None
+        for j in range(start, n_cols):
+            got = lex_min(j + 1, mass + rows[:, j], chosen + [j])
+            if got is not None:
+                return got
+        return None
+
+    search(np.zeros(rows.shape[0]), np.ones(n_cols, dtype=bool), 0)
+    witness = lex_min(0, np.zeros(rows.shape[0]), [])
+    if witness is None:
+        raise AssertionError("no feasible image at the computed optimum size")
+    return best_size, witness

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exhaustive_min_image_size
+from conftest import exhaustive_min_image
 from dmckit.cli import main as cli_main
 from dmckit.core import (SequenceDist, SequenceSet, bsc, identity_channel,
                          output_dist, output_rows)
@@ -75,10 +75,11 @@ def test_criterion_2_image_solver_soundness():
         A = random_subset(rng, n, base)
         eta = float(rng.uniform(0.02, 0.999))
         rows = output_rows(ch, A)
-        want = exhaustive_min_image_size(rows, eta)
+        want, lex_least = exhaustive_min_image(rows, eta)
         exact = min_image_exact(ch, A, eta)
         bracket = min_image_bracket(ch, A, eta)
         assert exact.lower == exact.upper == want
+        assert exact.upper_witness.ids_list() == lex_least
         assert bracket.lower <= want <= bracket.upper
         for witness in (exact.upper_witness, bracket.upper_witness):
             mask = np.isin(np.arange(rows.shape[1]), witness.ids)

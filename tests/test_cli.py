@@ -254,3 +254,22 @@ def test_seed_only_on_verify_lemmas(files):
         main(["partition", "--channel", files["bsc01"], "--dist", files["dist"],
               "--messages", files["msg"], "--seed", "3"])
     assert exc.value.code == 2
+
+
+def test_decoder_table_beyond_cap_exits_3_without_allocating(files, tmp_path, capsys):
+    # 2**40 outputs x 2 messages would be 16 TiB of float64
+    import tracemalloc
+    code = tmp_path / "wide_code.json"
+    write_json(code, {
+        "J": 1, "message_sizes": [2], "n": 40, "alphabet_size": 2,
+        "encoder": [[[0], [[0, 1.0]]], [[1], [[1, 1.0]]]],
+        "decoders": [{"S": [1], "rows": [[0, [[[0], 1.0]]], [1, [[[1], 1.0]]]]}]})
+    tracemalloc.start()
+    try:
+        rc = main(["fano-max", "--code", str(code), "--channel", files["bsc01"]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert peak < 64 << 20

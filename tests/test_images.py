@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exhaustive_min_image_size, exhaustive_min_quasi_size
-from dmckit.core import (Sequence, SequenceDist, SequenceSet, bsc,
-                         identity_channel, output_dist, output_rows)
+from conftest import exhaustive_min_image, exhaustive_min_quasi_size
+from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
+                         SequenceSet, bsc, identity_channel, output_dist,
+                         output_rows)
 from dmckit.errors import CapacityError, DomainError
 from dmckit.images import (hamming_blowup, image_exponent_gap,
                            min_image_bracket, min_image_exact, min_quasi_image,
@@ -86,11 +87,23 @@ def test_min_image_exact_vs_exhaustive():
         A = random_subset(rng, n, base, max_size=min(8, base ** n))
         eta = float(rng.uniform(0.05, 0.999))
         rows = output_rows(ch, A)
-        want = exhaustive_min_image_size(rows, eta)
+        size, witness = exhaustive_min_image(rows, eta)
         br = min_image_exact(ch, A, eta)
-        assert br.lower == want
+        assert br.lower == br.upper == size
+        assert br.upper_witness.ids_list() == witness
         mask = np.isin(np.arange(rows.shape[1]), br.upper_witness.ids)
         assert rows[:, mask].sum(axis=1).min() >= eta - 1e-12
+
+
+def test_min_image_exact_unreachable_eta():
+    # rows sum to 1 - 9e-13, so every word of two letters keeps about
+    # 1 - 1.8e-12 of its mass: below eta = 1 even after the 1e-12 slack
+    ch = Channel(Alphabet(2), Alphabet(2), [[0.5, 0.5 - 9e-13], [0.5 - 9e-13, 0.5]])
+    A = SequenceSet.from_ids(2, 2, [0, 3])
+    assert exhaustive_min_image(output_rows(ch, A), 1.0) == (5, None)
+    with pytest.raises(DomainError):
+        min_image_exact(ch, A, 1.0)
+    assert min_image_exact(ch, A, 0.999).lower == 4
 
 
 def test_bracket_contains_exact():

@@ -1,5 +1,8 @@
-"""The product-channel kernel and the single-build image bracket against the
-word-by-word paths they replaced (`kernel_oracles`), bit for bit."""
+"""The product-channel kernel, the single-build image bracket and the
+subset-sum exact image solver against the paths they replaced
+(`kernel_oracles`), bit for bit."""
+
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 import kernel_oracles as old
 from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
                          SequenceSet, output_dist, output_rows)
-from dmckit.images import (_greedy_cover, _singleton_sizes, min_image_bracket,
+from dmckit.images import (_TABLE_BITS, ETA_TOL, _greedy_cover,
+                           _singleton_sizes, min_image_bracket, min_image_exact,
                            min_quasi_image, singleton_image_size)
 
 
@@ -103,3 +107,95 @@ def test_output_dist_spans_several_blocks():
         dist = SequenceDist.uniform_on(SequenceSet.from_ids(n, nx, ids))
         assert np.array_equal(output_dist(ch, dist).probs,
                               old.output_dist(ch, dist).probs)
+
+
+@st.composite
+def image_instances(draw):
+    """(channel, set A, eta) with |Y|^n <= 16 output columns: |X|, |Y| in
+    {2, 3, 4}, so ternary outputs reach 9 columns."""
+    nx = draw(st.sampled_from((2, 3, 4)))
+    ny = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 4 if ny == 2 else 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.integers(1, min(12, nx ** n)))
+    A = SequenceSet.from_ids(n, nx, rng.choice(nx ** n, size, replace=False).tolist())
+    eta = draw(st.one_of(st.sampled_from((0.05, 0.3, 0.5, 0.8, 0.95, 1.0)),
+                         st.floats(0.01, 1.0)))
+    return random_channel(rng, nx, ny), A, eta
+
+
+def assert_same_image(ch, A, eta):
+    br = min_image_exact(ch, A, eta)
+    size, witness = old.min_image_branch_and_bound(output_rows(ch, A), eta)
+    assert br.lower == br.upper == size
+    assert br.upper_witness.ids_list() == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(image_instances())
+def test_min_image_exact_against_branch_and_bound(inst):
+    assert_same_image(*inst)
+
+
+def test_min_image_exact_wide_against_branch_and_bound():
+    # 17-24 output columns take the solver well past its 2**15-float table
+    rng = np.random.default_rng(17)
+    for nx, ny, eta in ((3, 17, 0.5), (2, 20, 0.8), (3, 22, 0.3), (2, 24, 0.95)):
+        ch = random_channel(rng, nx, ny)
+        assert_same_image(ch, SequenceSet.from_ids(1, nx, list(range(nx))), eta)
+    # {1, 16} and {0, 17} both reach 0.5, and the later column pattern
+    # {17} holds the least cover
+    row = np.zeros(18)
+    row[[0, 1, 16, 17]] = 0.2, 0.25, 0.25, 0.3
+    ch = Channel(Alphabet(2), Alphabet(18), np.stack([row, row[::-1]]))
+    br = min_image_exact(ch, SequenceSet.from_ids(1, 2, [0]), 0.5)
+    assert br.upper_witness.ids_list() == [0, 17]
+    # all 24 outputs alike: every 12 of them are a minimum cover
+    ch = Channel(Alphabet(2), Alphabet(24), np.full((2, 24), 1 / 24))
+    br = min_image_exact(ch, SequenceSet.from_ids(1, 2, [0, 1]), 0.5)
+    assert br.upper_witness.ids_list() == list(range(12))
+
+
+def brute_min_image(rows, eta, descending=False):
+    """(size, lexicographically least cover), each set's mass summed over its
+    columns in ascending (or descending) order, smallest sets first."""
+    for size in range(1, rows.shape[1] + 1):
+        for cols in combinations(range(rows.shape[1]), size):
+            order = cols[::-1] if descending else cols
+            if all(sum(row[j] for j in order) >= eta - ETA_TOL for row in rows.tolist()):
+                return size, list(cols)
+
+
+def test_min_image_exact_sums_columns_in_ascending_order():
+    # eta - ETA_TOL is set to a mass that the ascending sum reaches and the
+    # descending sum misses by an ulp, where the two orders give different
+    # images; behind _TABLE_BITS null outputs, every column is past the table
+    rng = np.random.default_rng(23)
+    found = 0
+    for _ in range(2000):
+        ch = random_channel(rng, 2, 5)
+        cols = sorted(rng.choice(5, 3, replace=False).tolist())
+        up = sum(ch.matrix[0, j] for j in cols)
+        if up <= sum(ch.matrix[0, j] for j in reversed(cols)):
+            continue
+        eta = up + ETA_TOL
+        while eta - ETA_TOL > up:
+            eta = np.nextafter(eta, 0.0)
+        while eta - ETA_TOL < up:
+            eta = np.nextafter(eta, 1.0)
+        if eta - ETA_TOL != up or eta > 1.0:
+            continue
+        want = brute_min_image(ch.matrix, eta)
+        if want == brute_min_image(ch.matrix, eta, descending=True):
+            continue
+        A = SequenceSet.from_ids(1, 2, [0, 1])
+        br = min_image_exact(ch, A, float(eta))
+        assert (br.lower, br.upper_witness.ids_list()) == want
+        wide = Channel(Alphabet(2), Alphabet(_TABLE_BITS + 5),
+                       np.hstack([np.zeros((2, _TABLE_BITS)), ch.matrix]))
+        br = min_image_exact(wide, A, float(eta))
+        assert br.upper_witness.ids_list() == [_TABLE_BITS + j for j in want[1]]
+        found += 1
+        if found == 5:
+            break
+    assert found == 5
