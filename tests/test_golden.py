@@ -47,6 +47,16 @@ CASES = {
     "fano-avg-two-receivers-n4": [
         "fano-avg", "--code", "code4j2.json", "--channel", "bsc01.json",
         "--channel", "bsc02.json"],
+    # codeword 7 carries three messages and codeword 4 two, so the report
+    # runs on codewords extended by appended symbols
+    "fano-max-shared-codewords-n3": [
+        "fano-max", "--code", "code3_shared.json", "--channel", "bsc01.json"],
+    # the stochastic decoders split the pairs four ways, (0, 1), (0,), (1,)
+    # and the empty split; codeword 11 carries three messages, so the
+    # (0, 1) split appends symbols
+    "fano-avg-splits-two-receivers-n4": [
+        "fano-avg", "--code", "code4_splits.json", "--channel", "bsc01.json",
+        "--channel", "bsc02.json"],
     "spectrum-n6": [
         "spectrum", "--dist", "dist6.json", "--delta-n", "0.2", "--delta", "0.5"],
 }
