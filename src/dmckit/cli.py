@@ -301,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the JSON report here (default stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted; no effect")
         p.add_argument("--record", action="store_true",
                        help="write a run record (with timestamps) next to --out")
 

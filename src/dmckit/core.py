@@ -223,9 +223,6 @@ class SequenceSet:
     def ids_list(self) -> list[int]:
         return [int(i) for i in self.ids]
 
-    def sequences(self):
-        return [Sequence(self.n, self.base, int(i)) for i in self.ids]
-
     @classmethod
     def from_ids(cls, n: int, base: int, ids) -> "SequenceSet":
         return cls(n, base, _int64_ids(sorted({int(i) for i in ids}), n, base))

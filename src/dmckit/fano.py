@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DENSE_CAP, Channel, SequenceDist, SequenceSet,
-                   aexp, entropy_bits, mutual_information, output_rows)
+from .core import (Channel, SequenceDist, SequenceSet, aexp, entropy_bits,
+                   mutual_information, output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
-from .images import ETA_TOL, _singleton_sizes, min_image, min_image_exact
+from .images import (ETA_TOL, EXACT_SOLVER_CAP, _singleton_sizes, min_image,
+                     min_image_exact)
 from .partitioner import (Schedule, build_equal_image_partition,
                           build_uniformizing_partition)
 from .reports import BoundReport
@@ -169,6 +170,20 @@ def deterministic_code(messages: MessageSpace, n: int, base: int,
                 decoders=tuple(decoders))
 
 
+def _message_output_joint(channel: Channel, pairs, n: int, base: int,
+                          total: float = 1.0) -> np.ndarray:
+    """Joint law of (message, output word) of (m, x, weight) pairs, each
+    weight divided by `total`; one row per distinct m, ascending."""
+    xs = sorted({x for _, x, _ in pairs})
+    rows = output_rows(channel, SequenceSet.from_ids(n, base, xs))
+    row_of = dict(zip(xs, rows))
+    col = {m: i for i, m in enumerate(sorted({m for m, _, _ in pairs}))}
+    joint = np.zeros((len(col), rows.shape[1]))
+    for m, x, p in pairs:
+        joint[col[m]] += (p / total) * row_of[x]
+    return joint
+
+
 def ml_decoder(messages: MessageSpace, encoder, channel: Channel, n: int,
                S: tuple[int, ...]) -> Decoder:
     """Deterministic maximum-likelihood decoder for the m_S marginal.
@@ -176,19 +191,11 @@ def ml_decoder(messages: MessageSpace, encoder, channel: Channel, n: int,
     Ties break toward the smallest message tuple.
     """
     enc = dict(encoder)
-    m_values = tuple(sorted(messages.marginal(S)))
-    out_space = channel.output.size ** n
-    if out_space > DENSE_CAP:
-        raise CapacityError("output space exceeds the dense cap")
-    score = np.zeros((len(m_values), out_space))
-    col = {m: i for i, m in enumerate(m_values)}
-    xset = SequenceSet.from_ids(n, channel.input.size,
-                                {x for row in enc.values() for x, _ in row})
-    rows = output_rows(channel, xset)
-    for m, pm in messages.items():
-        key = tuple(m[j] for j in S)
-        for x, px in enc[m]:
-            score[col[key]] += pm * px * rows[np.searchsorted(xset.ids, x)]
+    weighted = [(tuple(m[j] for j in S), x, pm * px)
+                for m, pm in messages.items() for x, px in enc[m]]
+    score = _message_output_joint(channel, weighted, n, channel.input.size)
+    m_values = tuple(sorted({m_S for m_S, _, _ in weighted}))  # score's rows
+    out_space = score.shape[1]
     table = np.zeros((out_space, len(m_values)))
     best = np.argmax(score, axis=0)  # argmax returns the smallest index on ties
     table[np.arange(out_space), best] = 1.0
@@ -200,36 +207,38 @@ def ml_decoder(messages: MessageSpace, encoder, channel: Channel, n: int,
 # ---------------------------------------------------------------------------
 
 def _success_probs(pairs, decoder: Decoder, channel: Channel, n: int) -> dict:
-    """P(decode = m_S | X = x) per distinct (m_S, x) with positive mass."""
+    """P(decode = m_S | X = x) per positive-mass pair (m, x).
+
+    A row's bits do not depend on the batch it is built in, so the entries
+    of any subset of the pairs equal the ones computed for that subset.
+    """
     xs = sorted({x for _, x, _ in pairs})
-    xset = SequenceSet.from_ids(n, channel.input.size, xs)
-    rows = output_rows(channel, xset)
-    row_of = {x: rows[i] for i, x in enumerate(xs)}
-    out: dict = {}
-    for m, x, _ in pairs:
-        key = (tuple(m[j] for j in decoder.S), x)
-        if key in out:
-            continue
-        out[key] = float(row_of[x] @ decoder.table[:, decoder.column(key[0])])
-    return out
+    rows = output_rows(channel, SequenceSet.from_ids(n, channel.input.size, xs))
+    row_of = dict(zip(xs, rows))
+    return {(m, x): float(row_of[x] @ decoder.table[
+                :, decoder.column(tuple(m[j] for j in decoder.S))])
+            for m, x, _ in pairs}
+
+
+def _error_sum(pairs, succ: dict) -> float:
+    """Average decoding error of the pairs, in pair order."""
+    total = 0.0
+    for m, x, p in pairs:
+        total += p * (1.0 - succ[(m, x)])
+    return total
 
 
 def max_error(code: Code, channels: list[Channel], k: int) -> float:
     """Worst conditional error over positive-mass (m_S, codeword) pairs."""
-    dec = code.decoders[k]
-    succ = _success_probs(code.pairs(), dec, channels[k], code.n)
+    succ = _success_probs(code.pairs(), code.decoders[k], channels[k], code.n)
     return max(1.0 - s for s in succ.values())
 
 
 def avg_error(code: Code, channels: list[Channel], k: int) -> float:
     """Average decoding error probability of receiver k."""
-    dec = code.decoders[k]
     pairs = code.pairs()
-    succ = _success_probs(pairs, dec, channels[k], code.n)
-    total = 0.0
-    for m, x, p in pairs:
-        total += p * (1.0 - succ[(tuple(m[j] for j in dec.S), x)])
-    return total
+    return _error_sum(pairs, _success_probs(pairs, code.decoders[k],
+                                            channels[k], code.n))
 
 
 def classic_fano(h_m_given: float, eps: float, card_m: float, n: int) -> float:
@@ -268,24 +277,32 @@ def build_decoding_sets(code: Code, channels: list[Channel], k: int,
     Each C is certified as an (alpha/4)-image of its cell-message set, and
     per output word at most floor(2/alpha) sets overlap.
     """
+    return _decoding_sets(code.pairs(), code.decoders[k], channels[k], code.n,
+                          k, alpha, partition)
+
+
+def _members_by_message(pairs, cell: SequenceSet, S: tuple[int, ...]) -> dict:
+    """m_S -> the codewords of `cell` that carry it, m_S ascending."""
+    inside = set(cell.ids_list())
+    out: dict = {}
+    for m, x, _ in pairs:
+        if x in inside:
+            out.setdefault(tuple(m[j] for j in S), set()).add(x)
+    return dict(sorted(out.items()))
+
+
+def _decoding_sets(pairs, dec: Decoder, ch: Channel, n: int, k: int,
+                   alpha: float, partition) -> DecodingSets:
+    """`build_decoding_sets` on a positive-mass (message, codeword) pair list."""
     if alpha <= 0.0:
         raise PreconditionError("alpha must be positive (max error < 1)")
-    dec = code.decoders[k]
-    ch = channels[k]
-    n = code.n
     cells = dict(partition.cells) if isinstance(partition, PartitioningIndex) \
         else dict(partition)
-    pairs = code.pairs()
-    by_x: dict = {}
-    for m, x, _ in pairs:
-        by_x.setdefault(x, set()).add(tuple(m[j] for j in dec.S))
-
     out_space = ch.output.size ** n
     tilde: dict = {}
     for m_S in dec.m_values:
-        col = dec.table[:, dec.column(m_S)]
-        ids = np.nonzero(col >= alpha / 2.0 - ETA_TOL)[0]
-        tilde[m_S] = SequenceSet(n, ch.output.size, ids.astype(np.int64))
+        ids = np.nonzero(dec.table[:, dec.column(m_S)] >= alpha / 2.0 - ETA_TOL)[0]
+        tilde[m_S] = SequenceSet(n, ch.output.size, ids)
 
     sets: dict = {}
     certificates = BoundReport("decoding-set-image-certificates")
@@ -293,18 +310,15 @@ def build_decoding_sets(code: Code, channels: list[Channel], k: int,
     empty_flagged = []
     cap = math.floor(2.0 / alpha)
     for label, cell in cells.items():
-        image = min_image(ch, cell, 1.0 - alpha / 4.0)
-        b_cell = image.upper_witness
-        m_here = sorted({m_S for x in cell.ids_list() for m_S in by_x.get(x, ())})
+        b_cell = min_image(ch, cell, 1.0 - alpha / 4.0).upper_witness
         counts = np.zeros(out_space, dtype=np.int64)
-        for m_S in m_here:
+        for m_S, members in _members_by_message(pairs, cell, dec.S).items():
             c_set = b_cell.intersect(tilde[m_S])
             sets[(m_S, label)] = c_set
             if c_set.size == 0:
                 empty_flagged.append((m_S, label))
                 continue
             counts[c_set.ids] += 1
-            members = [x for x in cell.ids_list() if m_S in by_x.get(x, ())]
             rows = output_rows(ch, SequenceSet.from_ids(n, ch.input.size, members))
             min_mass = float(rows[:, c_set.ids].sum(axis=1).min())
             certificates.add(f"{label}:{m_S}", alpha / 4.0, min_mass,
@@ -404,22 +418,18 @@ class _JointView:
                 raise ValidationError("messages do not partition the codeword set")
         return PartitioningIndex.from_labeling(ground, lambda sid: label_of[sid])
 
-    def alphas(self) -> list[float]:
-        out = []
-        for k, dec in enumerate(self.decoders):
-            succ = _success_probs(self.pairs, dec, self.channels[k], self.n)
-            out.append(min(succ.values()))
+    def marginal(self, S: tuple[int, ...]) -> dict:
+        """P(M_S = m_S), summed in pair order."""
+        out: dict = {}
+        for m, _, p in self.pairs:
+            key = tuple(m[j] for j in S)
+            out[key] = out.get(key, 0.0) + p
         return out
 
-    def avg_errors(self) -> list[float]:
-        out = []
-        for k, dec in enumerate(self.decoders):
-            succ = _success_probs(self.pairs, dec, self.channels[k], self.n)
-            err = 0.0
-            for m, x, p in self.pairs:
-                err += p * (1.0 - succ[(tuple(m[j] for j in dec.S), x)])
-            out.append(err)
-        return out
+    def success_tables(self) -> list[dict]:
+        """One `_success_probs` table per receiver."""
+        return [_success_probs(self.pairs, dec, ch, self.n)
+                for dec, ch in zip(self.decoders, self.channels)]
 
 
 def _view_of(code: Code, channels) -> _JointView:
@@ -547,39 +557,21 @@ def _subsets_of(items):
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def _cell_joint(view: _JointView, cell_pairs, S: tuple[int, ...], k: int,
-                cond: tuple[int, ...] = ()):
-    """Joint (m_S, y) matrices given the cell, one per value of m_cond."""
-    ch = view.channels[k]
-    xs = sorted({x for _, x, _ in cell_pairs})
-    xset = SequenceSet.from_ids(view.n, view.base, xs)
-    rows = output_rows(ch, xset)
-    row_of = {x: rows[i] for i, x in enumerate(xs)}
+def _mi_rate(view, cell_pairs, S, k, cond=()):
+    """(I(M_S;Y_k|M_cond)/n, H(M_S|M_cond)/n) over the pairs of one cell."""
     total = sum(p for _, _, p in cell_pairs)
     groups: dict = {}
     for m, x, p in cell_pairs:
-        key = tuple(m[j] for j in cond)
-        groups.setdefault(key, []).append((m, x, p))
-    out = {}
-    for key, plist in sorted(groups.items()):
-        m_vals = sorted({tuple(m[j] for j in S) for m, _, _ in plist})
-        col = {m: i for i, m in enumerate(m_vals)}
-        joint = np.zeros((len(m_vals), rows.shape[1]))
-        mass = sum(p for _, _, p in plist)
-        for m, x, p in plist:
-            joint[col[tuple(m[j] for j in S)]] += (p / mass) * row_of[x]
-        out[key] = (mass / total, joint, m_vals)
-    return out
-
-
-def _mi_rate(view, cell_pairs, S, k, cond=()):
-    """(aexp distinct m_{S|cond}, I(M_S;Y_k|M_cond)/n, H(M_S|M_cond)/n)."""
-    groups = _cell_joint(view, cell_pairs, S, k, cond)
+        groups.setdefault(tuple(m[j] for j in cond), []).append(
+            (tuple(m[j] for j in S), x, p))
     mi = 0.0
     h = 0.0
-    for _, (w, joint, _) in sorted(groups.items()):
-        mi += w * mutual_information(joint)
-        h += w * entropy_bits(joint.sum(axis=1))
+    for _, plist in sorted(groups.items()):
+        mass = sum(p for _, _, p in plist)
+        joint = _message_output_joint(view.channels[k], plist, view.n,
+                                      view.base, mass)
+        mi += mass / total * mutual_information(joint)
+        h += mass / total * entropy_bits(joint.sum(axis=1))
     return mi / view.n, h / view.n
 
 
@@ -617,7 +609,7 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
     every error probability unchanged.
     """
     view = _view_of(code, channels)
-    alphas = view.alphas()
+    alphas = [min(succ.values()) for succ in view.success_tables()]
     if min(alphas) <= 0.0:
         raise PreconditionError("strong Fano needs maximum error < 1")
     if not view.messages_partition():
@@ -629,11 +621,7 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
     for k in range(len(view.decoders)):
         report.passing_mass[k] = 1.0 - report.q0_mass
         report.passing_target[k] = 1.0 - report.q0_bound
-        m_marg: dict = {}
-        S_k = tuple(sorted(view.decoders[k].S))
-        for m, _, p in view.pairs:
-            key = tuple(m[j] for j in S_k)
-            m_marg[key] = m_marg.get(key, 0.0) + p
+        m_marg = view.marginal(tuple(sorted(view.decoders[k].S)))
         report.details[f"classic_fano_k{k}"] = classic_fano(
             0.0, 1.0 - alphas[k], math.log2(len(m_marg)), view.n)
     report.details["alphas"] = list(alphas)
@@ -645,9 +633,6 @@ def _assemble_report(criterion, view, alphas, q_cells, remainder,
                      label_prefix="", weight=1.0, base_report=None,
                      receivers=None):
     n_eff = view.n
-    pair_of_x: dict = {}
-    for m, x, p in view.pairs:
-        pair_of_x.setdefault(x, []).append((m, x, p))
     report = base_report or FanoReport(
         criterion=criterion, n=n_eff, rows=[], q_count=0, q0_mass=0.0,
         q0_bound=view.base ** (-view.n), appended=view.appended,
@@ -661,7 +646,8 @@ def _assemble_report(criterion, view, alphas, q_cells, remainder,
         all_cells.append(("q0", remainder))
     for label, cell in all_cells:
         full_label = label_prefix + label
-        cell_pairs = [t for x in cell.ids_list() for t in pair_of_x.get(x, [])]
+        inside = set(cell.ids_list())
+        cell_pairs = [t for t in view.pairs if t[1] in inside]
         mass = weight * sum(p for _, _, p in cell_pairs)
         report.cell_pairs[full_label] = [(m, x // view.shift, weight * p)
                                          for m, x, p in cell_pairs]
@@ -694,59 +680,24 @@ def _assemble_report(criterion, view, alphas, q_cells, remainder,
     if counting_checks:
         cells_only = {label_prefix + lab: cell for lab, cell in q_cells}
         for k in receivers:
-            dsets = build_decoding_sets_from_view(view, k, alphas[k], cells_only)
-            for item in dsets.certificates.items:
-                report.counting.items.append(item)
-            for item in dsets.multiplicity.items:
-                report.counting.items.append(item)
+            ch = view.channels[k]
+            dsets = _decoding_sets(view.pairs, view.decoders[k], ch, view.n, k,
+                                   alphas[k], cells_only)
+            report.counting.items += dsets.certificates.items
+            report.counting.items += dsets.multiplicity.items
             # set monotonicity of image sizes: message cell inside its q cell
+            if ch.output.size ** view.n > EXACT_SOLVER_CAP:
+                continue
+            S_k = tuple(sorted(view.decoders[k].S))
             for label, cell in cells_only.items():
-                if view.channels[k].output.size ** view.n > 24:
-                    continue
-                g_cell = min_image(view.channels[k], cell, eta).lower
-                S_k = tuple(sorted(view.decoders[k].S))
-                for m_S in sorted({tuple(m[j] for j in S_k)
-                                   for x in cell.ids_list()
-                                   for m, _, _ in pair_of_x.get(x, [])}):
-                    members = [x for x in cell.ids_list()
-                               if any(tuple(m[j] for j in S_k) == m_S
-                                      for m, _, _ in pair_of_x.get(x, []))]
+                g_cell = min_image(ch, cell, eta).lower
+                for m_S, members in _members_by_message(view.pairs, cell,
+                                                        S_k).items():
                     sub = SequenceSet.from_ids(view.n, view.base, members)
-                    g_sub = min_image(view.channels[k], sub, eta).lower
+                    g_sub = min_image(ch, sub, eta).lower
                     report.counting.add(f"monotone:{label}:k{k}:{m_S}",
                                         g_sub, g_cell, g_sub <= g_cell)
     return report
-
-
-def build_decoding_sets_from_view(view: _JointView, k: int, alpha: float,
-                                  cells: dict) -> DecodingSets:
-    """Decoding-set construction on an internal joint view."""
-    pseudo_messages = MessageSpace(
-        sizes=tuple(view.sizes),
-        support=tuple(sorted({m for m, _, _ in view.pairs})),
-        probs=tuple(_collect_message_probs(view)))
-    encoder = _collect_encoder(view)
-    pseudo = Code(messages=pseudo_messages, n=view.n, base=view.base,
-                  encoder=encoder, decoders=tuple(view.decoders))
-    return build_decoding_sets(pseudo, view.channels, k, alpha, cells)
-
-
-def _collect_message_probs(view: _JointView):
-    acc: dict = {}
-    for m, _, p in view.pairs:
-        acc[m] = acc.get(m, 0.0) + p
-    return [acc[m] for m in sorted(acc)]
-
-
-def _collect_encoder(view: _JointView):
-    acc: dict = {}
-    tot: dict = {}
-    for m, x, p in view.pairs:
-        acc.setdefault(m, {})
-        acc[m][x] = acc[m].get(x, 0.0) + p
-        tot[m] = tot.get(m, 0.0) + p
-    return tuple((m, tuple((x, px / tot[m]) for x, px in sorted(acc[m].items())))
-                 for m in sorted(acc))
 
 
 def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
@@ -762,7 +713,8 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
     asymptotic targets are recorded alongside, never enforced.
     """
     view = _view_of(code, channels)
-    errs = view.avg_errors()
+    succ = view.success_tables()
+    errs = [_error_sum(view.pairs, table) for table in succ]
     if max(errs) >= 1.0:
         raise PreconditionError("strong Fano needs average error < 1")
     if view.n < 2 and alpha_n is None:
@@ -772,14 +724,9 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
         alpha_n = (1.0 - err) / math.log2(view.n)
     K = len(view.decoders)
 
-    succ = []
-    for k, dec in enumerate(view.decoders):
-        succ.append(_success_probs(view.pairs, dec, view.channels[k], view.n))
     splits: dict = {}
     for m, x, p in view.pairs:
-        T = tuple(k for k in range(K)
-                  if succ[k][(tuple(m[j] for j in view.decoders[k].S), x)]
-                  >= alpha_n - ETA_TOL)
+        T = tuple(k for k in range(K) if succ[k][(m, x)] >= alpha_n - ETA_TOL)
         splits.setdefault(T, []).append((m, x, p))
 
     report = FanoReport(
@@ -792,9 +739,8 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
 
     for T, plist in sorted(splits.items()):
         w = sum(p for _, _, p in plist)
-        norm = [(m, x, p / w) for m, x, p in plist]
         sub = _JointView(n=view.n, base=view.base, sizes=view.sizes,
-                         pairs=sorted(norm, key=lambda t: (t[1], t[0])),
+                         pairs=[(m, x, p / w) for m, x, p in plist],
                          decoders=view.decoders, channels=view.channels)
         label_prefix = f"u{''.join(str(k) for k in T) or '-'}|"
         if not T:
@@ -802,16 +748,11 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
                 (m, x, w * p) for m, x, p in sub.pairs]
             report.q_count += 1
             continue
-        sub_alphas = []
-        for k in range(K):
-            if k in T:
-                s = _success_probs(sub.pairs, view.decoders[k],
-                                   view.channels[k], view.n)
-                sub_alphas.append(min(s.values()))
-            else:
-                sub_alphas.append(1.0)  # unused; receiver not reported here
+        # a receiver outside T is not reported here and adds no symbols
+        sub_alphas = [min(succ[k][(m, x)] for m, x, _ in plist) if k in T
+                      else 1.0 for k in range(K)]
         if not sub.messages_partition():
-            sub = _append_symbols(sub, [sub_alphas[k] for k in range(K)])
+            sub = _append_symbols(sub, sub_alphas)
         q_cells, remainder, remainder_mass = _build_q_cells(
             sub, eta=eta, delta_n=delta_n, rho=rho, schedule=schedule)
         _assemble_report("avg", sub, sub_alphas, q_cells, remainder,
@@ -819,14 +760,8 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
                          label_prefix=label_prefix, weight=w,
                          base_report=report, receivers=list(T))
 
-    marg = {}
     for k in range(K):
-        S_k = tuple(sorted(view.decoders[k].S))
-        m_marg = {}
-        for m, _, p in view.pairs:
-            key = tuple(m[j] for j in S_k)
-            m_marg[key] = m_marg.get(key, 0.0) + p
-        marg[k] = m_marg
+        m_marg = view.marginal(tuple(sorted(view.decoders[k].S)))
         full_aexp = aexp(len(m_marg), view.n)
         gamma_k = max(m_marg.values()) / min(m_marg.values())
         report.passing_mass[k] = sum(r.mass for r in report.bound_rows(k))

@@ -128,7 +128,7 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
 
     cells: dict = {}
     message_bins_by_slice: dict = {}
-    remainder_parts: list[SequenceSet] = [sp.bins[K]] if sp.bins[K].size else []
+    remainder_ids = [sp.bins[K].ids]
 
     labels = message_index.labels()
     for k in range(K):
@@ -148,14 +148,12 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
         message_bins_by_slice[k] = {l: tuple(m for m, _ in pairs)
                                     for l, pairs in sorted(ratio_bins.items())}
         for l, pairs in sorted(ratio_bins.items()):
-            parts = [inter for _, inter in pairs if inter.size]
-            if not parts:
+            merged = SequenceSet(n, dist.base,
+                                 np.concatenate([inter.ids for _, inter in pairs]))
+            if merged.size == 0:
                 continue
-            merged = parts[0]
-            for p in parts[1:]:
-                merged = merged.union(p)
             if l >= K:
-                remainder_parts.append(merged)
+                remainder_ids.append(merged.ids)
                 continue
             msg_mass = {m: dist.mass_of(inter) for m, inter in pairs}
             total = sum(msg_mass.values())
@@ -170,9 +168,7 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
                 x_bound=2.0 ** (2.0 * ratio_width),
                 m_bound=2.0 ** (6.0 * ratio_width))
 
-    remainder = SequenceSet.from_ids(n, dist.base, [])
-    for part in remainder_parts:
-        remainder = remainder.union(part)
+    remainder = SequenceSet(n, dist.base, np.concatenate(remainder_ids))
     return UniformizingPartition(
         n=n, delta=delta, rho=rho, slice_width=slice_width,
         ratio_width=ratio_width, K=K, cells=cells, remainder=remainder,
@@ -303,9 +299,8 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     heavy = int(heavy_candidates[0]) if heavy_candidates.size else int(np.argmax(masses))
     prefix_mass = float(masses[: heavy + 1].sum())
 
-    witness = sp.bins[0]
-    for k in range(1, heavy + 1):
-        witness = witness.union(sp.bins[k])
+    witness = SequenceSet(out.n, out.base,
+                          np.concatenate([b.ids for b in sp.bins[:heavy + 1]]))
     ref = _refine_against_witness(ch, cond, A, prefix_mass, witness)
     a_prime = ref.refined
 
@@ -323,9 +318,8 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     result = a_prime
     if heavy > c_threshold:
         drop_bin = int(math.floor(heavy - c_threshold))
-        tilde = SequenceSet.from_ids(out.n, out.base, [])
-        for k in range(drop_bin + 1):
-            tilde = tilde.union(sp.bins[k])
+        tilde = SequenceSet(out.n, out.base,
+                            np.concatenate([b.ids for b in sp.bins[:drop_bin + 1]]))
         tilde_mass = float(masses[: drop_bin + 1].sum())
         if tilde_mass > 1.0 / n:
             ref2 = _refine_against_witness(ch, cond, A, tilde_mass, tilde)
@@ -581,10 +575,6 @@ class EqualImagePartition:
     @property
     def within_cap(self) -> bool:
         return self.iterations <= self.iteration_cap
-
-    def lattice_point(self, label, subset):
-        pos = self.subsets.index(subset)
-        return label[1][pos]
 
 
 def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,

@@ -90,12 +90,6 @@ class SpectrumPartition:
     def nonempty(self):
         return [(k, b) for k, b in enumerate(self.bins) if b.size > 0]
 
-    def bin_of(self, seq_id: int) -> int:
-        for k, b in enumerate(self.bins):
-            if b.contains(seq_id):
-                return k
-        raise DomainError("sequence not contained in any bin")
-
     def to_json_obj(self) -> dict:
         return {
             "delta_n": self.delta_n,

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Channel, SequenceSet, aexp, mutual_information, output_rows
+from .core import Channel, aexp, mutual_information
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      InvariantError, PreconditionError)
-from .fano import Code, FanoReport, avg_error, strong_fano_avg
+from .fano import (Code, FanoReport, _message_output_joint, avg_error,
+                   strong_fano_avg)
 from .reports import BoundReport
 
 
@@ -28,22 +29,6 @@ class WiretapInstance:
         if self.main.input.size != self.eve.input.size:
             raise DimensionMismatchError(
                 "main and eavesdropper channels must share the input alphabet")
-
-
-def _message_output_joint(channel: Channel, pairs, n: int, base: int,
-                          total: float = 1.0) -> np.ndarray:
-    """Joint law of (message, output word) of (m, x, weight) pairs, each
-    weight divided by `total`."""
-    xs = sorted({x for _, x, _ in pairs})
-    xset = SequenceSet.from_ids(n, base, xs)
-    rows = output_rows(channel, xset)
-    row_of = {x: rows[i] for i, x in enumerate(xs)}
-    m_vals = sorted({m for m, _, _ in pairs})
-    col = {m: i for i, m in enumerate(m_vals)}
-    joint = np.zeros((len(m_vals), rows.shape[1]))
-    for m, x, p in pairs:
-        joint[col[m]] += (p / total) * row_of[x]
-    return joint
 
 
 def evaluate_wtc_code(instance: WiretapInstance, code: Code) -> tuple[float, float]:

@@ -5,11 +5,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import dmckit
 from conftest import exhaustive_min_image
 from dmckit.cli import main as cli_main
 from dmckit.core import (SequenceDist, SequenceSet, bsc, identity_channel,
@@ -293,7 +297,17 @@ def test_criterion_7_wiretap_single_letter():
             f"{abs(mine - oracle):.2e}, {elapsed:.1f}s)")
 
 
-def test_criterion_8_determinism_across_threads(tmp_path):
+#: run each (name, argv) of argv[1] in this interpreter, each report under argv[2]
+_RUN_COMMANDS = """
+import json, os, sys
+from dmckit.cli import main
+for name, argv in json.loads(sys.argv[1]):
+    if main(argv + ["--out", os.path.join(sys.argv[2], name + ".json")]) != 0:
+        sys.exit(name + " failed")
+"""
+
+
+def test_criterion_8_determinism_across_processes(tmp_path):
     def write_json(path, obj):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
@@ -331,12 +345,20 @@ def test_criterion_8_determinism_across_threads(tmp_path):
                     "--starts", "8"],
         "verify": ["verify-lemmas", "--seed", "7", "--trials", "10", "--n", "3"],
     }
-    for name, argv in commands.items():
-        outputs = {}
-        for threads in (1, 4):
-            out = tmp_path / f"{name}-t{threads}.json"
-            rc = cli_main(argv + ["--threads", str(threads), "--out", str(out)])
-            assert rc == 0, name
-            outputs[threads] = out.read_bytes()
-        assert outputs[1] == outputs[4], f"{name} differs across thread counts"
-    _report(8, "determinism across --threads {1,4} (6 subcommands)")
+    # two fresh interpreters whose string hashes, and so the order of any
+    # set or dict of strings, differ
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(dmckit.__file__)))
+    reports = {}
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / f"hashseed{hash_seed}"
+        out_dir.mkdir()
+        subprocess.run([sys.executable, "-c", _RUN_COMMANDS,
+                        json.dumps(list(commands.items())), str(out_dir)],
+                       env=dict(env, PYTHONHASHSEED=hash_seed), check=True)
+        reports[hash_seed] = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    assert sorted(reports["0"]) == sorted(
+        [f"{name}.json" for name in commands] + ["fano-avg.json.csv"])
+    assert reports["0"] == reports["1"]
+    _report(8, "determinism across fresh processes, PYTHONHASHSEED 0 and 1 "
+            "(6 subcommands)")

@@ -5,12 +5,13 @@ subset-sum exact image solver against the paths they replaced
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as old
-from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
-                         SequenceSet, output_dist, output_rows)
+from dmckit.core import (_BLOCK, Alphabet, Channel, Sequence, SequenceDist,
+                         SequenceSet, _product_rows, output_dist, output_rows)
 from dmckit.images import (_TABLE_BITS, ETA_TOL, _greedy_cover,
                            _singleton_sizes, min_image_bracket, min_image_exact,
                            min_quasi_image, singleton_image_size)
@@ -107,6 +108,25 @@ def test_output_dist_spans_several_blocks():
         dist = SequenceDist.uniform_on(SequenceSet.from_ids(n, nx, ids))
         assert np.array_equal(output_dist(ch, dist).probs,
                               old.output_dist(ch, dist).probs)
+
+
+@pytest.mark.parametrize("nx, ny, n, size", [
+    (3, 3, 4, 40),     # 40 * 3**4 <= _BLOCK: every letter by outer products
+    (3, 3, 9, 40),     # 3**8 <= _BLOCK < 3**9: one word goes in place for its
+                       # last letter, 40 words from their fifth
+    (2, 2, 14, 8),     # 2**14 > _BLOCK: both finish in place
+    (4, 3, 6, 2800),   # 2800 * 3 > _BLOCK: the batch goes in place from the start
+])
+def test_product_rows_do_not_depend_on_the_batch(nx, ny, n, size):
+    # the average-error split reads every split's success probabilities off
+    # rows built for all codewords at once, which holds only while a row's
+    # bits are the same in a batch as on its own
+    rng = np.random.default_rng(nx * 1000 + n)
+    ch = random_channel(rng, nx, ny)
+    ids = np.sort(rng.choice(nx ** n, size, replace=False))
+    batch = _product_rows(ch, ids, n)
+    for i in range(size):
+        assert batch[i].tobytes() == _product_rows(ch, ids[i:i + 1], n)[0].tobytes()
 
 
 @st.composite
