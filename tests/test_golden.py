@@ -37,6 +37,15 @@ CASES = {
     "partition-two-channels-n7": [
         "partition", "--channel", "bsc02.json", "--channel", "erasure23.json",
         "--dist", "dist7.json", "--messages", "msg7.json", "--eta", "0.6"],
+    # two and three message indices: product labels such as ((0, 0), 0)
+    # and their order, which fixes the float order of h_y_given_m
+    "partition-two-messages-n6": [
+        "partition", "--channel", "bsc01.json", "--dist", "dist6.json",
+        "--messages", "msg6a.json", "--messages", "msg6b.json"],
+    "partition-three-messages-n5": [
+        "partition", "--channel", "bsc02.json", "--channel", "erasure23.json",
+        "--dist", "dist5.json", "--messages", "msg5a.json",
+        "--messages", "msg5b.json", "--messages", "msg5c.json"],
     "fano-max-n4": [
         "fano-max", "--code", "code4.json", "--channel", "bsc01.json"],
     "fano-avg-n4": [
