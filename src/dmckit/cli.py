@@ -25,7 +25,8 @@ from .images import min_image_bracket, min_image_exact
 from .partitioner import (Schedule, build_equal_image_partition,
                           build_uniformizing_partition)
 from .reports import csv_text, json_text
-from .spectrum import PartitioningIndex, build_spectrum_partition
+from .spectrum import (PartitioningIndex, build_spectrum_partition,
+                       product_index)
 from .verify import run_lemma_suite
 from .wiretap import WiretapInstance, secrecy_bound_single_letter
 
@@ -191,7 +192,6 @@ def _cmd_partition(args) -> int:
                         if "overrides" in sched_obj else None)
 
     joint = messages[0]
-    from .spectrum import product_index
     for extra in messages[1:]:
         joint = product_index(joint, extra)
     slices = build_uniformizing_partition(dist, joint, delta=delta, rho=rho)

@@ -208,10 +208,6 @@ class SequenceSet:
         self._check_compatible(other)
         return SequenceSet(self.n, self.base, np.intersect1d(self.ids, other.ids))
 
-    def union(self, other: "SequenceSet") -> "SequenceSet":
-        self._check_compatible(other)
-        return SequenceSet(self.n, self.base, np.union1d(self.ids, other.ids))
-
     def difference(self, other: "SequenceSet") -> "SequenceSet":
         self._check_compatible(other)
         return SequenceSet(self.n, self.base, np.setdiff1d(self.ids, other.ids))

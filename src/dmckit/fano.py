@@ -21,10 +21,10 @@ from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
 from .images import (ETA_TOL, EXACT_SOLVER_CAP, _singleton_sizes, min_image,
                      min_image_exact)
-from .partitioner import (Schedule, build_equal_image_partition,
+from .partitioner import (Schedule, _subsets_of, build_equal_image_partition,
                           build_uniformizing_partition)
 from .reports import BoundReport
-from .spectrum import PartitioningIndex, restrict_index
+from .spectrum import PartitioningIndex
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +549,6 @@ class FanoReport:
         return header, rows
 
 
-def _subsets_of(items):
-    items = tuple(items)
-    out = []
-    for mask in range(1 << len(items)):
-        out.append(tuple(items[i] for i in range(len(items)) if mask >> i & 1))
-    return sorted(out, key=lambda s: (len(s), s))
-
-
 def _mi_rate(view, cell_pairs, S, k, cond=()):
     """(I(M_S;Y_k|M_cond)/n, H(M_S|M_cond)/n) over the pairs of one cell."""
     total = sum(p for _, _, p in cell_pairs)
@@ -587,8 +579,7 @@ def _build_q_cells(view: _JointView, *, eta, delta_n, rho, schedule):
     q_cells = []
     for key in sorted(w_part.cells):
         cell = w_part.cells[key].members
-        restricted = [restrict_index(mi, cell) for mi in m_singles]
-        eq = build_equal_image_partition(view.channels, dist, cell, restricted,
+        eq = build_equal_image_partition(view.channels, dist, cell, m_singles,
                                          eta=eta, delta_n=delta_n,
                                          schedule=schedule)
         for label in eq.index.cells:
@@ -722,6 +713,9 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
     err = max(errs)
     if alpha_n is None:
         alpha_n = (1.0 - err) / math.log2(view.n)
+    # at or below ETA_TOL a pair that always fails would pass the split test
+    if not ETA_TOL < alpha_n <= 1.0:
+        raise PreconditionError(f"alpha_n must lie in ({ETA_TOL}, 1]")
     K = len(view.decoders)
 
     splits: dict = {}

@@ -10,6 +10,7 @@ pass/fail here; they are recorded as measured slacks in the traces.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import (CapacityError, DomainError, InvariantError,
 from .images import ETA_TOL, image_exponents
 from .reports import BoundReport
 from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
-                       build_spectrum_partition, floor_on_grid, restrict_index,
-                       uniformity)
+                       build_spectrum_partition, floor_on_grid, product_index,
+                       restrict_index, uniformity)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,10 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
     ground = dist.support()
     if not np.array_equal(ground.ids, message_index.ground.ids):
         message_index = restrict_index(message_index, ground)
-    sp = build_spectrum_partition(dist, slice_width, 2.0 * delta)
+    with warnings.catch_warnings():
+        # slicing at 2*delta crosses 1 by design (delta = 0.5 gives 1.0)
+        warnings.filterwarnings("ignore", "delta >= 1", UserWarning)
+        sp = build_spectrum_partition(dist, slice_width, 2.0 * delta)
     K = sp.K
 
     cells: dict = {}
@@ -204,9 +208,7 @@ class RefinementResult:
 
 def _refine_against_witness(ch: Channel, dist: SequenceDist, A: SequenceSet,
                             alpha: float, witness: SequenceSet) -> RefinementResult:
-    rows = output_rows(ch, A)
-    mask = np.isin(np.arange(ch.output.size ** A.n), witness.ids)
-    row_mass = rows[:, mask].sum(axis=1)
+    row_mass = output_rows(ch, A)[:, witness.ids].sum(axis=1)
     threshold = alpha / A.n
     keep = row_mass >= threshold - ETA_TOL
     refined = SequenceSet(A.n, A.base, A.ids[keep])
@@ -385,18 +387,11 @@ class ExtractionTrace:
     ratio_floor: float
     per_channel: list[dict]
 
-    def to_report(self) -> BoundReport:
-        rep = BoundReport("multi-channel-extraction",
-                          details={"ratio": self.ratio, "ratio_floor": self.ratio_floor})
-        for i, step in enumerate(self.steps):
-            rep.add(f"step{i}:ratio", step.ratio_floor, step.ratio,
-                    step.ratio >= 0.0, slack=step.ratio - step.ratio_floor,
-                    branch=step.branch)
-        for rec in self.per_channel:
-            rep.add(f"final:channel{rec['channel']}", rec["entropy_rate"],
-                    rec["image_exponent_upper"], True,
-                    slack=rec["two_sided_gap"])
-        return rep
+
+def _mu(channels: list[Channel], schedule: Schedule) -> float:
+    """mu = prod_k 1/(3*(delta + log2|Y_k|)), the extraction's ratio constant."""
+    return math.prod(1.0 / (3.0 * (schedule.delta + math.log2(ch.output.size)))
+                     for ch in channels)
 
 
 def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
@@ -429,11 +424,9 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
             "image_exact": exact,
             "two_sided_gap": max(abs(h_rate - lo), abs(h_rate - hi)),
         })
-    mu = 1.0
-    for ch in channels:
-        mu *= 1.0 / (3.0 * (schedule.delta + math.log2(ch.output.size)))
     trace = ExtractionTrace(steps=steps, initial=A, result=current,
-                            ratio=current.size / A.size, ratio_floor=mu / n,
+                            ratio=current.size / A.size,
+                            ratio_floor=_mu(channels, schedule) / n,
                             per_channel=per_channel)
     return current, trace
 
@@ -512,10 +505,8 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
             trace=trace)
         cells[label] = cell
         residual = residual.difference(cell)
-    mu = 1.0
-    for ch in channels:
-        mu *= 1.0 / (3.0 * (schedule.delta + math.log2(ch.output.size)))
-    cap = math.floor(2.0 * math.log(2.0) * (1.0 + math.log2(dist.base)) * n * n / mu) + 1
+    cap = math.floor(2.0 * math.log(2.0) * (1.0 + math.log2(dist.base)) * n * n
+                     / _mu(channels, schedule)) + 1
     eps = max(rec.slack for rec in records.values())
     return ImageEntropyPartition(index=PartitioningIndex(A, cells),
                                  records=records, cell_cap=cap, gamma=gamma,
@@ -525,6 +516,14 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
 # ---------------------------------------------------------------------------
 # equal-image-size source partitioning
 # ---------------------------------------------------------------------------
+
+def _subsets_of(items) -> tuple:
+    """Every subset of `items` as a tuple, ordered by (size, members)."""
+    items = tuple(items)
+    subsets = (tuple(x for i, x in enumerate(items) if mask >> i & 1)
+               for mask in range(1 << len(items)))
+    return tuple(sorted(subsets, key=lambda s: (len(s), s)))
+
 
 def _lattice_coord(rate: float, delta_n: float, dim: int) -> int:
     """Nearest lattice index with the half-open [-d/2, d/2) window."""
@@ -586,9 +585,12 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     """Partition A so that, per cell and message subset, image exponents and
     entropies coincide up to measured gaps.
 
-    Per message value the set is exhausted by image-entropy-matched
-    partitions; cells are the intersections of the entropy-lattice bins over
-    all message subsets, iterated until every sequence is placed.  The
+    For every message subset S, each message's share of the residual is
+    exhausted by an image-entropy-matched partition, and each word is
+    labelled with its message, its inner cell and that cell's entropy-lattice
+    point.  The cells are the distinct lattice points over all subsets, in
+    ascending order; cells below the mass threshold 1/|V|^2 return to the
+    residual, and the iteration repeats until every sequence is placed.  The
     sqrt(epsilon_n) share threshold uses the maximum measured slack of the
     inner partitions, floored at 1/n^2.
     """
@@ -601,9 +603,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     elif not 0.0 < delta_n < 1.0:
         raise DomainError("delta_n must lie in (0, 1)")
     schedule = schedule or Schedule()
-    subsets = tuple(
-        tuple(j for j in range(J) if mask >> j & 1) for mask in range(1 << J))
-    subsets = tuple(sorted(subsets, key=lambda s: (len(s), s)))
+    subsets = _subsets_of(range(J))
     dims = (math.ceil(math.log2(dist.base) / delta_n),) + tuple(
         math.ceil(math.log2(ch.output.size) / delta_n) for ch in channels)
     lattice_size = 1
@@ -627,87 +627,76 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         if iteration > max(iteration_cap, A.size) + 1:
             raise InvariantError("lattice exhaustion exceeded every iteration cap")
         cond = dist.conditioned_on(residual)
-        sub_index: dict = {}
+        single = [restrict_index(mi, residual) for mi in messages]
+        # per subset S, aligned with residual.ids: each word's message (its
+        # position in inner[S]), its inner cell u and that cell's lattice point
         inner: dict = {}
+        code: dict = {}
+        unit: dict = {}
+        point: dict = {}
         eps = 1.0 / n ** 2
         for S in subsets:
-            if S:
-                idx = restrict_index(messages[S[0]], residual)
-                for j in S[1:]:
-                    from .spectrum import product_index
-                    idx = product_index(idx, restrict_index(messages[j], residual))
-            else:
-                idx = PartitioningIndex.trivial(residual, label=())
-            sub_index[S] = idx
-            for m, cell_m in idx.cells.items():
+            idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
+            for j in S[1:]:
+                idx = product_index(idx, single[j])
+            inner[S] = []
+            code[S] = np.empty(residual.size, dtype=np.intp)
+            unit[S] = np.empty(residual.size, dtype=np.intp)
+            point[S] = np.empty((residual.size, len(dims)), dtype=np.int64)
+            for i, (m, cell_m) in enumerate(idx.cells.items()):
                 part = build_image_entropy_partition(channels, cond, cell_m,
                                                      eta, schedule)
-                inner[(S, m)] = part
+                inner[S].append((m, part.records))
                 eps = max(eps, part.epsilon_measured)
-
-        # lattice placement of every inner cell
-        placement: dict = {}
-        for (S, m), part in inner.items():
-            for u, rec in part.records.items():
-                cond_u = cond.conditioned_on(rec.members)
-                coords = [_lattice_coord(cond_u.entropy() / n, delta_n, dims[0])]
-                for kk, ch in enumerate(channels):
-                    h = output_dist(ch, cond_u).entropy() / n
-                    coords.append(_lattice_coord(h, delta_n, dims[kk + 1]))
-                placement[(S, m, u)] = tuple(coords)
-
-        point_of: dict = {}
-        for S in subsets:
-            idx = sub_index[S]
-            for m, cell_m in idx.cells.items():
-                part = inner[(S, m)]
                 for u, rec in part.records.items():
-                    for sid in rec.members.ids_list():
-                        point_of.setdefault(sid, {})[S] = (m, u, placement[(S, m, u)])
+                    at = np.searchsorted(residual.ids, rec.members.ids)
+                    cond_u = cond.conditioned_on(rec.members)
+                    code[S][at] = i
+                    unit[S][at] = u
+                    rates = [cond_u.entropy() / n] + [
+                        output_dist(ch, cond_u).entropy() / n for ch in channels]
+                    point[S][at] = [_lattice_coord(r, delta_n, d)
+                                    for r, d in zip(rates, dims)]
 
-        buckets: dict = {}
-        for sid in residual.ids_list():
-            v = tuple(point_of[sid][S][2] for S in subsets)
-            buckets.setdefault(v, []).append(sid)
-
+        # one cell per distinct lattice point over all subsets, ascending
+        points, which = np.unique(np.hstack([point[S] for S in subsets]),
+                                  axis=0, return_inverse=True)
         threshold = 1.0 / v_space ** 2
         kept: dict = {}
-        dropped: list[int] = []
-        for v, ids in sorted(buckets.items()):
-            cell = SequenceSet.from_ids(n, dist.base, ids)
-            if cond.mass_of(cell) >= threshold or len(buckets) == 1:
-                kept[v] = cell
-            else:
-                dropped.extend(ids)
+        placed = np.zeros(residual.size, dtype=bool)
+        for c, row in enumerate(points.tolist()):
+            inside = which == c
+            cell = SequenceSet(n, dist.base, residual.ids[inside])
+            cell_mass = cond.mass_of(cell)
+            if cell_mass >= threshold or len(points) == 1:
+                v = tuple(tuple(row[k:k + len(dims)])
+                          for k in range(0, len(row), len(dims)))
+                kept[v] = (inside, cell, cell_mass)
+                placed |= inside
         if not kept:
             # cannot happen: fewer than v_space**2 cells means one passes
             raise InvariantError("no lattice cell met the mass threshold")
 
         sqrt_eps = math.sqrt(eps)
-        for v, cell in kept.items():
+        for v, (inside, cell, cell_mass) in kept.items():
             label = (iteration, v)
             cells[label] = cell
-            cell_mass = cond.mass_of(cell)
             per_subset: dict = {}
-            for si, S in enumerate(subsets):
-                idx = sub_index[S]
-                msgs = []
-                for m, cell_m in idx.cells.items():
-                    if cell_m.intersect(cell).size:
-                        msgs.append(m)
-                part_records: dict = {
-                    m: inner[(S, m)] for m in msgs}
-                # conditional message masses and per-message entropies
-                msg_mass = {}
+            for S in subsets:
+                codes = code[S][inside]
+                units = unit[S][inside]
+                msg_mass = []
                 h_y_given = [0.0 for _ in channels]
                 img_exp: dict = {}
-                gap1 = -math.inf
-                for m in msgs:
-                    inter = idx.cell(m).intersect(cell)
-                    msg_mass[m] = cond.mass_of(inter)
-                for m in msgs:
-                    inter = idx.cell(m).intersect(cell)
-                    p_m = msg_mass[m] / cell_mass
+                omega = []
+                tilde = []
+                hat = []
+                for i in np.unique(codes).tolist():
+                    m, records = inner[S][i]
+                    of_m = codes == i
+                    inter = SequenceSet(n, dist.base, cell.ids[of_m])
+                    msg_mass.append(cond.mass_of(inter))
+                    p_m = msg_mass[-1] / cell_mass
                     cond_m = cond.conditioned_on(inter)
                     exps = []
                     for kk, ch in enumerate(channels):
@@ -715,37 +704,24 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                         h_y_given[kk] += p_m * h
                         exps.append(image_exponents(ch, inter, eta))
                     img_exp[m] = exps
-                for m in msgs:
-                    for kk in range(len(channels)):
-                        gap1 = max(gap1, img_exp[m][kk][1] - h_y_given[kk])
-
-                omega = []
-                tilde = []
-                hat = []
-                for m in msgs:
-                    part = part_records[m]
+                    # shares of m's inner cells that fall in this cell
                     share_sum = 0.0
-                    m_cell_in_v = idx.cell(m).intersect(cell)
-                    found = False
-                    for u, rec in part.records.items():
-                        if placement[(S, m, u)] != v[si]:
-                            continue
-                        inter_u = rec.members.intersect(cell)
-                        if inter_u.size == 0:
-                            continue
-                        share = inter_u.size / rec.members.size
-                        if share >= sqrt_eps:
+                    for u, count in enumerate(np.bincount(units[of_m]).tolist()):
+                        if count and count / records[u].members.size >= sqrt_eps:
                             omega.append((m, u))
-                            found = True
-                            share_sum += inter_u.size / m_cell_in_v.size
-                    if found:
+                            share_sum += count / inter.size
+                    if share_sum > 0.0:
                         hat.append(m)
                         if share_sum >= 1.0 - delta_n:
                             tilde.append(m)
+                gap1 = -math.inf
+                for exps in img_exp.values():
+                    for kk in range(len(channels)):
+                        gap1 = max(gap1, exps[kk][1] - h_y_given[kk])
 
-                aexp_m = aexp(len(msgs), n)
+                aexp_m = aexp(len(img_exp), n)
                 aexp_t = aexp(len(tilde), n) if tilde else None
-                h_m = entropy_bits([msg_mass[m] / cell_mass for m in msgs]) / n
+                h_m = entropy_bits([mass / cell_mass for mass in msg_mass]) / n
                 gap2 = abs(aexp_m - aexp_t) if aexp_t is not None else None
                 gap3 = abs(h_m - aexp_t) if aexp_t is not None else None
                 gap4 = None
@@ -758,9 +734,8 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                                        abs(h_y_given[kk] - lo),
                                        abs(h_y_given[kk] - hi))
                 per_subset[S] = MessageRecord(
-                    messages=tuple(msgs), messages_tilde=tuple(tilde),
-                    messages_hat=tuple(hat),
-                    message_image_exponents={m: img_exp[m] for m in msgs},
+                    messages=tuple(img_exp), messages_tilde=tuple(tilde),
+                    messages_hat=tuple(hat), message_image_exponents=img_exp,
                     h_y_given_m=h_y_given, h_m_rate=h_m,
                     aexp_messages=aexp_m, aexp_tilde=aexp_t,
                     gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
@@ -769,7 +744,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             cell_records[label] = {"mass": cell_mass, "subsets": per_subset,
                                    "epsilon_n": eps}
 
-        residual = SequenceSet.from_ids(n, dist.base, dropped)
+        residual = SequenceSet(n, dist.base, residual.ids[~placed])
 
     lam = {"image_vs_entropy": 0.0, "tilde_vs_all": 0.0,
            "entropy_vs_tilde": 0.0, "two_sided": 0.0}

@@ -1,16 +1,6 @@
 import numpy as np
-import pytest
 
 from dmckit.core import SequenceDist, SequenceSet
-
-
-@pytest.fixture(autouse=True)
-def _quiet_delta_warning():
-    # the internal 2*delta slicing routinely crosses 1; that warning is by design
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
 
 
 def uniform_on_ids(n, base, ids):

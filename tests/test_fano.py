@@ -306,6 +306,21 @@ def test_strong_fano_avg_needs_n_at_least_two():
         strong_fano_avg(code, [ch])
 
 
+@pytest.mark.parametrize("alpha_n", [0.0, -0.5, 1e-13, 1.5])
+def test_strong_fano_avg_alpha_n_outside_range(alpha_n):
+    # both messages on codeword 3 and message 1 is never decoded: its pairs
+    # have success 0, so an alpha_n at or below ETA_TOL would let them into
+    # a split whose alpha is 0
+    ms = MessageSpace.uniform([2])
+    table = np.zeros((4, 2))
+    table[:, 0] = 1.0
+    dec = Decoder(S=(0,), m_values=((0,), (1,)), table=table)
+    code = deterministic_code(ms, 2, 2, {(0,): 3, (1,): 3}, [dec])
+    with pytest.raises(PreconditionError):
+        strong_fano_avg(code, [bsc(0.1)], alpha_n=alpha_n)
+    assert strong_fano_avg(code, [bsc(0.1)], alpha_n=0.3).passing_mass[0] >= 0.0
+
+
 def test_message_space_validation():
     with pytest.raises(ValidationError):
         MessageSpace(sizes=(2,), support=((0,), (1,)), probs=(0.7, 0.2))

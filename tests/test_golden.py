@@ -10,9 +10,12 @@ digest itself is never regenerated to make this test pass.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dmckit
 from dmckit.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -97,3 +100,18 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report_digests(name, tmp_path):
     assert run_case(name, tmp_path) == _expected()[name]
+
+
+@pytest.mark.parametrize("name", ["partition-bsc-n7", "fano-avg-n4"])
+def test_default_runs_write_nothing_to_stderr(name, tmp_path):
+    # the uniformizing slicing at 2*delta must not warn on a default run
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a
+            for a in CASES[name]]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(dmckit.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "dmckit.cli", *argv,
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""

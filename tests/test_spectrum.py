@@ -30,7 +30,8 @@ def test_spectrum_uniform_single_bin():
 
 def test_spectrum_three_atom_example():
     # densities 1.0, 2.0, 2.0; width 0.5 puts them in bins 2 and 4; K = 6
-    sp = build_spectrum_partition(three_atom(), 0.5, 1.0)
+    with pytest.warns(UserWarning, match="delta >= 1"):
+        sp = build_spectrum_partition(three_atom(), 0.5, 1.0)
     assert sp.K == 6
     assert len(sp.bins) == 7
     assert sp.bins[2].ids_list() == [0]
@@ -82,7 +83,8 @@ def test_bin_count_cap_quadratic_width():
 
 
 def test_bin_bounds_examples():
-    sp = build_spectrum_partition(three_atom(), 0.5, 1.0)
+    with pytest.warns(UserWarning, match="delta >= 1"):
+        sp = build_spectrum_partition(three_atom(), 0.5, 1.0)
     d = three_atom()
     assert verify_bin_size_bounds(sp, d).passed
     assert verify_bin_conditional_uniformity(sp, d).passed
