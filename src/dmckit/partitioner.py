@@ -19,7 +19,7 @@ from .core import (Channel, SequenceDist, SequenceSet, aexp, entropy_bits,
                    output_dist, output_rows)
 from .errors import (CapacityError, DomainError, InvariantError,
                      ValidationError)
-from .images import ETA_TOL, image_exponents
+from .images import ETA_TOL, image_exponents, min_quasi_image
 from .reports import BoundReport
 from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
                        build_spectrum_partition, floor_on_grid, product_index,
@@ -231,7 +231,6 @@ def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    from .images import min_quasi_image
     cond = dist.conditioned_on(A)
     witness = min_quasi_image(ch, cond, A, alpha).witness
     return _refine_against_witness(ch, cond, A, alpha, witness)
@@ -413,11 +412,15 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
                                            schedule.delta, eta)
         slack = max(step.continuity_gap, abs(step.slack_upper))
         steps.append(step)
+    # the last step already solved its channel on `current` at eta
+    last = steps[-1]
+    exponents = [image_exponents(ch, current, eta) for ch in channels[:-1]]
+    exponents.append((last.image_exponent_lower, last.image_exponent_upper,
+                      last.image_exact))
     per_channel = []
     cond = dist.conditioned_on(current)
-    for i, ch in enumerate(channels):
+    for i, (ch, (lo, hi, exact)) in enumerate(zip(channels, exponents)):
         h_rate = output_dist(ch, cond).entropy() / n
-        lo, hi, exact = image_exponents(ch, current, eta)
         per_channel.append({
             "channel": i, "entropy_rate": h_rate,
             "image_exponent_lower": lo, "image_exponent_upper": hi,
@@ -635,6 +638,10 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         unit: dict = {}
         point: dict = {}
         eps = 1.0 / n ** 2
+        # one inner partition per distinct message cell: every other input of
+        # build_image_entropy_partition is fixed within the iteration, so
+        # subsets that yield the same cell share its partition and placements
+        built: dict = {}
         for S in subsets:
             idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
             for j in S[1:]:
@@ -644,19 +651,27 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             unit[S] = np.empty(residual.size, dtype=np.intp)
             point[S] = np.empty((residual.size, len(dims)), dtype=np.int64)
             for i, (m, cell_m) in enumerate(idx.cells.items()):
-                part = build_image_entropy_partition(channels, cond, cell_m,
-                                                     eta, schedule)
+                key = cell_m.ids.tobytes()
+                if key not in built:
+                    part = build_image_entropy_partition(channels, cond, cell_m,
+                                                         eta, schedule)
+                    placed_units = {}
+                    for u, rec in part.records.items():
+                        # the record holds the x and output entropy rates of
+                        # `cond` given u, the lattice point's coordinates
+                        rates = [rec.x_entropy_rate] + [
+                            c["entropy_rate"] for c in rec.channel_records]
+                        placed_units[u] = (
+                            np.searchsorted(residual.ids, rec.members.ids),
+                            [_lattice_coord(r, delta_n, d) for r, d in zip(rates, dims)])
+                    built[key] = (part, placed_units)
+                part, placed_units = built[key]
                 inner[S].append((m, part.records))
                 eps = max(eps, part.epsilon_measured)
-                for u, rec in part.records.items():
-                    at = np.searchsorted(residual.ids, rec.members.ids)
-                    cond_u = cond.conditioned_on(rec.members)
+                for u, (at, lattice) in placed_units.items():
                     code[S][at] = i
                     unit[S][at] = u
-                    rates = [cond_u.entropy() / n] + [
-                        output_dist(ch, cond_u).entropy() / n for ch in channels]
-                    point[S][at] = [_lattice_coord(r, delta_n, d)
-                                    for r, d in zip(rates, dims)]
+                    point[S][at] = lattice
 
         # one cell per distinct lattice point over all subsets, ascending
         points, which = np.unique(np.hstack([point[S] for S in subsets]),
@@ -682,6 +697,10 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             label = (iteration, v)
             cells[label] = cell
             per_subset: dict = {}
+            # one message set recurs under several subsets S (the whole cell
+            # under S = () and S = (0,) when it holds one message), so its
+            # mass, output entropy rates and image exponents are measured once
+            measured: dict = {}
             for S in subsets:
                 codes = code[S][inside]
                 units = unit[S][inside]
@@ -695,15 +714,19 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                     m, records = inner[S][i]
                     of_m = codes == i
                     inter = SequenceSet(n, dist.base, cell.ids[of_m])
-                    msg_mass.append(cond.mass_of(inter))
-                    p_m = msg_mass[-1] / cell_mass
-                    cond_m = cond.conditioned_on(inter)
-                    exps = []
-                    for kk, ch in enumerate(channels):
-                        h = output_dist(ch, cond_m).entropy() / n
-                        h_y_given[kk] += p_m * h
-                        exps.append(image_exponents(ch, inter, eta))
+                    key = inter.ids.tobytes()
+                    if key not in measured:
+                        cond_m = cond.conditioned_on(inter)
+                        measured[key] = (
+                            cond.mass_of(inter),
+                            [output_dist(ch, cond_m).entropy() / n for ch in channels],
+                            [image_exponents(ch, inter, eta) for ch in channels])
+                    mass, h_rates, exps = measured[key]
                     img_exp[m] = exps
+                    msg_mass.append(mass)
+                    p_m = mass / cell_mass
+                    for kk, h in enumerate(h_rates):
+                        h_y_given[kk] += p_m * h
                     # shares of m's inner cells that fall in this cell
                     share_sum = 0.0
                     for u, count in enumerate(np.bincount(units[of_m]).tolist()):

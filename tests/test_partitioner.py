@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dmckit import partitioner
 from dmckit.core import SequenceDist, SequenceSet, bsc, identity_channel
 from dmckit.errors import CapacityError, DomainError
-from dmckit.images import min_image_exact
+from dmckit.images import image_exponents, min_image_exact
 from dmckit.partitioner import (build_equal_image_partition,
                                 build_image_entropy_partition,
                                 build_uniformizing_partition,
@@ -181,6 +182,21 @@ def test_extract_main_two_channels():
         assert rec["two_sided_gap"] >= 0.0
 
 
+def test_extract_main_exponents_match_a_fresh_solve():
+    # the last channel's exponents come from the last extraction step; they
+    # must equal a fresh solve on the result, like every other channel's
+    rng = rng_from_seed(17)
+    for trial in range(4):
+        chs = [random_channel(rng, 2, 2, allow_zeros=False) for _ in range(1 + trial % 2)]
+        A = random_subset(rng, 3, 2)
+        d = random_dist_on(rng, A)
+        result, trace = extract_main(chs, d, A, 0.4)
+        for ch, rec in zip(chs, trace.per_channel):
+            lo, hi, exact = image_exponents(ch, result, 0.4)
+            assert (rec["image_exponent_lower"], rec["image_exponent_upper"],
+                    rec["image_exact"]) == (lo, hi, exact)
+
+
 # ---------------------------------------------------------------------------
 # image-entropy partition and the equal-image-size partition
 # ---------------------------------------------------------------------------
@@ -316,6 +332,78 @@ def test_equal_image_partition_j2():
     assert len(eq.subsets) == 4
     total = sum(c.size for c in eq.index.cells.values())
     assert total == A.size
+
+
+def _record_inner_builds(monkeypatch):
+    calls = []
+    build = partitioner.build_image_entropy_partition
+
+    def recorder(channels, dist, A, eta, schedule=None):
+        calls.append((dist.ids.tobytes(), dist.probs.tobytes(), A.ids.tobytes()))
+        return build(channels, dist, A, eta, schedule)
+
+    monkeypatch.setattr(partitioner, "build_image_entropy_partition", recorder)
+    return calls
+
+
+def test_equal_image_partition_builds_each_cell_once(monkeypatch):
+    # within an iteration the conditional law is fixed, so a repeated
+    # (law, cell) pair would be a repeated build; across iterations the
+    # residual, hence the law, differs
+    calls = _record_inner_builds(monkeypatch)
+    tiny = 1e-5
+    rest = (1.0 - tiny) / 3
+    d = SequenceDist(2, 2, np.array([0, 1, 2, 3]),
+                     np.array([rest, rest, rest, tiny]))
+    eq = build_equal_image_partition([bsc(0.1)], d, d.support(),
+                                     [first_bit_index(d.support())], eta=0.5)
+    assert eq.iterations == 2
+    assert calls and len(set(calls)) == len(calls)
+    rng = rng_from_seed(23)
+    for _ in range(4):
+        calls.clear()
+        A = random_subset(rng, 3, 2)
+        d = random_dist_on(rng, A)
+        M1 = PartitioningIndex.from_labeling(A, lambda s: s % 2)
+        M2 = PartitioningIndex.from_labeling(A, lambda s: (s >> 1) % 2)
+        build_equal_image_partition([bsc(0.1), bsc(0.2)], d, A, [M1, M2], eta=0.5)
+        assert calls and len(set(calls)) == len(calls)
+
+
+def test_equal_image_partition_reuses_shared_cells(monkeypatch):
+    # one message of the first index: S = () and S = (0,) give the whole
+    # residual, S = (1,) and S = (0, 1) give the same two halves, so six
+    # (S, m) pairs need three inner partitions
+    calls = _record_inner_builds(monkeypatch)
+    A = SequenceSet.full_space(2, 2)
+    d = SequenceDist.uniform_on(A)
+    M1 = PartitioningIndex.trivial(A)
+    M2 = first_bit_index(A)
+    eq = build_equal_image_partition([bsc(0.1)], d, A, [M1, M2], eta=0.5)
+    assert eq.iterations == 1
+    pairs = 1 + len(M1) + len(M2) + len(M1) * len(M2)
+    assert pairs == 6
+    assert len(calls) == 3
+
+
+def test_image_entropy_partition_is_pure():
+    # the equal-image partition shares one build between subsets on this
+    # property: equal inputs give equal records
+    rng = rng_from_seed(29)
+    for _ in range(3):
+        chs = [random_channel(rng, 2, 2, allow_zeros=False) for _ in range(2)]
+        A = random_subset(rng, 3, 2)
+        d = random_dist_on(rng, A)
+        first = build_image_entropy_partition(chs, d, A, 0.5)
+        second = build_image_entropy_partition(chs, d, A, 0.5)
+        assert first.records.keys() == second.records.keys()
+        assert first.epsilon_measured == second.epsilon_measured
+        for u, rec in first.records.items():
+            other = second.records[u]
+            assert rec.members.ids_list() == other.members.ids_list()
+            assert (rec.set_exponent, rec.x_entropy_rate) == (
+                other.set_exponent, other.x_entropy_rate)
+            assert rec.channel_records == other.channel_records
 
 
 # ---------------------------------------------------------------------------
