@@ -4,6 +4,12 @@ Sequences of blocklength n over an alphabet of size b are packed big-endian
 into integers in [0, b^n).  Everything is immutable and every operation is a
 pure function; reductions go through numpy's pairwise summation so results do
 not depend on thread count.
+
+Public constructors validate their input.  Sets and distributions derived
+from already valid ones (a mask or slice of sorted ids, an intersection or
+difference, a support, a conditioning, an output marginal) go through the
+private `_trusted` constructors, which skip the copy, sort and checks the
+derivation already guarantees.
 """
 
 from __future__ import annotations
@@ -206,11 +212,13 @@ class SequenceSet:
 
     def intersect(self, other: "SequenceSet") -> "SequenceSet":
         self._check_compatible(other)
-        return SequenceSet(self.n, self.base, np.intersect1d(self.ids, other.ids))
+        return SequenceSet._trusted(
+            self.n, self.base, np.intersect1d(self.ids, other.ids, assume_unique=True))
 
     def difference(self, other: "SequenceSet") -> "SequenceSet":
         self._check_compatible(other)
-        return SequenceSet(self.n, self.base, np.setdiff1d(self.ids, other.ids))
+        return SequenceSet._trusted(
+            self.n, self.base, np.setdiff1d(self.ids, other.ids, assume_unique=True))
 
     def is_subset_of(self, other: "SequenceSet") -> bool:
         self._check_compatible(other)
@@ -224,10 +232,27 @@ class SequenceSet:
         return cls(n, base, _int64_ids(sorted({int(i) for i in ids}), n, base))
 
     @classmethod
+    def _trusted(cls, n: int, base: int, ids: np.ndarray) -> "SequenceSet":
+        """A set on an int64 array already sorted, unique and in range, such
+        as a mask or slice of another set's ids: no copy, sort or check."""
+        out = object.__new__(cls)
+        ids.flags.writeable = False
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "base", base)
+        object.__setattr__(out, "ids", ids)
+        return out
+
+    @classmethod
     def full_space(cls, n: int, base: int) -> "SequenceSet":
         if base ** n > DENSE_CAP:
             raise CapacityError("full space exceeds the dense cap 2**26")
         return cls(n, base, np.arange(base ** n, dtype=np.int64))
+
+
+def _check_total(probs: np.ndarray):
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > 1e-10:
+        raise ValidationError(f"probabilities sum to {total}, not 1 +/- 1e-10")
 
 
 @dataclass(frozen=True)
@@ -258,16 +283,29 @@ class SequenceDist:
             raise ValidationError("duplicate sequence ids in distribution")
         if ids[0] < 0 or ids[-1] >= self.base ** self.n:
             raise ValidationError("sequence id out of range for base**n")
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > 1e-10:
-            raise ValidationError(f"probabilities sum to {total}, not 1 +/- 1e-10")
+        _check_total(probs)
         ids.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "probs", probs)
 
+    @classmethod
+    def _trusted(cls, n: int, base: int, ids: np.ndarray,
+                 probs: np.ndarray) -> "SequenceDist":
+        """A distribution on int64 ids already sorted, unique and in range,
+        with float64 probs > 0: only the sum is checked."""
+        _check_total(probs)
+        out = object.__new__(cls)
+        ids.flags.writeable = False
+        probs.flags.writeable = False
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "base", base)
+        object.__setattr__(out, "ids", ids)
+        object.__setattr__(out, "probs", probs)
+        return out
+
     def support(self) -> SequenceSet:
-        return SequenceSet(self.n, self.base, self.ids)
+        return SequenceSet._trusted(self.n, self.base, self.ids)
 
     def prob_of(self, seq_id: int) -> float:
         idx = int(np.searchsorted(self.ids, seq_id))
@@ -284,11 +322,17 @@ class SequenceDist:
     def conditioned_on(self, A: SequenceSet) -> "SequenceDist":
         if (self.n, self.base) != (A.n, A.base):
             raise DimensionMismatchError("set lives in a different space")
-        inside = np.isin(self.ids, A.ids)
-        mass = float(np.sum(self.probs[inside]))
+        # both id arrays are sorted, so the positions of A's words in the
+        # support come out in ascending order
+        at = np.searchsorted(self.ids, A.ids)
+        at = at[self.ids[np.minimum(at, self.ids.size - 1)] == A.ids]
+        probs = self.probs[at]
+        mass = float(np.sum(probs))
         if mass <= 0.0:
             raise ConditioningError("conditioning on a zero-probability set")
-        return SequenceDist(self.n, self.base, self.ids[inside], self.probs[inside] / mass)
+        probs /= mass
+        keep = probs > 0.0  # a quotient may underflow
+        return SequenceDist._trusted(self.n, self.base, self.ids[at[keep]], probs[keep])
 
     def entropy(self) -> float:
         return entropy_bits(self.probs)
@@ -349,8 +393,8 @@ def product_prob(ch: Channel, x: Sequence, y: Sequence) -> float:
 
 
 #: Floats in a block of partial rows: `_product_rows` applies letters by
-#: outer products while its rows fit in one, and `output_dist` builds the
-#: rows of its support one block at a time (64 KB).
+#: outer products while its rows fit in one, and `output_dist` and the image
+#: bracket work through their rows one block at a time (64 KB).
 _BLOCK = 1 << 13
 
 
@@ -419,7 +463,8 @@ def output_dist(ch: Channel, input_dist: SequenceDist) -> SequenceDist:
         rows *= input_dist.probs[lo:lo + step, None]
         for row in rows:
             acc += row
-    return SequenceDist.from_dense(input_dist.n, ch.output.size, acc)
+    ids = np.flatnonzero(acc > 0.0)
+    return SequenceDist._trusted(input_dist.n, ch.output.size, ids, acc[ids])
 
 
 def cond_output_given_set(ch: Channel, input_dist: SequenceDist,

@@ -8,6 +8,11 @@ subset-sum table per row, of at most 2**15 floats, marks the sets with
 P^n(B|x) >= eta for every row x, and the smallest such set wins.  All ties
 break toward the lexicographically least set of packed-sequence integers,
 so results are bit-reproducible.
+
+Beyond the exact solver's cap, `min_image_bracket` builds the row matrix
+once: both lower bounds read it first, a block of rows at a time, and the
+greedy upper bound then masks the columns it picks in that same matrix, so
+no second |A| x |Y|^n array is made.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Channel, Sequence, SequenceDist, SequenceSet, aexp,
-                   output_dist, output_rows)
+from .core import (_BLOCK, Channel, Sequence, SequenceDist, SequenceSet,
+                   aexp, output_dist, output_rows)
 from .errors import CapacityError, DomainError
 from .reports import BoundReport
 
@@ -114,25 +119,31 @@ def singleton_image_size(ch: Channel, x: Sequence, eta: float) -> int:
 
 def _greedy_cover(rows: np.ndarray, eta: float) -> list[int]:
     """Greedy eta-image: repeatedly serve the row with the largest remaining
-    deficit, adding the output that reduces that row's deficit the most."""
-    n_rows, n_cols = rows.shape
+    deficit, adding the output that reduces that row's deficit the most.
+
+    Overwrites `rows`: a picked column is set to -1.0, below every column
+    still available (entries are >= 0), so a row's first maximum is the
+    pick with ties to the smallest id, and a maximum <= 0 means the row has
+    no mass left.
+    """
     threshold = eta - ETA_TOL
-    mass = np.zeros(n_rows)
-    available = np.ones(n_cols, dtype=bool)
+    mass = np.zeros(rows.shape[0])
+    deficits = np.empty_like(mass)
     chosen: list[int] = []
     while True:
-        deficits = threshold - mass
+        np.subtract(threshold, mass, out=deficits)
         worst = deficits.argmax()
         if deficits[worst] <= 0.0:
             return chosen
-        gains = np.where(available, rows[worst], -1.0)
-        best = int(gains.argmax())  # the first maximum: ties to the smallest id
-        if gains[best] <= 0.0:
+        row = rows[worst]
+        best = row.argmax()
+        if row[best] <= 0.0:
             # row sums to 1, so a positive-deficit row always has mass left
             raise DomainError("eta unreachable for some row")
-        chosen.append(best)
-        available[best] = False
-        mass += rows[:, best]
+        chosen.append(int(best))
+        col = rows[:, best]
+        mass += col
+        col.fill(-1.0)
 
 
 @functools.cache
@@ -202,6 +213,32 @@ def min_image_exact(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
                         exact=True, method="subset-sum-table")
 
 
+def _lower_bounds(rows: np.ndarray, eta: float) -> tuple[int, np.ndarray]:
+    """(largest singleton eta-image size, uniform mixture of the rows),
+    through one buffer of at most 2**13 floats per block of rows; leaves
+    `rows` unchanged.
+
+    The mixture is the dense output_dist(ch, SequenceDist.uniform_on(A)
+    .conditioned_on(A)): the same normalised weights, added row after row.
+    """
+    n_rows, n_cols = rows.shape
+    uniform = np.full(n_rows, 1.0 / n_rows)
+    weights = uniform / float(np.sum(uniform))
+    mixture = np.zeros(n_cols)
+    singleton_lb = 0
+    step = max(1, _BLOCK // n_cols)
+    buf = np.empty((min(step, n_rows), n_cols))
+    for lo in range(0, n_rows, step):
+        block = rows[lo:lo + step]
+        part = buf[:block.shape[0]]
+        np.multiply(block, weights[lo:lo + step, None], out=part)
+        for row in part:
+            mixture += row
+        np.copyto(part, block)
+        singleton_lb = max(singleton_lb, int(_singleton_sizes(part, eta).max()))
+    return singleton_lb, mixture
+
+
 def min_image_bracket(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
     """Greedy upper bound and a sound lower bound on the minimum image size.
 
@@ -209,21 +246,17 @@ def min_image_bracket(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
                 minimum quasi-image size under the uniform input on A);
     both dominate because any eta-image is an eta-quasi-image and contains an
     eta-image of each singleton.
+
+    The lower bounds read the row matrix first; the greedy then overwrites it.
     """
     _check_eta(eta)
     if A.size == 0:
         raise DomainError("A must be nonempty")
     rows = output_rows(ch, A)
+    singleton_lb, mixture = _lower_bounds(rows, eta)
+    quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
     upper_cols = _greedy_cover(rows, eta)
     witness = SequenceSet.from_ids(A.n, ch.output.size, upper_cols)
-    # output_dist(ch, SequenceDist.uniform_on(A).conditioned_on(A)), with
-    # the same normalisation and the same order of additions
-    uniform = np.full(A.size, 1.0 / A.size)
-    mixture = np.zeros(rows.shape[1])
-    for p, row in zip(uniform / float(np.sum(uniform)), rows):
-        mixture += p * row
-    quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
-    singleton_lb = int(_singleton_sizes(rows, eta).max())
     lower = max(singleton_lb, quasi_lb)
     return ImageBracket(lower=lower, upper=len(upper_cols), upper_witness=witness,
                         exact=lower == len(upper_cols),

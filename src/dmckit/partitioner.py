@@ -211,7 +211,7 @@ def _refine_against_witness(ch: Channel, dist: SequenceDist, A: SequenceSet,
     row_mass = output_rows(ch, A)[:, witness.ids].sum(axis=1)
     threshold = alpha / A.n
     keep = row_mass >= threshold - ETA_TOL
-    refined = SequenceSet(A.n, A.base, A.ids[keep])
+    refined = SequenceSet._trusted(A.n, A.base, A.ids[keep])
     gamma = uniformity(dist, A).gamma
     return RefinementResult(
         refined=refined, witness=witness, alpha=alpha, threshold=threshold,
@@ -681,7 +681,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         placed = np.zeros(residual.size, dtype=bool)
         for c, row in enumerate(points.tolist()):
             inside = which == c
-            cell = SequenceSet(n, dist.base, residual.ids[inside])
+            cell = SequenceSet._trusted(n, dist.base, residual.ids[inside])
             cell_mass = cond.mass_of(cell)
             if cell_mass >= threshold or len(points) == 1:
                 v = tuple(tuple(row[k:k + len(dims)])
@@ -713,7 +713,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                 for i in np.unique(codes).tolist():
                     m, records = inner[S][i]
                     of_m = codes == i
-                    inter = SequenceSet(n, dist.base, cell.ids[of_m])
+                    inter = SequenceSet._trusted(n, dist.base, cell.ids[of_m])
                     key = inter.ids.tobytes()
                     if key not in measured:
                         cond_m = cond.conditioned_on(inter)
@@ -767,7 +767,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             cell_records[label] = {"mass": cell_mass, "subsets": per_subset,
                                    "epsilon_n": eps}
 
-        residual = SequenceSet(n, dist.base, residual.ids[~placed])
+        residual = SequenceSet._trusted(n, dist.base, residual.ids[~placed])
 
     lam = {"image_vs_entropy": 0.0, "tilde_vs_all": 0.0,
            "entropy_vs_tilde": 0.0, "two_sided": 0.0}

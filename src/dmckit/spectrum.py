@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SequenceDist, SequenceSet, aexp, snap
+from .core import GRID, SequenceDist, SequenceSet, aexp, snap
 from .errors import (DimensionMismatchError, DomainError, ValidationError)
 from .reports import BoundReport
 
@@ -23,20 +23,22 @@ def floor_on_grid(t: float) -> int:
     return k
 
 
-def bin_index(density: float, delta_n: float, K: int) -> int:
-    """Bin of an information density under width-delta_n half-open slicing.
+def bin_indices(densities: np.ndarray, delta_n: float, K: int) -> np.ndarray:
+    """Bins of information densities under width-delta_n half-open slicing.
 
     Bin k collects [k*delta_n, (k+1)*delta_n) for k < K; bin K collects the
     tail.  Values landing exactly on an edge (after 1e-12 rounding) go to the
-    bin whose lower edge they sit on.
+    bin whose lower edge they sit on: the floor of iv / delta_n is moved up,
+    then down, one step at a time until every edge test k*delta_n <= iv <
+    (k+1)*delta_n holds in floating point.
     """
-    iv = max(0.0, snap(density))
-    k = math.floor(iv / delta_n)
-    while (k + 1) * delta_n <= iv:
-        k += 1
-    while k > 0 and k * delta_n > iv:
-        k -= 1
-    return min(k, K)
+    iv = np.maximum(0.0, np.rint(densities / GRID) * GRID)  # snap, elementwise
+    k = np.floor(iv / delta_n).astype(np.int64)
+    while (up := (k + 1) * delta_n <= iv).any():
+        k += up
+    while (down := (k > 0) & (k * delta_n > iv)).any():
+        k -= down
+    return np.minimum(k, K)
 
 
 @dataclass(frozen=True)
@@ -118,15 +120,20 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
     n = dist.n
     a = aexp(dist.ids.size, n) if space_aexp is None else float(space_aexp)
     K = math.ceil(snap((delta + a) / delta_n))
-    members: list[list[int]] = [[] for _ in range(K + 1)]
-    masses = np.zeros(K + 1)
-    for seq_id, p in dist.items():
-        k = bin_index(-math.log2(p) / n, delta_n, K)
-        members[k].append(seq_id)
-        masses[k] += p
-    bins = tuple(SequenceSet.from_ids(n, dist.base, ids) for ids in members)
+    # math.log2, not np.log2: the two differ in the last bit on some inputs
+    densities = np.array([-math.log2(p) / n for p in dist.probs.tolist()])
+    labels = bin_indices(densities, delta_n, K)
+    # bincount adds each bin's masses in support order, from 0.0
+    masses = np.bincount(labels, weights=dist.probs, minlength=K + 1)
+    # a stable sort keeps each bin's ids ascending; the empty bins, most of
+    # them at slice widths 1/n**2 and below, share one empty set
+    by_bin = dist.ids[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=K + 1)).tolist()
+    empty = SequenceSet._trusted(n, dist.base, by_bin[:0])
+    bins = tuple(SequenceSet._trusted(n, dist.base, by_bin[lo:hi]) if hi > lo else empty
+                 for lo, hi in zip([0] + ends[:-1], ends))
     return SpectrumPartition(n=n, base=dist.base, delta_n=delta_n, delta=delta,
-                             K=K, bins=bins, bin_mass=tuple(float(m) for m in masses))
+                             K=K, bins=bins, bin_mass=tuple(masses.tolist()))
 
 
 def verify_bin_size_bounds(sp: SpectrumPartition, dist: SequenceDist,

@@ -1,15 +1,20 @@
 """The word-by-word product-channel paths that `core._product_rows` and the
-single-build image bracket replaced, and the branch-and-bound that the
-subset-sum table of `min_image_exact` replaced, kept as test oracles.
+single-build image bracket replaced, the branch-and-bound that the
+subset-sum table of `min_image_exact` replaced, and the per-pick and
+per-word paths that the in-place greedy, the blocked bracket mixture and the
+array spectrum binning replaced, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
 tolerance.
 """
 
+import math
+
 import numpy as np
 
-from dmckit.core import SequenceDist, SequenceSet
+from dmckit.core import SequenceDist, SequenceSet, aexp, snap
+from dmckit.errors import DomainError
 from dmckit.images import ETA_TOL
 
 
@@ -62,6 +67,64 @@ def greedy_cover(rows: np.ndarray, eta: float) -> list[int]:
         chosen.append(best)
         available[best] = False
         mass += rows[:, best]
+
+
+def bracket_mixture(rows: np.ndarray) -> np.ndarray:
+    """The uniform mixture of the bracket's rows, added row by row."""
+    uniform = np.full(rows.shape[0], 1.0 / rows.shape[0])
+    mixture = np.zeros(rows.shape[1])
+    for p, row in zip(uniform / float(np.sum(uniform)), rows):
+        mixture += p * row
+    return mixture
+
+
+def greedy_cover_argmax(rows: np.ndarray, eta: float) -> list[int]:
+    """Greedy eta-image with an availability mask and one `np.where` copy
+    of the served row per pick; leaves `rows` unchanged."""
+    n_rows, n_cols = rows.shape
+    threshold = eta - ETA_TOL
+    mass = np.zeros(n_rows)
+    available = np.ones(n_cols, dtype=bool)
+    chosen: list[int] = []
+    while True:
+        deficits = threshold - mass
+        worst = deficits.argmax()
+        if deficits[worst] <= 0.0:
+            return chosen
+        gains = np.where(available, rows[worst], -1.0)
+        best = int(gains.argmax())
+        if gains[best] <= 0.0:
+            raise DomainError("eta unreachable for some row")
+        chosen.append(best)
+        available[best] = False
+        mass += rows[:, best]
+
+
+def bin_index(density: float, delta_n: float, K: int) -> int:
+    """Bin of one information density under width-delta_n half-open slicing."""
+    iv = max(0.0, snap(density))
+    k = math.floor(iv / delta_n)
+    while (k + 1) * delta_n <= iv:
+        k += 1
+    while k > 0 and k * delta_n > iv:
+        k -= 1
+    return min(k, K)
+
+
+def spectrum_bins(dist: SequenceDist, delta_n: float, delta: float,
+                  space_aexp=None) -> tuple[int, list[list[int]], list[float]]:
+    """(K, member ids per bin, mass per bin) of the spectrum partition,
+    binning one support word at a time."""
+    n = dist.n
+    a = aexp(dist.ids.size, n) if space_aexp is None else float(space_aexp)
+    K = math.ceil(snap((delta + a) / delta_n))
+    members: list[list[int]] = [[] for _ in range(K + 1)]
+    masses = np.zeros(K + 1)
+    for seq_id, p in dist.items():
+        k = bin_index(-math.log2(p) / n, delta_n, K)
+        members[k].append(seq_id)
+        masses[k] += p
+    return K, members, [float(m) for m in masses]
 
 
 def min_quasi_image(ch, input_dist, A: SequenceSet, eta: float):

@@ -206,6 +206,15 @@ def test_id_beyond_int64_exits_2(tmp_path, loader):
     assert main(argv) == 2
 
 
+def test_spectrum_duplicate_ids_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    write_json(path, {"n": 2, "alphabet_size": 2,
+                      "entries": [[1, 0.25], [3, 0.5], [1, 0.25]]})
+    assert main(["spectrum", "--dist", str(path), "--delta-n", "0.3",
+                 "--delta", "0.5"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_partition_zero_delta_n_exits_2(files, tmp_path):
     params = tmp_path / "params.json"
     write_json(params, {"delta_n": 0})

@@ -1,7 +1,9 @@
 """The product-channel kernel, the single-build image bracket and the
 subset-sum exact image solver against the paths they replaced
-(`kernel_oracles`), bit for bit."""
+(`kernel_oracles`), bit for bit, and the working memory of the bracket and
+the output marginal."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 
 import kernel_oracles as old
 from dmckit.core import (_BLOCK, Alphabet, Channel, Sequence, SequenceDist,
-                         SequenceSet, _product_rows, output_dist, output_rows)
-from dmckit.images import (_TABLE_BITS, ETA_TOL, _greedy_cover,
+                         SequenceSet, _product_rows, bsc,
+                         output_dist, output_rows)
+from dmckit.errors import DomainError
+from dmckit.images import (_TABLE_BITS, ETA_TOL, _greedy_cover, _lower_bounds,
                            _singleton_sizes, min_image_bracket, min_image_exact,
                            min_quasi_image, singleton_image_size)
 
@@ -56,10 +60,14 @@ def test_output_rows_and_dist_bitwise(inst):
 @settings(max_examples=150, deadline=None)
 @given(instances())
 def test_bracket_bounds_bitwise(inst):
+    # _greedy_cover overwrites its row matrix, so it gets a copy
     ch, A, _, eta = inst
     rows = output_rows(ch, A)
     upper, singleton, quasi = old.bracket_bounds(ch, A, eta)
-    assert np.array_equal(_greedy_cover(rows, eta), upper)
+    assert np.array_equal(_greedy_cover(rows.copy(), eta), upper)
+    singleton_lb, mixture = _lower_bounds(rows, eta)
+    assert singleton_lb == singleton
+    assert mixture.tobytes() == old.bracket_mixture(rows).tobytes()
     br = min_image_bracket(ch, A, eta)
     assert br.upper == len(upper)
     assert np.array_equal(br.upper_witness.ids, sorted(upper))
@@ -81,6 +89,112 @@ def test_singleton_and_quasi_bounds_bitwise(inst):
         assert got.size == size
         assert got.witness.ids_list() == witness
         assert np.array_equal(got.eta_achieved, achieved)
+
+
+@st.composite
+def cover_matrices(draw):
+    """(rows, eta): non-negative rows with tied entries and exact zeros,
+    normalised, or scaled down so that eta may be out of reach."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 40)))
+    levels = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])[rng.integers(0, 6, size=shape)]
+    tied = rng.uniform(size=shape) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    rows = np.where(tied, levels, rng.uniform(size=shape))
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        rows *= rng.uniform(0.3, 1.0, size=(shape[0], 1))
+    eta = draw(st.one_of(st.sampled_from((0.05, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12, 1.0)),
+                         st.floats(0.01, 1.0)))
+    return rows, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_matrices())
+def test_greedy_cover_matches_argmax_greedy(inst):
+    rows, eta = inst
+    work = rows.copy()
+    try:
+        want = old.greedy_cover_argmax(rows, eta)
+    except DomainError:
+        with pytest.raises(DomainError):
+            _greedy_cover(work, eta)
+        return
+    assert _greedy_cover(work, eta) == want
+    rows[:, want] = -1.0  # the picked columns, and only they, are masked
+    assert np.array_equal(work, rows)
+
+
+def test_one_output_column():
+    # |Y| = 1: each block holds _BLOCK single-column rows; 2**14 and 3**9
+    # words take two and three blocks
+    rng = np.random.default_rng(29)
+    for nx, n in ((2, 14), (3, 9)):
+        ch = Channel(Alphabet(nx), Alphabet(1), np.ones((nx, 1)))
+        w = rng.uniform(size=nx ** n) * 10.0 ** rng.integers(-9, 1, size=nx ** n)
+        dist = SequenceDist(n, nx, np.arange(nx ** n), w / w.sum())
+        got, want = output_dist(ch, dist), old.output_dist(ch, dist)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        A = SequenceSet.from_ids(n, nx, range(0, nx ** n, 7))
+        br = min_image_bracket(ch, A, 1.0)
+        assert (br.lower, br.upper, br.upper_witness.ids_list()) == (1, 1, [0])
+
+
+def test_bracket_over_several_row_blocks():
+    # 64 words x 2**10 columns: eight blocks of eight rows; eta close to 1
+    # makes the greedy pick most columns
+    rng = np.random.default_rng(31)
+    ch = random_channel(rng, 2, 2)
+    A = SequenceSet.from_ids(10, 2, rng.choice(2 ** 10, 64, replace=False).tolist())
+    rows = output_rows(ch, A)
+    for eta in (0.5, 0.99, 1 - 1e-9):
+        upper, singleton, quasi = old.bracket_bounds(ch, A, eta)
+        assert _lower_bounds(rows, eta)[0] == singleton
+        br = min_image_bracket(ch, A, eta)
+        assert (br.upper, br.lower) == (len(upper), max(singleton, quasi))
+        assert br.upper_witness.ids_list() == sorted(upper)
+    assert _lower_bounds(rows, 0.5)[1].tobytes() == old.bracket_mixture(rows).tobytes()
+
+
+def test_unreachable_eta_raises_like_the_argmax_greedy():
+    # rows summing to 1 - 9e-13 pass the channel check, but their cube falls
+    # below eta - ETA_TOL at eta = 1
+    short = 1.0 - 9e-13
+    ch = Channel(Alphabet(2), Alphabet(2), [[0.75, short - 0.75], [0.25, short - 0.25]])
+    A = SequenceSet.from_ids(3, 2, [0, 5, 6])
+    with pytest.raises(DomainError):
+        old.greedy_cover_argmax(output_rows(ch, A), 1.0)
+    with pytest.raises(DomainError):
+        min_image_bracket(ch, A, 1.0)
+    assert min_image_bracket(ch, A, 0.99).upper == len(
+        old.greedy_cover_argmax(output_rows(ch, A), 0.99))
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced allocation of one call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bracket_and_marginal_working_memory():
+    # 64 words at n = 10: a 512 KB row matrix.  The bracket may hold that
+    # matrix and 4 blocks beside it, never a second |A| x |Y|^n array; the
+    # marginal its accumulator and 2 blocks, plus the buffers numpy's
+    # iterator takes for a broadcast product (np.getbufsize() elements for
+    # each of three operands)
+    rng = np.random.default_rng(37)
+    A = SequenceSet.from_ids(10, 2, rng.choice(2 ** 10, 64, replace=False).tolist())
+    ch = bsc(0.1)
+    matrix = A.size * 2 ** 10 * 8
+    assert peak_bytes(lambda: min_image_bracket(ch, A, 0.99)) <= matrix + 4 * _BLOCK * 8
+    ufunc_buffers = 3 * np.getbufsize() * 8
+    assert peak_bytes(lambda: output_dist(ch, SequenceDist.uniform_on(A))) <= (
+        2 ** 10 * 8 + 2 * _BLOCK * 8 + ufunc_buffers)
 
 
 def test_thousand_letter_input_at_n8():

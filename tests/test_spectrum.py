@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_oracles as old
 from dmckit.core import SequenceDist, SequenceSet, info_density
 from dmckit.errors import DomainError, ValidationError
-from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
-                             product_index, restrict_index, uniformity,
+from dmckit.spectrum import (PartitioningIndex, bin_indices,
+                             build_spectrum_partition, product_index,
+                             restrict_index, uniformity,
                              verify_bin_conditional_uniformity,
                              verify_bin_size_bounds,
                              verify_uniform_entropy_bounds)
@@ -52,6 +56,64 @@ def test_spectrum_parameter_validation():
         build_spectrum_partition(three_atom(), 0.5, -1.0)
     with pytest.warns(UserWarning):
         build_spectrum_partition(three_atom(), 0.5, 1.5)
+
+
+WIDTHS = (0.1, 0.25, 0.3, 0.05, 1 / 9, 1 / 16, 1 / 49, 1 / 64)
+
+
+@st.composite
+def spectrum_instances(draw):
+    """(dist, delta_n, delta, space_aexp).  "edges" puts every word but one
+    on a density k*delta_n (up to rounding), where the edge tests decide
+    the bin; a small space_aexp sends the high densities to the tail bin K."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 8 if base == 2 else 5))
+    delta_n = draw(st.one_of(st.sampled_from(WIDTHS), st.floats(0.01, 0.99)))
+    size = draw(st.integers(1, min(base ** n, 200)))
+    ids = rng.choice(base ** n, size, replace=False)
+    if draw(st.sampled_from(("random", "edges"))) == "edges":
+        probs, total = [], 0.0
+        for k in rng.integers(1, max(2, int(3 / delta_n)), size=size - 1).tolist():
+            p = 2.0 ** (-n * k * delta_n)
+            if total + p < 1.0:
+                probs.append(p)
+                total += p
+        probs.append(1.0 - total)
+        ids = ids[:len(probs)]
+    else:
+        w = np.exp(rng.uniform(0.0, 12.0, size=size))
+        probs = w / w.sum()
+    dist = SequenceDist(n, base, ids, np.array(probs))
+    delta = draw(st.sampled_from((0.05, 0.5, 0.99)))
+    space_aexp = draw(st.sampled_from((None, 0.0, 0.1, math.log2(base))))
+    return dist, delta_n, delta, space_aexp
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectrum_instances())
+def test_spectrum_bins_match_word_loop(inst):
+    dist, delta_n, delta, space_aexp = inst
+    sp = build_spectrum_partition(dist, delta_n, delta, space_aexp)
+    K, members, masses = old.spectrum_bins(dist, delta_n, delta, space_aexp)
+    assert sp.K == K
+    assert [b.ids_list() for b in sp.bins] == members
+    assert np.array(sp.bin_mass).tobytes() == np.array(masses).tobytes()
+
+
+def test_bin_indices_match_bin_index():
+    # 9.1 at width 0.05 needs the step up, 1.7 and 7.3 at width 0.1 the step
+    # down; -0.0 is the density of a point mass
+    cases = [(0.05, [9.1, 9.35, 0.0, -0.0, 0.05, 0.1]),
+             (0.1, [1.7, 7.3, 15.1, 17.2, 0.3, 0.7, 2.9999999999999])]
+    rng = np.random.default_rng(43)
+    for delta_n in WIDTHS:
+        k = rng.integers(0, 400, size=50)
+        cases.append((delta_n, (k * delta_n).tolist() + rng.uniform(0, 20, 50).tolist()))
+    for delta_n, values in cases:
+        for K in (3, 1000):
+            got = bin_indices(np.array(values), delta_n, K).tolist()
+            assert got == [old.bin_index(v, delta_n, K) for v in values]
 
 
 def test_bins_match_half_open_rule():
