@@ -17,7 +17,7 @@ from .images import (GapReport, ImageBracket, QuasiImageResult, hamming_blowup,
                      image_exponent_gap, min_image, min_image_bracket,
                      min_image_exact, min_quasi_image, singleton_image_size,
                      verify_entropy_lower_bound)
-from .partitioner import (EqualImagePartition, ExtractionTrace, Schedule,
+from .partitioner import (EqualImagePartition, ExtractionTrace,
                           UniformizingPartition, build_equal_image_partition,
                           build_image_entropy_partition,
                           build_uniformizing_partition,

@@ -22,16 +22,12 @@ from .errors import (CapacityError, InvariantError, ToolkitError,
                      ValidationError)
 from .fano import Code, Decoder, MessageSpace, strong_fano_avg, strong_fano_max
 from .images import min_image_bracket, min_image_exact
-from .partitioner import (Schedule, build_equal_image_partition,
-                          build_uniformizing_partition)
+from .partitioner import build_equal_image_partition, build_uniformizing_partition
 from .reports import csv_text, json_text
 from .spectrum import (PartitioningIndex, build_spectrum_partition,
                        product_index)
 from .verify import run_lemma_suite
 from .wiretap import WiretapInstance, secrecy_bound_single_letter
-
-_PARTITION_PARAM_KEYS = {"eta", "delta_n", "delta", "rho", "schedule"}
-_SCHEDULE_KEYS = {"delta", "delta1", "overrides"}
 
 
 def _load_json(path: str):
@@ -161,43 +157,18 @@ def _cmd_image_size(args) -> int:
     return 0
 
 
-def _parse_params(path: str | None) -> dict:
-    if path is None:
-        return {}
-    obj = _load_json(path)
-    unknown = set(obj) - _PARTITION_PARAM_KEYS
-    if unknown:
-        raise ValidationError(f"unknown parameter keys: {sorted(unknown)}")
-    if "schedule" in obj:
-        bad = set(obj["schedule"]) - _SCHEDULE_KEYS
-        if bad:
-            raise ValidationError(f"unknown schedule keys: {sorted(bad)}")
-    return obj
-
-
 def _cmd_partition(args) -> int:
     channels = [load_channel(p) for p in args.channel]
     dist = load_dist(args.dist)
     ground = dist.support()
     messages = [load_message_index(p, ground) for p in args.messages]
-    params = _parse_params(args.params)
-    eta = float(params.get("eta", args.eta))
-    delta = float(params.get("delta", 0.5))
-    rho = int(params.get("rho", 0))
-    delta_n = params.get("delta_n")
-    sched_obj = params.get("schedule", {})
-    schedule = Schedule(delta=float(sched_obj.get("delta", delta)),
-                        delta1=sched_obj.get("delta1"),
-                        overrides=tuple(sched_obj["overrides"])
-                        if "overrides" in sched_obj else None)
-
     joint = messages[0]
     for extra in messages[1:]:
         joint = product_index(joint, extra)
-    slices = build_uniformizing_partition(dist, joint, delta=delta, rho=rho)
-    eq = build_equal_image_partition(channels, dist, ground, messages, eta,
-                                     delta_n=None if delta_n is None else float(delta_n),
-                                     schedule=schedule)
+    slices = build_uniformizing_partition(dist, joint, delta=args.delta,
+                                          rho=args.rho)
+    eq = build_equal_image_partition(channels, dist, ground, messages, args.eta,
+                                     delta_n=args.delta_n, delta=args.delta)
     obj = {
         "uniformizing": {
             "slice_width": slices.slice_width,
@@ -323,8 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", action="append", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--messages", action="append", required=True)
-    p.add_argument("--params", help="JSON block {eta, delta_n, delta, rho, schedule}")
     p.add_argument("--eta", type=float, default=0.5)
+    p.add_argument("--delta-n", dest="delta_n", type=float)
+    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--rho", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_partition)
 

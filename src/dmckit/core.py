@@ -29,9 +29,6 @@ DENSE_CAP = 1 << 26
 #: Comparison grid for threshold tests (>= eta, bin edges).
 GRID = 1e-12
 
-#: Products with at least this many factors are evaluated in log space.
-_LOG_PRODUCT_MIN = 8
-
 
 def snap(x: float) -> float:
     """Round to the 1e-12 grid so threshold comparisons are deterministic."""
@@ -129,12 +126,6 @@ class Channel:
             raise ValidationError("every channel row must sum to 1 within 1e-12")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def key(self) -> bytes:
-        return self.matrix.tobytes()
-
-    def row(self, symbol: int) -> np.ndarray:
-        return self.matrix[symbol]
 
     def to_json_obj(self) -> dict:
         return {
@@ -379,17 +370,14 @@ class SequenceDist:
 # ---------------------------------------------------------------------------
 
 def product_prob(ch: Channel, x: Sequence, y: Sequence) -> float:
-    """Memoryless product probability of output word y given input word x."""
+    """Memoryless product probability of output word y given input word x,
+    multiplied left to right from 1.0 exactly as `output_rows` does."""
     if x.n != y.n:
         raise DimensionMismatchError("x and y must share the blocklength")
     if x.base != ch.input.size or y.base != ch.output.size:
         raise DimensionMismatchError("sequence alphabets do not match the channel")
     factors = [float(ch.matrix[dx, dy]) for dx, dy in zip(x.digits(), y.digits())]
-    if x.n < _LOG_PRODUCT_MIN:
-        return float(reduce(lambda a, b: a * b, factors, 1.0))
-    if any(f == 0.0 for f in factors):
-        return 0.0
-    return float(2.0 ** math.fsum(math.log2(f) for f in factors))
+    return float(reduce(lambda a, b: a * b, factors, 1.0))
 
 
 #: Floats in a block of partial rows: `_product_rows` applies letters by

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Channel, SequenceDist, SequenceSet, aexp, entropy_bits,
-                   mutual_information, output_rows)
+from .core import (DENSE_CAP, Channel, SequenceDist, SequenceSet, aexp,
+                   entropy_bits, mutual_information, output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
 from .images import (ETA_TOL, EXACT_SOLVER_CAP, _singleton_sizes, min_image,
                      min_image_exact)
-from .partitioner import (Schedule, _subsets_of, build_equal_image_partition,
+from .partitioner import (_subsets_of, build_equal_image_partition,
                           build_uniformizing_partition)
 from .reports import BoundReport
 from .spectrum import PartitioningIndex
@@ -119,6 +119,9 @@ class Decoder:
         if extra == 0:
             return self
         rep = out_size ** extra
+        if rep * self.table.size > DENSE_CAP:
+            raise CapacityError(
+                "extended decoder table |Y|^n*|M_S| exceeds the dense cap 2**26")
         return Decoder(self.S, self.m_values, np.repeat(self.table, rep, axis=0))
 
 
@@ -567,7 +570,7 @@ def _mi_rate(view, cell_pairs, S, k, cond=()):
     return mi / view.n, h / view.n
 
 
-def _build_q_cells(view: _JointView, *, eta, delta_n, rho, schedule):
+def _build_q_cells(view: _JointView, *, eta, delta_n, rho):
     """W-slicing composed with the equal-image-size partition per cell."""
     dist = view.x_dist()
     A = view.codeword_set()
@@ -580,8 +583,7 @@ def _build_q_cells(view: _JointView, *, eta, delta_n, rho, schedule):
     for key in sorted(w_part.cells):
         cell = w_part.cells[key].members
         eq = build_equal_image_partition(view.channels, dist, cell, m_singles,
-                                         eta=eta, delta_n=delta_n,
-                                         schedule=schedule)
+                                         eta=eta, delta_n=delta_n)
         for label in eq.index.cells:
             vcell = eq.index.cells[label]
             q_cells.append((f"w{key}|v{label}", vcell))
@@ -589,9 +591,7 @@ def _build_q_cells(view: _JointView, *, eta, delta_n, rho, schedule):
 
 
 def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
-                    delta_n: float | None = None, rho: int = 1,
-                    schedule: Schedule | None = None,
-                    counting_checks: bool = True) -> FanoReport:
+                    delta_n: float | None = None, rho: int = 1) -> FanoReport:
     """Strong maximum-error report: per cell q and receiver k, the exponent of
     the live message set against the conditional mutual-information rate.
 
@@ -606,9 +606,9 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
     if not view.messages_partition():
         view = _append_symbols(view, alphas)
     q_cells, remainder, remainder_mass = _build_q_cells(
-        view, eta=eta, delta_n=delta_n, rho=rho, schedule=schedule)
+        view, eta=eta, delta_n=delta_n, rho=rho)
     report = _assemble_report("max", view, alphas, q_cells, remainder,
-                              remainder_mass, counting_checks, eta=eta)
+                              remainder_mass, eta=eta)
     for k in range(len(view.decoders)):
         report.passing_mass[k] = 1.0 - report.q0_mass
         report.passing_target[k] = 1.0 - report.q0_bound
@@ -620,7 +620,7 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
 
 
 def _assemble_report(criterion, view, alphas, q_cells, remainder,
-                     remainder_mass, counting_checks, *, eta,
+                     remainder_mass, *, eta,
                      label_prefix="", weight=1.0, base_report=None,
                      receivers=None):
     n_eff = view.n
@@ -660,7 +660,7 @@ def _assemble_report(criterion, view, alphas, q_cells, remainder,
                     cond_on=cond if cond else None, n_eff=n_eff, mass=mass,
                     aexp_messages=lhs, mi_rate=mi, gap=lhs - mi,
                     h_rate_lower=h_rate))
-                if counting_checks and not is_rem and not cond:
+                if not is_rem and not cond:
                     report.counting.add(
                         f"dps:{full_label}:k{k}", mi,
                         min(h_rate, math.log2(view.channels[k].output.size)),
@@ -668,33 +668,30 @@ def _assemble_report(criterion, view, alphas, q_cells, remainder,
                             view.channels[k].output.size)) + 1e-9)
     report.q_count += len(all_cells)
 
-    if counting_checks:
-        cells_only = {label_prefix + lab: cell for lab, cell in q_cells}
-        for k in receivers:
-            ch = view.channels[k]
-            dsets = _decoding_sets(view.pairs, view.decoders[k], ch, view.n, k,
-                                   alphas[k], cells_only)
-            report.counting.items += dsets.certificates.items
-            report.counting.items += dsets.multiplicity.items
-            # set monotonicity of image sizes: message cell inside its q cell
-            if ch.output.size ** view.n > EXACT_SOLVER_CAP:
-                continue
-            S_k = tuple(sorted(view.decoders[k].S))
-            for label, cell in cells_only.items():
-                g_cell = min_image(ch, cell, eta).lower
-                for m_S, members in _members_by_message(view.pairs, cell,
-                                                        S_k).items():
-                    sub = SequenceSet.from_ids(view.n, view.base, members)
-                    g_sub = min_image(ch, sub, eta).lower
-                    report.counting.add(f"monotone:{label}:k{k}:{m_S}",
-                                        g_sub, g_cell, g_sub <= g_cell)
+    cells_only = {label_prefix + lab: cell for lab, cell in q_cells}
+    for k in receivers:
+        ch = view.channels[k]
+        dsets = _decoding_sets(view.pairs, view.decoders[k], ch, view.n, k,
+                               alphas[k], cells_only)
+        report.counting.items += dsets.certificates.items
+        report.counting.items += dsets.multiplicity.items
+        # set monotonicity of image sizes: message cell inside its q cell
+        if ch.output.size ** view.n > EXACT_SOLVER_CAP:
+            continue
+        S_k = tuple(sorted(view.decoders[k].S))
+        for label, cell in cells_only.items():
+            g_cell = min_image(ch, cell, eta).lower
+            for m_S, members in _members_by_message(view.pairs, cell,
+                                                    S_k).items():
+                sub = SequenceSet.from_ids(view.n, view.base, members)
+                g_sub = min_image(ch, sub, eta).lower
+                report.counting.add(f"monotone:{label}:k{k}:{m_S}",
+                                    g_sub, g_cell, g_sub <= g_cell)
     return report
 
 
 def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
                     delta_n: float | None = None, rho: int = 1,
-                    schedule: Schedule | None = None,
-                    counting_checks: bool = True,
                     alpha_n: float | None = None) -> FanoReport:
     """Strong average-error report via the success-probability split.
 
@@ -748,9 +745,9 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
         if not sub.messages_partition():
             sub = _append_symbols(sub, sub_alphas)
         q_cells, remainder, remainder_mass = _build_q_cells(
-            sub, eta=eta, delta_n=delta_n, rho=rho, schedule=schedule)
+            sub, eta=eta, delta_n=delta_n, rho=rho)
         _assemble_report("avg", sub, sub_alphas, q_cells, remainder,
-                         remainder_mass, counting_checks, eta=eta,
+                         remainder_mass, eta=eta,
                          label_prefix=label_prefix, weight=w,
                          base_report=report, receivers=list(T))
 

@@ -274,8 +274,8 @@ class ExtractionStep:
 
 
 def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
-                       delta_n: float, delta: float, eta: float,
-                       beta: float | None = None) -> tuple[SequenceSet, ExtractionStep]:
+                       delta_n: float, delta: float,
+                       eta: float) -> tuple[SequenceSet, ExtractionStep]:
     """Extract a large subset whose output entropy rate nearly matches its
     minimum image exponent.
 
@@ -305,8 +305,7 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     ref = _refine_against_witness(ch, cond, A, prefix_mass, witness)
     a_prime = ref.refined
 
-    if beta is None:
-        beta = max(eta, 1.0 - 1.0 / n ** 2)
+    beta = max(eta, 1.0 - 1.0 / n ** 2)
     lo_level = max(min(prefix_mass / n, 1.0), ETA_TOL)
     exp_beta = image_exponents(ch, a_prime, min(beta, 1.0))
     exp_low = image_exponents(ch, a_prime, lo_level)
@@ -353,28 +352,18 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
 # multi-channel extraction and the image-entropy-matched partition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Schedule:
-    """Density widths used by the sequential extraction.
+def _width(step: int, n: int, n_channels: int,
+           prev_width: float | None, prev_slack: float | None) -> float:
+    """Density width of one extraction step.
 
-    The first width defaults to n^(-1/(K+1)); each later width is the square
-    root of the larger of the previous width and the previous step's measured
-    slack.  Explicit overrides win.
+    The first width is n^(-1/(K+1)); each later width is the square root of
+    the larger of the previous width and the previous step's measured slack.
     """
-
-    delta: float = 0.5
-    delta1: float | None = None
-    overrides: tuple[float, ...] | None = None
-
-    def width(self, step: int, n: int, n_channels: int,
-              prev_width: float | None, prev_slack: float | None) -> float:
-        if self.overrides is not None and step < len(self.overrides):
-            w = self.overrides[step]
-        elif step == 0:
-            w = self.delta1 if self.delta1 is not None else n ** (-1.0 / (n_channels + 1))
-        else:
-            w = math.sqrt(max(prev_width, prev_slack))
-        return min(max(w, 1e-6), 1.0 - 1e-9)
+    if step == 0:
+        w = n ** (-1.0 / (n_channels + 1))
+    else:
+        w = math.sqrt(max(prev_width, prev_slack))
+    return min(max(w, 1e-6), 1.0 - 1e-9)
 
 
 @dataclass
@@ -387,29 +376,27 @@ class ExtractionTrace:
     per_channel: list[dict]
 
 
-def _mu(channels: list[Channel], schedule: Schedule) -> float:
+def _mu(channels: list[Channel], delta: float) -> float:
     """mu = prod_k 1/(3*(delta + log2|Y_k|)), the extraction's ratio constant."""
-    return math.prod(1.0 / (3.0 * (schedule.delta + math.log2(ch.output.size)))
+    return math.prod(1.0 / (3.0 * (delta + math.log2(ch.output.size)))
                      for ch in channels)
 
 
 def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
-                 eta: float, schedule: Schedule | None = None
+                 eta: float, delta: float = 0.5
                  ) -> tuple[SequenceSet, ExtractionTrace]:
     """Sequentially extract one subset that matches entropy to image exponent
-    for every channel, widths driven by the (configurable) schedule."""
+    for every channel, step widths from `_width`."""
     if not channels:
         raise DomainError("need at least one channel")
-    schedule = schedule or Schedule()
     n = A.n
     current = A
     steps: list[ExtractionStep] = []
     width = None
     slack = None
     for ch in channels:
-        width = schedule.width(len(steps), n, len(channels), width, slack)
-        current, step = extract_equal_cell(ch, dist, current, width,
-                                           schedule.delta, eta)
+        width = _width(len(steps), n, len(channels), width, slack)
+        current, step = extract_equal_cell(ch, dist, current, width, delta, eta)
         slack = max(step.continuity_gap, abs(step.slack_upper))
         steps.append(step)
     # the last step already solved its channel on `current` at eta
@@ -429,7 +416,7 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
         })
     trace = ExtractionTrace(steps=steps, initial=A, result=current,
                             ratio=current.size / A.size,
-                            ratio_floor=_mu(channels, schedule) / n,
+                            ratio_floor=_mu(channels, delta) / n,
                             per_channel=per_channel)
     return current, trace
 
@@ -473,8 +460,7 @@ class ImageEntropyPartition:
 
 def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
                                   A: SequenceSet, eta: float,
-                                  schedule: Schedule | None = None
-                                  ) -> ImageEntropyPartition:
+                                  delta: float = 0.5) -> ImageEntropyPartition:
     """Exhaust A by repeated multi-channel extraction.
 
     Every cell records its per-letter size exponent against the conditional
@@ -482,7 +468,6 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
     the minimum image exponent at eta.  The cell count is checked against the
     explicit cap 2*ln2*(1+log2|X|)*n^2/mu.
     """
-    schedule = schedule or Schedule()
     n = A.n
     gamma = uniformity(dist, A).gamma
     residual = A
@@ -490,7 +475,7 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
     records: dict = {}
     stall = 0
     while residual.size:
-        cell, trace = extract_main(channels, dist, residual, eta, schedule)
+        cell, trace = extract_main(channels, dist, residual, eta, delta)
         if cell.size == 0:
             stall += 1
             if stall >= 3:
@@ -509,7 +494,7 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
         cells[label] = cell
         residual = residual.difference(cell)
     cap = math.floor(2.0 * math.log(2.0) * (1.0 + math.log2(dist.base)) * n * n
-                     / _mu(channels, schedule)) + 1
+                     / _mu(channels, delta)) + 1
     eps = max(rec.slack for rec in records.values())
     return ImageEntropyPartition(index=PartitioningIndex(A, cells),
                                  records=records, cell_cap=cap, gamma=gamma,
@@ -583,8 +568,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                                 A: SequenceSet,
                                 messages: list[PartitioningIndex],
                                 eta: float, delta_n: float | None = None,
-                                schedule: Schedule | None = None
-                                ) -> EqualImagePartition:
+                                delta: float = 0.5) -> EqualImagePartition:
     """Partition A so that, per cell and message subset, image exponents and
     entropies coincide up to measured gaps.
 
@@ -605,7 +589,6 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         delta_n = 1.0 / math.ceil(math.sqrt(n))
     elif not 0.0 < delta_n < 1.0:
         raise DomainError("delta_n must lie in (0, 1)")
-    schedule = schedule or Schedule()
     subsets = _subsets_of(range(J))
     dims = (math.ceil(math.log2(dist.base) / delta_n),) + tuple(
         math.ceil(math.log2(ch.output.size) / delta_n) for ch in channels)
@@ -654,7 +637,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                 key = cell_m.ids.tobytes()
                 if key not in built:
                     part = build_image_entropy_partition(channels, cond, cell_m,
-                                                         eta, schedule)
+                                                         eta, delta)
                     placed_units = {}
                     for u, rec in part.records.items():
                         # the record holds the x and output entropy rates of

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import test_golden
+from dmckit import cli, partitioner
 from dmckit.cli import main
 
 
@@ -70,12 +72,45 @@ def test_partition_runs(files):
     assert obj["equal_image"]["within_cap"] is True
 
 
-def test_partition_rejects_unknown_param_keys(files):
+def test_partition_rejects_params_file(files):
     params = str(files["tmp"] / "params.json")
-    write_json(params, {"eta": 0.5, "bogus": 1})
+    write_json(params, {"eta": 0.5})
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--channel", files["bsc01"], "--dist", files["dist"],
+              "--messages", files["msg"], "--params", params])
+    assert exc.value.code == 2
+
+
+def test_partition_flags_at_their_defaults_keep_the_golden_bytes(monkeypatch,
+                                                               tmp_path):
+    name = "partition-bsc-n7"
+    monkeypatch.setitem(test_golden.CASES, name, test_golden.CASES[name] + [
+        "--eta", "0.5", "--delta", "0.5", "--rho", "0"])
+    assert test_golden.run_case(name, tmp_path) == test_golden._expected()[name]
+
+
+def test_partition_flags_reach_the_builders(files, monkeypatch):
+    uniformizing = []
+    extraction = []
+    build = cli.build_uniformizing_partition
+    extract = partitioner.extract_equal_cell
+
+    def record_uniformizing(dist, joint, **kwargs):
+        uniformizing.append(kwargs)
+        return build(dist, joint, **kwargs)
+
+    def record_extraction(ch, dist, A, delta_n, delta, eta):
+        extraction.append(delta)
+        return extract(ch, dist, A, delta_n, delta, eta)
+
+    monkeypatch.setattr(cli, "build_uniformizing_partition", record_uniformizing)
+    monkeypatch.setattr(partitioner, "extract_equal_cell", record_extraction)
     rc = main(["partition", "--channel", files["bsc01"], "--dist", files["dist"],
-               "--messages", files["msg"], "--params", params])
-    assert rc == 2
+               "--messages", files["msg"], "--delta", "0.3", "--rho", "1",
+               "--out", str(files["tmp"] / "part.json")])
+    assert rc == 0
+    assert uniformizing == [{"delta": 0.3, "rho": 1}]
+    assert extraction and set(extraction) == {0.3}
 
 
 def test_fano_avg_writes_json_and_csv(files):
@@ -215,11 +250,9 @@ def test_spectrum_duplicate_ids_exit_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_partition_zero_delta_n_exits_2(files, tmp_path):
-    params = tmp_path / "params.json"
-    write_json(params, {"delta_n": 0})
+def test_partition_zero_delta_n_exits_2(files):
     rc = main(["partition", "--channel", files["bsc01"], "--dist", files["dist"],
-               "--messages", files["msg"], "--params", str(params)])
+               "--messages", files["msg"], "--delta-n", "0"])
     assert rc == 2
 
 

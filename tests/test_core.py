@@ -6,7 +6,7 @@ import pytest
 from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
                          SequenceSet, bsc, cond_output_given_set, entropy,
                          identity_channel, info_density, mutual_information,
-                         output_dist, product_prob)
+                         output_dist, output_rows, product_prob)
 from dmckit.errors import (CapacityError, ConditioningError,
                            DimensionMismatchError, DomainError,
                            ValidationError)
@@ -54,6 +54,29 @@ def test_product_prob_long_block_log_domain():
     x = Sequence(n, 2, 0)
     y = Sequence(n, 2, (1 << n) - 1)
     assert product_prob(ch, x, y) == pytest.approx(0.25 ** n, rel=1e-12)
+
+
+def test_product_prob_is_the_kernel_product():
+    # one product at every n: 1.0 * W[x1, y1] * ... * W[xn, yn], left to
+    # right, bit for bit the entry of the product-channel kernel
+    rng = np.random.default_rng(1)
+    zeros = 0
+    for n in range(1, 11):
+        for c in range(6):
+            m = rng.uniform(0.05, 1.0, size=(2, 3))
+            if c % 3 == 0:
+                m[np.arange(2), rng.integers(0, 3, size=2)] = 0.0
+            m /= m.sum(axis=1, keepdims=True)
+            ch = Channel(Alphabet(2), Alphabet(3), m)
+            xs = np.unique(rng.integers(0, 2 ** n, size=4))
+            rows = output_rows(ch, SequenceSet.from_ids(n, 2, xs))
+            ys = np.unique(rng.integers(0, 3 ** n, size=60))
+            for x, row in zip(xs.tolist(), rows):
+                for y in ys.tolist():
+                    p = product_prob(ch, Sequence(n, 2, x), Sequence(n, 3, y))
+                    assert p == row[y], (n, c, x, y)
+                    zeros += p == 0.0
+    assert zeros
 
 
 def test_row_stochastic_under_product():

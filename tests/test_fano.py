@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dmckit import fano
 from dmckit.core import (Alphabet, Channel, SequenceSet, bsc,
                          identity_channel)
-from dmckit.errors import PreconditionError, ValidationError
+from dmckit.errors import CapacityError, PreconditionError, ValidationError
 from dmckit.fano import (Code, Decoder, MessageSpace, avg_error,
                          build_decoding_sets, classic_fano, deterministic_code,
                          max_error, ml_decoder, sphere_packing_check,
@@ -193,7 +194,7 @@ def test_strong_fano_max_two_receivers_conditional_rows():
     d1 = ml_decoder(ms, enc, ch1, 2, (0,))
     d2 = ml_decoder(ms, enc, ch2, 2, (1,))
     code = Code(messages=ms, n=2, base=2, encoder=enc, decoders=(d1, d2))
-    rep = strong_fano_max(code, [ch1, ch2], counting_checks=False)
+    rep = strong_fano_max(code, [ch1, ch2])
     conds = [r for r in rep.rows if r.cond_on is not None and not r.is_remainder]
     assert conds  # conditioned bound rows exist for the other message index
     for r in conds:
@@ -205,7 +206,7 @@ def test_strong_fano_per_cell_mi_oracle():
     from dmckit.core import mutual_information, output_rows, SequenceSet
     ch = bsc(0.15)
     code = make_code(ch, 2, [0, 1, 3])
-    rep = strong_fano_max(code, [ch], counting_checks=False)
+    rep = strong_fano_max(code, [ch])
     pair_of = {}
     for m, x, p in code.pairs():
         pair_of.setdefault(x, []).append((m, p))
@@ -295,7 +296,7 @@ def test_strong_fano_avg_append_inside_split():
 def test_q0_mass_within_bound_on_corpus():
     ch = bsc(0.1)
     code = make_code(ch, 2, [0, 3])
-    rep = strong_fano_max(code, [ch], counting_checks=False)
+    rep = strong_fano_max(code, [ch])
     assert rep.q0_mass <= rep.q0_bound + 1e-12
 
 
@@ -331,3 +332,18 @@ def test_message_space_validation():
     assert ms.marginal((1,)) == {(0,): pytest.approx(1 / 3),
                                  (1,): pytest.approx(1 / 3),
                                  (2,): pytest.approx(1 / 3)}
+
+
+def test_append_symbols_checks_the_extended_decoder_table(monkeypatch):
+    # two messages share codeword 0 and alpha = 1/4 asks for 2 more symbols,
+    # so the 3**3 x 2 decoder table grows to 3**5 x 2 = 486 floats; the cap
+    # is checked before the table is built
+    ch = Channel(Alphabet(2), Alphabet(3), [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    view = fano._view_of(make_code(ch, 3, [0, 0]), [ch])
+    monkeypatch.setattr(fano, "DENSE_CAP", 486)
+    wide = fano._append_symbols(view, [0.25])
+    assert wide.appended == 2
+    assert wide.decoders[0].table.shape == (3 ** 5, 2)
+    monkeypatch.setattr(fano, "DENSE_CAP", 485)
+    with pytest.raises(CapacityError):
+        fano._append_symbols(view, [0.25])

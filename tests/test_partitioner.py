@@ -159,11 +159,11 @@ def test_extract_main_identity_pair():
 
 def test_extract_main_single_channel_reduces():
     # with one channel, the composition is exactly one extraction step
-    from dmckit.partitioner import Schedule
+    from dmckit.partitioner import _width
     ch = bsc(0.15)
     A = SequenceSet.full_space(3, 2)
     d = SequenceDist.uniform_on(A)
-    width = Schedule().width(0, 3, 1, None, None)
+    width = _width(0, 3, 1, None, None)
     direct, _ = extract_equal_cell(ch, d, A, width, 0.5, 0.5)
     composed, trace = extract_main([ch], d, A, 0.5)
     assert composed.ids_list() == direct.ids_list()
