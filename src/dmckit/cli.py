@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .core import DENSE_CAP, Channel, SequenceDist, SequenceSet
+from .core import Channel, SequenceDist, SequenceSet, check_budget
 from .errors import (CapacityError, InvariantError, ToolkitError,
                      ValidationError)
 from .fano import Code, Decoder, MessageSpace, strong_fano_avg, strong_fano_max
@@ -71,6 +72,10 @@ def load_code(path: str) -> Code:
         sizes = [int(s) for s in obj["message_sizes"]]
         n = int(obj["n"])
         base = int(obj["alphabet_size"])
+        encoder = tuple(
+            (tuple(int(v) for v in entry[0]),
+             tuple((int(x), float(p)) for x, p in entry[1]))
+            for entry in obj["encoder"])
         if "joint" in obj and obj["joint"] is not None:
             support = tuple(tuple(int(v) for v in e[0]) for e in obj["joint"])
             probs = tuple(float(e[1]) for e in obj["joint"])
@@ -78,12 +83,11 @@ def load_code(path: str) -> Code:
             messages = MessageSpace(tuple(sizes),
                                     tuple(support[i] for i in order),
                                     tuple(probs[i] for i in order))
+        elif math.prod(sizes) != len(dict(encoder)):
+            # checked before the prod(sizes) uniform tuples are built
+            raise ValidationError("encoder must cover exactly the message support")
         else:
             messages = MessageSpace.uniform(sizes)
-        encoder = tuple(
-            (tuple(int(v) for v in entry[0]),
-             tuple((int(x), float(p)) for x, p in entry[1]))
-            for entry in obj["encoder"])
         decoders = []
         for dobj in obj["decoders"]:
             S = tuple(sorted(int(j) - 1 for j in dobj["S"]))
@@ -94,9 +98,7 @@ def load_code(path: str) -> Code:
                                      for row in rows_raw.values()
                                      for m, _ in row}))
             col = {m: i for i, m in enumerate(m_values)}
-            if space * len(m_values) > DENSE_CAP:
-                raise CapacityError(
-                    "decoder table |Y|^n*|M_S| exceeds the dense cap 2**26")
+            check_budget(8 * space * len(m_values), "decoder table |Y|^n*|M_S|")
             table = np.zeros((space, len(m_values)))
             for y in range(space):
                 if y not in rows_raw:

@@ -23,11 +23,22 @@ import numpy as np
 from .errors import (CapacityError, ConditioningError, DimensionMismatchError,
                      DomainError, ValidationError)
 
-#: Largest sequence space that may be densely enumerated.
-DENSE_CAP = 1 << 26
+#: Bytes that any one allocation sized by the input may take (512 MiB, the
+#: size of 2**26 float64 or int64 entries).
+BUDGET_BYTES = 8 << 26
 
 #: Comparison grid for threshold tests (>= eta, bin edges).
 GRID = 1e-12
+
+
+def check_budget(nbytes: float, what: str) -> None:
+    """Raise `CapacityError` unless `nbytes` fits the memory budget.
+
+    Called before every allocation whose size comes from the input.  The
+    size may be a float computed before any cast to int: NaN and inf fail.
+    """
+    if not nbytes <= BUDGET_BYTES:
+        raise CapacityError(f"{what} needs more than the {BUDGET_BYTES >> 20} MiB budget")
 
 
 def snap(x: float) -> float:
@@ -161,8 +172,7 @@ def bsc(p: float, name: str = "") -> Channel:
 class SequenceSet:
     """A subset of the length-n sequence space over an alphabet of size base.
 
-    Stored as a sorted unique id array; a bitset view is available whenever
-    the ambient space is within the dense cap, and both views agree.
+    Stored as a sorted unique id array.
     """
 
     n: int
@@ -180,18 +190,6 @@ class SequenceSet:
     @property
     def size(self) -> int:
         return int(self.ids.size)
-
-    @property
-    def space_size(self) -> int:
-        return self.base ** self.n
-
-    def mask(self) -> int:
-        if self.space_size > DENSE_CAP:
-            raise CapacityError("sequence space exceeds the bitset cap 2**26")
-        out = 0
-        for i in self.ids.tolist():
-            out |= 1 << i
-        return out
 
     def contains(self, seq_id: int) -> bool:
         idx = int(np.searchsorted(self.ids, seq_id))
@@ -235,8 +233,7 @@ class SequenceSet:
 
     @classmethod
     def full_space(cls, n: int, base: int) -> "SequenceSet":
-        if base ** n > DENSE_CAP:
-            raise CapacityError("full space exceeds the dense cap 2**26")
+        check_budget(8 * base ** n, "full space |X|^n")
         return cls(n, base, np.arange(base ** n, dtype=np.int64))
 
 
@@ -425,11 +422,7 @@ def output_rows(ch: Channel, A: SequenceSet) -> np.ndarray:
     """Matrix of conditional output distributions, one row per x in A."""
     if A.base != ch.input.size:
         raise DimensionMismatchError("set alphabet does not match the channel input")
-    out_space = ch.output.size ** A.n
-    if out_space > DENSE_CAP:
-        raise CapacityError("output space exceeds the dense cap 2**26")
-    if A.size * out_space > DENSE_CAP:
-        raise CapacityError("row matrix |A|*|Y|^n exceeds the dense cap 2**26")
+    check_budget(8 * max(A.size, 1) * ch.output.size ** A.n, "row matrix |A|*|Y|^n")
     return _product_rows(ch, A.ids, A.n)
 
 
@@ -442,8 +435,7 @@ def output_dist(ch: Channel, input_dist: SequenceDist) -> SequenceDist:
     if input_dist.base != ch.input.size:
         raise DimensionMismatchError("input alphabet does not match the channel")
     out_space = ch.output.size ** input_dist.n
-    if out_space > DENSE_CAP:
-        raise CapacityError("output space exceeds the dense cap 2**26")
+    check_budget(8 * out_space, "output marginal |Y|^n")
     acc = np.zeros(out_space)
     step = max(1, _BLOCK // out_space)
     for lo in range(0, input_dist.ids.size, step):

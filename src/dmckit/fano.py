@@ -10,12 +10,13 @@ mutual-information rate.  Finite-n gaps are reported, never asserted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DENSE_CAP, Channel, SequenceDist, SequenceSet, aexp,
+from .core import (Channel, SequenceDist, SequenceSet, aexp, check_budget,
                    entropy_bits, mutual_information, output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
@@ -72,21 +73,9 @@ class MessageSpace:
     @classmethod
     def uniform(cls, sizes) -> "MessageSpace":
         sizes = tuple(int(s) for s in sizes)
-        support = []
-        total = 1
-        for s in sizes:
-            total *= s
-        idx = [0] * len(sizes)
-        for flat in range(total):
-            rem = flat
-            tup = []
-            for s in reversed(sizes):
-                tup.append(rem % s)
-                rem //= s
-            support.append(tuple(reversed(tup)))
-        support.sort()
-        return cls(sizes=sizes, support=tuple(support),
-                   probs=tuple(1.0 / total for _ in support))
+        support = tuple(itertools.product(*map(range, sizes)))
+        return cls(sizes=sizes, support=support,
+                   probs=tuple(1.0 / len(support) for _ in support))
 
 
 @dataclass(frozen=True)
@@ -119,9 +108,7 @@ class Decoder:
         if extra == 0:
             return self
         rep = out_size ** extra
-        if rep * self.table.size > DENSE_CAP:
-            raise CapacityError(
-                "extended decoder table |Y|^n*|M_S| exceeds the dense cap 2**26")
+        check_budget(8 * rep * self.table.size, "extended decoder table |Y|^n*|M_S|")
         return Decoder(self.S, self.m_values, np.repeat(self.table, rep, axis=0))
 
 

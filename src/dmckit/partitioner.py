@@ -112,8 +112,8 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
     The remainder collects the density tail plus share-tail messages and its
     probability is reported (small once 2^(-n*delta) bites).
     """
-    if delta <= 0.0:
-        raise DomainError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
     if rho < 0:
         raise DomainError("rho must be >= 0")
     n = dist.n
@@ -514,9 +514,13 @@ def _subsets_of(items) -> tuple:
 
 
 def _lattice_coord(rate: float, delta_n: float, dim: int) -> int:
-    """Nearest lattice index with the half-open [-d/2, d/2) window."""
-    i = floor_on_grid(rate / delta_n + 0.5)
-    return min(max(i, 0), dim)
+    """Nearest lattice index with the half-open [-d/2, d/2) window; the
+    index is stored as int64."""
+    i = min(max(floor_on_grid(rate / delta_n + 0.5), 0), dim)
+    if i > np.iinfo(np.int64).max:
+        raise CapacityError(f"delta_n = {delta_n:g} puts an entropy lattice "
+                            "index past int64; increase delta_n")
+    return i
 
 
 @dataclass
@@ -590,12 +594,14 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     elif not 0.0 < delta_n < 1.0:
         raise DomainError("delta_n must lie in (0, 1)")
     subsets = _subsets_of(range(J))
-    dims = (math.ceil(math.log2(dist.base) / delta_n),) + tuple(
-        math.ceil(math.log2(ch.output.size) / delta_n) for ch in channels)
-    lattice_size = 1
-    for d in dims:
-        lattice_size *= d + 1
-    v_space = lattice_size ** len(subsets)
+    try:
+        dims = tuple(math.ceil(math.log2(size) / delta_n) for size in
+                     [dist.base] + [ch.output.size for ch in channels])
+        v_space = math.prod(d + 1 for d in dims) ** len(subsets)
+        threshold = 1.0 / v_space ** 2
+    except OverflowError:
+        raise CapacityError(f"delta_n = {delta_n:g} makes the entropy lattice "
+                            "too large to represent; increase delta_n") from None
 
     gamma = uniformity(dist, A).gamma
     cap = max(1, math.ceil(2.0 * n * math.log2(dist.base))) if dist.base > 1 else 1
@@ -659,7 +665,6 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         # one cell per distinct lattice point over all subsets, ascending
         points, which = np.unique(np.hstack([point[S] for S in subsets]),
                                   axis=0, return_inverse=True)
-        threshold = 1.0 / v_space ** 2
         kept: dict = {}
         placed = np.zeros(residual.size, dtype=bool)
         for c, row in enumerate(points.tolist()):

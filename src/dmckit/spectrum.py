@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID, SequenceDist, SequenceSet, aexp, snap
+from .core import GRID, SequenceDist, SequenceSet, aexp, check_budget, snap
 from .errors import (DimensionMismatchError, DomainError, ValidationError)
 from .reports import BoundReport
 
@@ -112,14 +112,19 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
     """
     if not 0.0 < delta_n < 1.0:
         raise DomainError("delta_n must lie in (0, 1)")
-    if delta <= 0.0:
-        raise DomainError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
     if delta >= 1.0:
         warnings.warn("delta >= 1 is outside the defining range; proceeding",
                       stacklevel=2)
     n = dist.n
     a = aexp(dist.ids.size, n) if space_aexp is None else float(space_aexp)
-    K = math.ceil(snap((delta + a) / delta_n))
+    span = (delta + a) / delta_n
+    # 64 bytes is the peak per bin below.  With a >= 1/n (two or more words
+    # in the support) and densities <= 1074/n, a span within the budget keeps
+    # iv / delta_n in `bin_indices` far inside int64
+    check_budget(64 * (span + 1), "spectrum bins")
+    K = math.ceil(snap(span))
     # math.log2, not np.log2: the two differ in the last bit on some inputs
     densities = np.array([-math.log2(p) / n for p in dist.probs.tolist()])
     labels = bin_indices(densities, delta_n, K)

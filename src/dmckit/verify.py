@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import (Alphabet, Channel, SequenceDist, SequenceSet,
+from .core import (Alphabet, Channel, SequenceDist, SequenceSet, check_budget,
                    entropy_bits, mutual_information, output_rows)
 from .errors import DomainError
 from .images import hamming_blowup, min_image_exact, min_quasi_image
@@ -41,6 +41,7 @@ def random_channel(rng, nx: int, ny: int, allow_zeros: bool = True) -> Channel:
 
 def random_subset(rng, n: int, base: int, max_size: int | None = None) -> SequenceSet:
     space = base ** n
+    check_budget(8 * space, "random subset ids |X|^n")
     size = int(rng.integers(1, (max_size or space) + 1))
     ids = rng.choice(space, size=min(size, space), replace=False)
     return SequenceSet.from_ids(n, base, ids)

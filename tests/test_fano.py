@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmckit import fano
+from dmckit import core, fano
 from dmckit.core import (Alphabet, Channel, SequenceSet, bsc,
                          identity_channel)
 from dmckit.errors import CapacityError, PreconditionError, ValidationError
@@ -340,10 +340,10 @@ def test_append_symbols_checks_the_extended_decoder_table(monkeypatch):
     # is checked before the table is built
     ch = Channel(Alphabet(2), Alphabet(3), [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
     view = fano._view_of(make_code(ch, 3, [0, 0]), [ch])
-    monkeypatch.setattr(fano, "DENSE_CAP", 486)
+    monkeypatch.setattr(core, "BUDGET_BYTES", 486 * 8)
     wide = fano._append_symbols(view, [0.25])
     assert wide.appended == 2
     assert wide.decoders[0].table.shape == (3 ** 5, 2)
-    monkeypatch.setattr(fano, "DENSE_CAP", 485)
+    monkeypatch.setattr(core, "BUDGET_BYTES", 485 * 8)
     with pytest.raises(CapacityError):
         fano._append_symbols(view, [0.25])

@@ -1,9 +1,10 @@
-"""Every name a `dmckit` module imports is used in that module, and every
-import sits at module level.
+"""Every name a `dmckit` module imports is used in that module, every
+import sits at module level, and only `core` names the memory budget.
 
 No linter runs on this repository, so these stdlib checks stand in for an
-unused-import rule and a no-local-import rule.  `__init__.py` is exempt from
-the first: its imports are the public API.
+unused-import rule, a no-local-import rule and a rule that keeps the budget
+in one place.  `__init__.py` is exempt from the first: its imports are the
+public API.
 """
 
 import ast
@@ -89,3 +90,15 @@ def test_lazy_import_allowlist_is_current():
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             found = local_imports(fh.read())
         assert sorted(name.split(" (")[0] for name in found) == sorted(names)
+
+
+def test_only_core_names_the_memory_budget():
+    # every other module goes through core.check_budget, so no copy of the
+    # rule can drift from it
+    named = []
+    for module in ALL_MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            source = fh.read()
+        named += [f"{module}: {name}" for name in ("BUDGET_BYTES", "DENSE_CAP")
+                  if name in source]
+    assert named == ["core.py: BUDGET_BYTES"]
