@@ -142,6 +142,8 @@ def _write_record(args, started: float, passed: bool):
 def _cmd_spectrum(args) -> int:
     dist = load_dist(args.dist)
     sp = build_spectrum_partition(dist, args.delta_n, args.delta)
+    # 40 bytes a bin in the partition, 209 more at the report's peak (tracemalloc)
+    check_budget(256 * (sp.K + 1), "spectrum report")
     _emit(json_text(sp.to_json_obj(), indent=1), args.out)
     return 0
 

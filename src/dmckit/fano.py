@@ -246,7 +246,6 @@ def classic_fano(h_m_given: float, eps: float, card_m: float, n: int) -> float:
 
 @dataclass
 class DecodingSets:
-    receiver: int
     alpha: float
     sets: dict
     certificates: BoundReport
@@ -256,19 +255,6 @@ class DecodingSets:
     @property
     def passed(self) -> bool:
         return self.certificates.passed and self.multiplicity.passed
-
-
-def build_decoding_sets(code: Code, channels: list[Channel], k: int,
-                        alpha: float, partition) -> DecodingSets:
-    """Per-cell decoding sets C(m_S, cell) = B(cell) * Btilde(m_S).
-
-    B(cell) is a minimum (1 - alpha/4)-image of the cell and Btilde(m_S)
-    keeps the outputs that decode to m_S with probability at least alpha/2.
-    Each C is certified as an (alpha/4)-image of its cell-message set, and
-    per output word at most floor(2/alpha) sets overlap.
-    """
-    return _decoding_sets(code.pairs(), code.decoders[k], channels[k], code.n,
-                          k, alpha, partition)
 
 
 def _members_by_message(pairs, cell: SequenceSet, S: tuple[int, ...]) -> dict:
@@ -281,18 +267,24 @@ def _members_by_message(pairs, cell: SequenceSet, S: tuple[int, ...]) -> dict:
     return dict(sorted(out.items()))
 
 
-def _decoding_sets(pairs, dec: Decoder, ch: Channel, n: int, k: int,
-                   alpha: float, partition) -> DecodingSets:
-    """`build_decoding_sets` on a positive-mass (message, codeword) pair list."""
+def build_decoding_sets(pairs, decoder: Decoder, channel: Channel, n: int,
+                        alpha: float, cells: dict) -> DecodingSets:
+    """Per-cell decoding sets C(m_S, cell) = B(cell) * Btilde(m_S) of the
+    positive-mass (message, codeword, mass) pairs, such as `Code.pairs()`.
+
+    B(cell) is a minimum (1 - alpha/4)-image of the cell and Btilde(m_S)
+    keeps the outputs that decode to m_S with probability at least alpha/2.
+    Each C is certified as an (alpha/4)-image of its cell-message set, and
+    per output word at most floor(2/alpha) sets overlap.
+    """
     if alpha <= 0.0:
         raise PreconditionError("alpha must be positive (max error < 1)")
-    cells = dict(partition.cells) if isinstance(partition, PartitioningIndex) \
-        else dict(partition)
-    out_space = ch.output.size ** n
+    out_space = channel.output.size ** n
     tilde: dict = {}
-    for m_S in dec.m_values:
-        ids = np.nonzero(dec.table[:, dec.column(m_S)] >= alpha / 2.0 - ETA_TOL)[0]
-        tilde[m_S] = SequenceSet(n, ch.output.size, ids)
+    for m_S in decoder.m_values:
+        ids = np.nonzero(decoder.table[:, decoder.column(m_S)]
+                         >= alpha / 2.0 - ETA_TOL)[0]
+        tilde[m_S] = SequenceSet(n, channel.output.size, ids)
 
     sets: dict = {}
     certificates = BoundReport("decoding-set-image-certificates")
@@ -300,25 +292,25 @@ def _decoding_sets(pairs, dec: Decoder, ch: Channel, n: int, k: int,
     empty_flagged = []
     cap = math.floor(2.0 / alpha)
     for label, cell in cells.items():
-        b_cell = min_image(ch, cell, 1.0 - alpha / 4.0).upper_witness
+        b_cell = min_image(channel, cell, 1.0 - alpha / 4.0).upper_witness
         counts = np.zeros(out_space, dtype=np.int64)
-        for m_S, members in _members_by_message(pairs, cell, dec.S).items():
+        for m_S, members in _members_by_message(pairs, cell, decoder.S).items():
             c_set = b_cell.intersect(tilde[m_S])
             sets[(m_S, label)] = c_set
             if c_set.size == 0:
                 empty_flagged.append((m_S, label))
                 continue
             counts[c_set.ids] += 1
-            rows = output_rows(ch, SequenceSet.from_ids(n, ch.input.size, members))
+            rows = output_rows(channel, SequenceSet.from_ids(n, channel.input.size,
+                                                             members))
             min_mass = float(rows[:, c_set.ids].sum(axis=1).min())
             certificates.add(f"{label}:{m_S}", alpha / 4.0, min_mass,
                              min_mass >= alpha / 4.0 - ETA_TOL,
                              slack=min_mass - alpha / 4.0)
         worst = int(counts.max()) if counts.size else 0
         multiplicity.add(f"{label}", worst, cap, worst <= cap)
-    return DecodingSets(receiver=k, alpha=alpha, sets=sets,
-                        certificates=certificates, multiplicity=multiplicity,
-                        empty_flagged=empty_flagged)
+    return DecodingSets(alpha=alpha, sets=sets, certificates=certificates,
+                        multiplicity=multiplicity, empty_flagged=empty_flagged)
 
 
 def sphere_packing_check(code: Code, channel: Channel, mu: float,
@@ -329,13 +321,11 @@ def sphere_packing_check(code: Code, channel: Channel, mu: float,
     message index; then the bound is a counting identity for any code whose
     maximum error is at most eps.
     """
-    dec = code.decoders[0] if len(code.decoders) == 1 else None
-    for d in code.decoders:
-        if tuple(sorted(d.S)) == tuple(range(code.J)):
-            dec = d
-            break
-    if dec is None or tuple(sorted(dec.S)) != tuple(range(code.J)):
+    k = next((k for k, d in enumerate(code.decoders)
+              if tuple(sorted(d.S)) == tuple(range(code.J))), None)
+    if k is None:
         raise PreconditionError("need a receiver that decodes all message indices")
+    dec = code.decoders[k]
     enc = dict(code.encoder)
     codeword_of = {}
     for m, row in enc.items():
@@ -344,7 +334,6 @@ def sphere_packing_check(code: Code, channel: Channel, mu: float,
         codeword_of[m] = row[0][0]
     if not np.all((dec.table == 0.0) | (dec.table == 1.0)):
         raise PreconditionError("sphere packing requires a deterministic decoder")
-    k = code.decoders.index(dec)
     if eps is None:
         eps = max_error(code, [channel] * len(code.decoders), k)
     if not mu > 0.0 or mu + eps >= 1.0:
@@ -379,10 +368,6 @@ class _JointView:
     appended: int = 0
     shift: int = 1  # x_original = x // shift after appending
 
-    def codeword_set(self) -> SequenceSet:
-        return SequenceSet.from_ids(self.n, self.base,
-                                    sorted({x for _, x, _ in self.pairs}))
-
     def x_dist(self) -> SequenceDist:
         acc: dict = {}
         for _, x, p in self.pairs:
@@ -400,12 +385,12 @@ class _JointView:
         return True
 
     def message_index(self, S: tuple[int, ...]) -> PartitioningIndex:
-        ground = self.codeword_set()
         label_of: dict = {}
         for m, x, _ in self.pairs:
-            key = tuple(m[j] for j in S) if S else ()
+            key = tuple(m[j] for j in S)
             if label_of.setdefault(x, key) != key:
                 raise ValidationError("messages do not partition the codeword set")
+        ground = SequenceSet.from_ids(self.n, self.base, label_of)
         return PartitioningIndex.from_labeling(ground, lambda sid: label_of[sid])
 
     def marginal(self, S: tuple[int, ...]) -> dict:
@@ -481,17 +466,18 @@ class FanoRow:
 class FanoReport:
     criterion: str
     n: int
-    rows: list[FanoRow]
-    q_count: int
-    q0_mass: float
     q0_bound: float
     appended: int
-    passing_mass: dict
-    passing_target: dict
-    qstar: dict
-    qstar_mass: dict
-    qstar_target: dict
-    counting: BoundReport
+    rows: list[FanoRow] = field(default_factory=list)
+    q_count: int = 0
+    q0_mass: float = 0.0
+    passing_mass: dict = field(default_factory=dict)
+    passing_target: dict = field(default_factory=dict)
+    qstar: dict = field(default_factory=dict)
+    qstar_mass: dict = field(default_factory=dict)
+    qstar_target: dict = field(default_factory=dict)
+    counting: BoundReport = field(
+        default_factory=lambda: BoundReport("fano-counting-substeps"))
     details: dict = field(default_factory=dict)
     cell_pairs: dict = field(default_factory=dict)
 
@@ -557,24 +543,75 @@ def _mi_rate(view, cell_pairs, S, k, cond=()):
     return mi / view.n, h / view.n
 
 
-def _build_q_cells(view: _JointView, *, eta, delta_n, rho):
-    """W-slicing composed with the equal-image-size partition per cell."""
+def _add_cells(report: FanoReport, view: _JointView, alphas, receivers,
+               prefix: str, weight: float, *, eta, delta_n, rho) -> None:
+    """Add the cells of `view` to `report`: the W-slicing composed with the
+    equal-image-size partition per slice, plus the remainder q0.  Per cell
+    and receiver in `receivers` it adds the Fano rows, then the decoding-set
+    and counting checks; labels get `prefix` and masses the factor `weight`.
+    """
     dist = view.x_dist()
-    A = view.codeword_set()
     full = tuple(range(len(view.sizes)))
-    m_index = view.message_index(full)
     m_singles = [view.message_index((j,)) for j in full]
-    w_part = build_uniformizing_partition(dist, m_index,
+    w_part = build_uniformizing_partition(dist, view.message_index(full),
                                           delta=math.log2(view.base), rho=rho)
-    q_cells = []
+    q_cells = {}
     for key in sorted(w_part.cells):
-        cell = w_part.cells[key].members
-        eq = build_equal_image_partition(view.channels, dist, cell, m_singles,
+        eq = build_equal_image_partition(view.channels, dist,
+                                         w_part.cells[key].members, m_singles,
                                          eta=eta, delta_n=delta_n)
-        for label in eq.index.cells:
-            vcell = eq.index.cells[label]
-            q_cells.append((f"w{key}|v{label}", vcell))
-    return q_cells, w_part.remainder, w_part.remainder_mass
+        for label, vcell in eq.index.cells.items():
+            q_cells[f"{prefix}w{key}|v{label}"] = vcell
+    all_cells = dict(q_cells)
+    if w_part.remainder.size:
+        all_cells[prefix + "q0"] = w_part.remainder
+
+    for label, cell in all_cells.items():
+        inside = set(cell.ids_list())
+        cell_pairs = [t for t in view.pairs if t[1] in inside]
+        mass = weight * sum(p for _, _, p in cell_pairs)
+        report.cell_pairs[label] = [(m, x // view.shift, weight * p)
+                                    for m, x, p in cell_pairs]
+        is_rem = label not in q_cells
+        if is_rem:
+            report.q0_mass += mass
+        for k in receivers:
+            S_k = tuple(sorted(view.decoders[k].S))
+            others = tuple(j for j in range(len(view.sizes)) if j not in S_k)
+            for cond in _subsets_of(others):
+                mi, h_rate = _mi_rate(view, cell_pairs, S_k, k, cond)
+                joint_vals = {(tuple(m[j] for j in S_k), tuple(m[j] for j in cond))
+                              for m, _, _ in cell_pairs}
+                cond_vals = {c for _, c in joint_vals}
+                lhs = aexp(len(joint_vals), view.n) - aexp(len(cond_vals), view.n)
+                report.rows.append(FanoRow(
+                    receiver=k, q_label=label, is_remainder=is_rem,
+                    cond_on=cond if cond else None, n_eff=view.n, mass=mass,
+                    aexp_messages=lhs, mi_rate=mi, gap=lhs - mi,
+                    h_rate_lower=h_rate))
+                if not is_rem and not cond:
+                    cap = min(h_rate, math.log2(view.channels[k].output.size))
+                    report.counting.add(f"dps:{label}:k{k}", mi, cap, mi <= cap + 1e-9)
+    report.q_count += len(all_cells)
+
+    for k in receivers:
+        ch = view.channels[k]
+        dsets = build_decoding_sets(view.pairs, view.decoders[k], ch, view.n,
+                                    alphas[k], q_cells)
+        report.counting.items += dsets.certificates.items
+        report.counting.items += dsets.multiplicity.items
+        # set monotonicity of image sizes: message cell inside its q cell
+        if ch.output.size ** view.n > EXACT_SOLVER_CAP:
+            continue
+        S_k = tuple(sorted(view.decoders[k].S))
+        for label, cell in q_cells.items():
+            g_cell = min_image(ch, cell, eta).lower
+            for m_S, members in _members_by_message(view.pairs, cell,
+                                                    S_k).items():
+                sub = SequenceSet.from_ids(view.n, view.base, members)
+                g_sub = min_image(ch, sub, eta).lower
+                report.counting.add(f"monotone:{label}:k{k}:{m_S}",
+                                    g_sub, g_cell, g_sub <= g_cell)
 
 
 def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
@@ -592,88 +629,18 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
         raise PreconditionError("strong Fano needs maximum error < 1")
     if not view.messages_partition():
         view = _append_symbols(view, alphas)
-    q_cells, remainder, remainder_mass = _build_q_cells(
-        view, eta=eta, delta_n=delta_n, rho=rho)
-    report = _assemble_report("max", view, alphas, q_cells, remainder,
-                              remainder_mass, eta=eta)
-    for k in range(len(view.decoders)):
+    report = FanoReport("max", view.n, q0_bound=view.base ** (-view.n),
+                        appended=view.appended)
+    K = len(view.decoders)
+    _add_cells(report, view, alphas, range(K), "", 1.0,
+               eta=eta, delta_n=delta_n, rho=rho)
+    for k in range(K):
         report.passing_mass[k] = 1.0 - report.q0_mass
         report.passing_target[k] = 1.0 - report.q0_bound
         m_marg = view.marginal(tuple(sorted(view.decoders[k].S)))
         report.details[f"classic_fano_k{k}"] = classic_fano(
             0.0, 1.0 - alphas[k], math.log2(len(m_marg)), view.n)
     report.details["alphas"] = list(alphas)
-    return report
-
-
-def _assemble_report(criterion, view, alphas, q_cells, remainder,
-                     remainder_mass, *, eta,
-                     label_prefix="", weight=1.0, base_report=None,
-                     receivers=None):
-    n_eff = view.n
-    report = base_report or FanoReport(
-        criterion=criterion, n=n_eff, rows=[], q_count=0, q0_mass=0.0,
-        q0_bound=view.base ** (-view.n), appended=view.appended,
-        passing_mass={}, passing_target={}, qstar={}, qstar_mass={},
-        qstar_target={},
-        counting=BoundReport("fano-counting-substeps"))
-    receivers = receivers if receivers is not None else range(len(view.decoders))
-
-    all_cells = list(q_cells)
-    if remainder.size:
-        all_cells.append(("q0", remainder))
-    for label, cell in all_cells:
-        full_label = label_prefix + label
-        inside = set(cell.ids_list())
-        cell_pairs = [t for t in view.pairs if t[1] in inside]
-        mass = weight * sum(p for _, _, p in cell_pairs)
-        report.cell_pairs[full_label] = [(m, x // view.shift, weight * p)
-                                         for m, x, p in cell_pairs]
-        is_rem = label == "q0"
-        if is_rem:
-            report.q0_mass += mass
-        for k in receivers:
-            S_k = tuple(sorted(view.decoders[k].S))
-            others = tuple(j for j in range(len(view.sizes)) if j not in S_k)
-            for cond in _subsets_of(others):
-                mi, h_rate = _mi_rate(view, cell_pairs, S_k, k, cond)
-                joint_vals = {(tuple(m[j] for j in S_k), tuple(m[j] for j in cond))
-                              for m, _, _ in cell_pairs}
-                cond_vals = {c for _, c in joint_vals}
-                lhs = (aexp(len(joint_vals), n_eff)
-                       - aexp(len(cond_vals), n_eff))
-                report.rows.append(FanoRow(
-                    receiver=k, q_label=full_label, is_remainder=is_rem,
-                    cond_on=cond if cond else None, n_eff=n_eff, mass=mass,
-                    aexp_messages=lhs, mi_rate=mi, gap=lhs - mi,
-                    h_rate_lower=h_rate))
-                if not is_rem and not cond:
-                    report.counting.add(
-                        f"dps:{full_label}:k{k}", mi,
-                        min(h_rate, math.log2(view.channels[k].output.size)),
-                        mi <= min(h_rate, math.log2(
-                            view.channels[k].output.size)) + 1e-9)
-    report.q_count += len(all_cells)
-
-    cells_only = {label_prefix + lab: cell for lab, cell in q_cells}
-    for k in receivers:
-        ch = view.channels[k]
-        dsets = _decoding_sets(view.pairs, view.decoders[k], ch, view.n, k,
-                               alphas[k], cells_only)
-        report.counting.items += dsets.certificates.items
-        report.counting.items += dsets.multiplicity.items
-        # set monotonicity of image sizes: message cell inside its q cell
-        if ch.output.size ** view.n > EXACT_SOLVER_CAP:
-            continue
-        S_k = tuple(sorted(view.decoders[k].S))
-        for label, cell in cells_only.items():
-            g_cell = min_image(ch, cell, eta).lower
-            for m_S, members in _members_by_message(view.pairs, cell,
-                                                    S_k).items():
-                sub = SequenceSet.from_ids(view.n, view.base, members)
-                g_sub = min_image(ch, sub, eta).lower
-                report.counting.add(f"monotone:{label}:k{k}:{m_S}",
-                                    g_sub, g_cell, g_sub <= g_cell)
     return report
 
 
@@ -707,22 +674,17 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
         T = tuple(k for k in range(K) if succ[k][(m, x)] >= alpha_n - ETA_TOL)
         splits.setdefault(T, []).append((m, x, p))
 
-    report = FanoReport(
-        criterion="avg", n=view.n, rows=[], q_count=0, q0_mass=0.0,
-        q0_bound=view.base ** (-view.n), appended=0,
-        passing_mass={k: 0.0 for k in range(K)},
-        passing_target={}, qstar={}, qstar_mass={}, qstar_target={},
-        counting=BoundReport("fano-counting-substeps"),
-        details={"alpha_n": alpha_n, "avg_errors": errs})
+    report = FanoReport("avg", view.n, q0_bound=view.base ** (-view.n), appended=0,
+                        details={"alpha_n": alpha_n, "avg_errors": errs})
 
     for T, plist in sorted(splits.items()):
         w = sum(p for _, _, p in plist)
         sub = _JointView(n=view.n, base=view.base, sizes=view.sizes,
                          pairs=[(m, x, p / w) for m, x, p in plist],
                          decoders=view.decoders, channels=view.channels)
-        label_prefix = f"u{''.join(str(k) for k in T) or '-'}|"
+        prefix = f"u{''.join(str(k) for k in T) or '-'}|"
         if not T:
-            report.cell_pairs[label_prefix + "all"] = [
+            report.cell_pairs[prefix + "all"] = [
                 (m, x, w * p) for m, x, p in sub.pairs]
             report.q_count += 1
             continue
@@ -731,12 +693,8 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
                       else 1.0 for k in range(K)]
         if not sub.messages_partition():
             sub = _append_symbols(sub, sub_alphas)
-        q_cells, remainder, remainder_mass = _build_q_cells(
-            sub, eta=eta, delta_n=delta_n, rho=rho)
-        _assemble_report("avg", sub, sub_alphas, q_cells, remainder,
-                         remainder_mass, eta=eta,
-                         label_prefix=label_prefix, weight=w,
-                         base_report=report, receivers=list(T))
+        _add_cells(report, sub, sub_alphas, T, prefix, w,
+                   eta=eta, delta_n=delta_n, rho=rho)
 
     for k in range(K):
         m_marg = view.marginal(tuple(sorted(view.decoders[k].S)))

@@ -287,7 +287,6 @@ def hamming_blowup(B: SequenceSet, radius: int) -> SequenceSet:
     for _ in range(radius):
         new = set()
         for sid in frontier:
-            v = sid
             for i in range(n):
                 digit = (sid // place[i]) % base
                 stem = sid - digit * place[i]

@@ -117,7 +117,11 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
     if rho < 0:
         raise DomainError("rho must be >= 0")
     n = dist.n
-    slice_width = 1.0 / n ** (rho + 2)
+    try:
+        # no float holds 2**1024: the clip only bounds the int power's cost
+        slice_width = 1.0 / n ** min(rho + 2, 1100)
+    except OverflowError:
+        raise CapacityError("slice width 1/n^(rho+2) underflows a float") from None
     if not slice_width < 1.0:
         raise DomainError("n**(rho+2) must exceed 1; increase n or rho")
     ratio_width = 1.0 / n ** (rho + 1)

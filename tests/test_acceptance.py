@@ -191,7 +191,7 @@ def test_criterion_5_sphere_packing_and_counting():
         A = code.pairs()
         cells = {"all": SequenceSet.from_ids(code.n, 2,
                                              sorted({x for _, x, _ in A}))}
-        ds = build_decoding_sets(code, [ch], 0, alpha, cells)
+        ds = build_decoding_sets(A, code.decoders[0], ch, code.n, alpha, cells)
         assert ds.certificates.passed, name
         assert ds.multiplicity.passed, name
         cap = math.floor(2.0 / alpha)

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from dmckit import core, fano
+from dmckit.cli import load_channel, load_code
 from dmckit.core import (Alphabet, Channel, SequenceSet, bsc,
                          identity_channel)
 from dmckit.errors import CapacityError, PreconditionError, ValidationError
@@ -78,7 +80,7 @@ def test_decoding_sets_identity():
     code, ch = identity_code()
     A = SequenceSet.full_space(2, 2)
     cells = {"all": A}
-    ds = build_decoding_sets(code, [ch], 0, 1.0, cells)
+    ds = build_decoding_sets(code.pairs(), code.decoders[0], ch, code.n, 1.0, cells)
     assert ds.passed
     # every message keeps exactly its own codeword's output
     for (m_S, _), c_set in ds.sets.items():
@@ -90,7 +92,8 @@ def test_decoding_sets_bsc_multiplicity():
     code = make_code(ch, 2, [0, 3])
     alpha = 1.0 - max_error(code, [ch], 0)
     A = SequenceSet.from_ids(2, 2, [0, 3])
-    ds = build_decoding_sets(code, [ch], 0, alpha, {"all": A})
+    ds = build_decoding_sets(code.pairs(), code.decoders[0], ch, code.n, alpha,
+                             {"all": A})
     assert ds.certificates.passed
     assert ds.multiplicity.passed
     cap = math.floor(2.0 / alpha)
@@ -105,7 +108,7 @@ def test_decoding_sets_empty_flagged():
     table = np.array([[0.9, 0.1]] * 4)
     dec = Decoder(S=(0,), m_values=((0,), (1,)), table=table)
     code = deterministic_code(ms, 2, 2, {(0,): 0, (1,): 3}, [dec])
-    ds = build_decoding_sets(code, [ch], 0, 0.5,
+    ds = build_decoding_sets(code.pairs(), dec, ch, 2, 0.5,
                              {"all": SequenceSet.from_ids(2, 2, [0, 3])})
     assert ((1,), "all") in ds.empty_flagged
 
@@ -347,3 +350,28 @@ def test_append_symbols_checks_the_extended_decoder_table(monkeypatch):
     monkeypatch.setattr(core, "BUDGET_BYTES", 485 * 8)
     with pytest.raises(CapacityError):
         fano._append_symbols(view, [0.25])
+
+
+@pytest.mark.parametrize("code_file", ["code4j2.json", "code4_splits.json"])
+def test_pipelines_count_through_the_public_decoding_sets(code_file, monkeypatch):
+    # a wrapper on the module attribute sees every decoding-set count: one
+    # call per reported receiver of the max report and of each nonempty split
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    code = load_code(os.path.join(golden, code_file))
+    channels = [load_channel(os.path.join(golden, name))
+                for name in ("bsc01.json", "bsc02.json")]
+    real = fano.build_decoding_sets
+    calls = []
+
+    def counting(pairs, decoder, channel, n, alpha, cells):
+        calls.append(next(k for k, ch in enumerate(channels) if ch is channel))
+        return real(pairs, decoder, channel, n, alpha, cells)
+
+    monkeypatch.setattr(fano, "build_decoding_sets", counting)
+    assert {r.receiver for r in strong_fano_max(code, channels).rows} == {0, 1}
+    assert sorted(calls) == [0, 1]
+    calls.clear()
+    rep = strong_fano_avg(code, channels)
+    reported = {(r.q_label.split("|")[0], r.receiver) for r in rep.rows}
+    assert len(reported) >= 2
+    assert sorted(calls) == sorted(k for _, k in reported)

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import dmckit
+from dmckit import core
 from dmckit.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -49,6 +50,10 @@ FAST = {
     "partition-lattice-index-1e-20": (PARTITION_N7 + ["--delta-n", "1e-20"], 3),
     "fano-max-lattice-1e-300": (FANO_MAX_N4 + ["--delta-n", "1e-300"], 3),
     "fano-max-lattice-5e-324": (FANO_MAX_N4 + ["--delta-n", "5e-324"], 3),
+    # n**(rho+2) past the float range: 6**402, 4**513 and 4**602
+    "partition-rho-400": (PARTITION_N6 + ["--rho", "400"], 3),
+    "fano-max-rho-511": (FANO_MAX_N4 + ["--rho", "511"], 3),
+    "fano-max-rho-600": (FANO_MAX_N4 + ["--rho", "600"], 3),
 }
 
 
@@ -64,6 +69,19 @@ def test_single_message_lattice_at_1e_9_still_reports(tmp_path):
     # one message index keeps |V| = (1e9)^4, so 1/|V|^2 is a float
     assert main(golden(PARTITION_N7)
                 + ["--delta-n", "1e-9", "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_spectrum_report_is_charged_before_it_is_built(tmp_path, monkeypatch):
+    # the builder charges 64 bytes a bin, the report 256; a budget between
+    # the two lets the partition through and refuses its report
+    out = tmp_path / "report.json"
+    argv = golden(SPECTRUM_N6 + ["--delta-n", "0.2", "--delta", "0.5"]) + ["--out", str(out)]
+    assert main(argv) == 0
+    bins = json.loads(out.read_text(encoding="utf-8"))["K"] + 1
+    monkeypatch.setattr(core, "BUDGET_BYTES", 256 * bins)
+    assert main(argv) == 0
+    monkeypatch.setattr(core, "BUDGET_BYTES", 128 * bins)
+    assert main(argv) == 3
 
 
 def _limit_memory():
@@ -84,8 +102,12 @@ LIMITED = {
     "partition-rho-50": (PARTITION_N6 + ["--rho", "50"], 3),
     "fano-max-rho-50": (FANO_MAX_N4 + ["--rho", "50"], 3),
     "fano-max-rho-20": (FANO_MAX_N4 + ["--rho", "20"], 3),
+    # the int power 6**(10**12 + 2) alone would need about 300 GB
+    "partition-rho-1e12": (PARTITION_N6 + ["--rho", str(10 ** 12)], 3),
     "spectrum-delta-n-1e-9": (SPECTRUM_N6 + ["--delta-n", "1e-9", "--delta", "0.5"], 3),
     "verify-lemmas-n-40": (["verify-lemmas", "--n", "40", "--trials", "1"], 3),
+    # 2**26 ids pass an 8-byte charge but peak at 24 bytes each
+    "verify-lemmas-n-26": (["verify-lemmas", "--n", "26", "--trials", "1"], 3),
 }
 
 
