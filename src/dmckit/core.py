@@ -10,13 +10,20 @@ from already valid ones (a mask or slice of sorted ids, an intersection or
 difference, a support, a conditioning, an output marginal) go through the
 private `_trusted` constructors, which skip the copy, sort and checks the
 derivation already guarantees.
+
+Row requests go through `_product_rows`.  Inside a `_row_store` scope, the
+rows of the scope's ground set are built once per channel, and a request
+for words of that ground is served by copying them out of the store.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +112,15 @@ class Sequence:
                 raise ValidationError("digit out of range")
             value = value * base + d
         return cls(n=len(digits), base=base, value=value)
+
+
+def _positions(ids: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Positions in the sorted unique array `ids` of the words of `query`
+    that it holds, in query order: ascending when `query` is sorted."""
+    if ids.size == 0:
+        return np.empty(0, dtype=np.intp)
+    at = np.searchsorted(ids, query)
+    return at[ids[np.minimum(at, ids.size - 1)] == query]
 
 
 def _int64_ids(ids: list[int], n: int, base: int) -> np.ndarray:
@@ -211,7 +227,7 @@ class SequenceSet:
 
     def is_subset_of(self, other: "SequenceSet") -> bool:
         self._check_compatible(other)
-        return bool(np.isin(self.ids, other.ids).all())
+        return _positions(other.ids, self.ids).size == self.size
 
     def ids_list(self) -> list[int]:
         return [int(i) for i in self.ids]
@@ -304,16 +320,12 @@ class SequenceDist:
     def mass_of(self, A: SequenceSet) -> float:
         if (self.n, self.base) != (A.n, A.base):
             raise DimensionMismatchError("set lives in a different space")
-        inside = np.isin(self.ids, A.ids)
-        return float(np.sum(self.probs[inside]))
+        return float(np.sum(self.probs[_positions(self.ids, A.ids)]))
 
     def conditioned_on(self, A: SequenceSet) -> "SequenceDist":
         if (self.n, self.base) != (A.n, A.base):
             raise DimensionMismatchError("set lives in a different space")
-        # both id arrays are sorted, so the positions of A's words in the
-        # support come out in ascending order
-        at = np.searchsorted(self.ids, A.ids)
-        at = at[self.ids[np.minimum(at, self.ids.size - 1)] == A.ids]
+        at = _positions(self.ids, A.ids)
         probs = self.probs[at]
         mass = float(np.sum(probs))
         if mass <= 0.0:
@@ -383,14 +395,77 @@ def product_prob(ch: Channel, x: Sequence, y: Sequence) -> float:
 _BLOCK = 1 << 13
 
 
+class _RowStore(NamedTuple):
+    n: int
+    ids: np.ndarray  # the ground set's sorted ids
+    rows: tuple  # (channel, read-only rows of the ground) per channel
+
+
+#: The store of the innermost open `_row_store` scope, if any.
+_ROW_STORE: ContextVar[_RowStore | None] = ContextVar("dmckit_row_store", default=None)
+
+
+def _stored(ch: Channel, ids: np.ndarray, n: int):
+    """(the store's rows for `ch`, the positions of `ids` in them) when the
+    open store holds every word of `ids` for this channel object at this n,
+    else None."""
+    store = _ROW_STORE.get()
+    if store is None or store.n != n:
+        return None
+    for stored_ch, rows in store.rows:
+        if stored_ch is ch:
+            at = _positions(store.ids, ids)
+            return (rows, at) if at.size == ids.size else None
+    return None
+
+
+@contextmanager
+def _row_store(channels, ground: SequenceSet):
+    """Serve every row request for words of `ground` inside the scope from
+    one matrix per channel, built here once with `_product_rows`.
+
+    A row's bits do not depend on the batch it is built in, so a served copy
+    equals the rows a request would build.  A scope whose ground an open
+    store already holds for every channel keeps that store.  The store opens
+    only if its matrices fit the budget together with a copy of the largest,
+    which a request for the whole ground takes out of it; otherwise every
+    request builds and charges its own rows as before.
+    """
+    wanted = list({id(ch): ch for ch in channels}.values())
+    token = None
+    if not all(_stored(ch, ground.ids, ground.n) is not None for ch in wanted):
+        sizes = [8 * max(ground.size, 1) * ch.output.size ** ground.n for ch in wanted]
+        try:
+            check_budget(sum(sizes) + max(sizes, default=0),
+                         "row store |A|*|Y|^n per channel, plus one copy")
+        except CapacityError:
+            wanted = []
+        if wanted:
+            matrices = tuple((ch, _product_rows(ch, ground.ids, ground.n))
+                             for ch in wanted)
+            for _, rows in matrices:
+                rows.flags.writeable = False
+            token = _ROW_STORE.set(_RowStore(ground.n, ground.ids, matrices))
+    try:
+        yield
+    finally:
+        if token is not None:
+            _ROW_STORE.reset(token)
+
+
 def _product_rows(ch: Channel, ids: np.ndarray, n: int) -> np.ndarray:
     """P(y^n | x^n) for every packed word x in `ids`, one row per word.
 
-    All words go together, one letter at a time, so every entry is the
-    left-to-right product 1.0 * W[x_1, y_1] * W[x_2, y_2] * ... * W[x_n, y_n].
-    Digits come from repeated divmod by the base (a vector of place values
-    base**k would wrap around in int64).
+    A request the open row store holds is a fresh copy of its rows.  Any
+    other builds its words together, one letter at a time, so every entry is
+    the left-to-right product 1.0 * W[x_1, y_1] * W[x_2, y_2] * ... *
+    W[x_n, y_n].  Digits come from repeated divmod by the base (a vector of
+    place values base**k would wrap around in int64).
     """
+    hit = _stored(ch, ids, n)
+    if hit is not None:
+        rows, at = hit
+        return rows.take(at, axis=0)
     m, ny = ids.size, ch.output.size
     digits = np.empty((n, m), dtype=np.intp)
     rest = ids.astype(np.int64)

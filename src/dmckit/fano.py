@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Channel, SequenceDist, SequenceSet, aexp, check_budget,
-                   entropy_bits, mutual_information, output_rows)
+from .core import (Channel, SequenceDist, SequenceSet, _row_store, aexp,
+                   check_budget, entropy_bits, mutual_information, output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
 from .images import (ETA_TOL, EXACT_SOLVER_CAP, _singleton_sizes, min_image,
@@ -551,67 +551,70 @@ def _add_cells(report: FanoReport, view: _JointView, alphas, receivers,
     and counting checks; labels get `prefix` and masses the factor `weight`.
     """
     dist = view.x_dist()
-    full = tuple(range(len(view.sizes)))
-    m_singles = [view.message_index((j,)) for j in full]
-    w_part = build_uniformizing_partition(dist, view.message_index(full),
-                                          delta=math.log2(view.base), rho=rho)
-    q_cells = {}
-    for key in sorted(w_part.cells):
-        eq = build_equal_image_partition(view.channels, dist,
-                                         w_part.cells[key].members, m_singles,
-                                         eta=eta, delta_n=delta_n)
-        for label, vcell in eq.index.cells.items():
-            q_cells[f"{prefix}w{key}|v{label}"] = vcell
-    all_cells = dict(q_cells)
-    if w_part.remainder.size:
-        all_cells[prefix + "q0"] = w_part.remainder
+    # every row below is a row of a codeword: build each channel's once
+    with _row_store(view.channels, dist.support()):
+        full = tuple(range(len(view.sizes)))
+        m_singles = [view.message_index((j,)) for j in full]
+        w_part = build_uniformizing_partition(dist, view.message_index(full),
+                                              delta=math.log2(view.base), rho=rho)
+        q_cells = {}
+        for key in sorted(w_part.cells):
+            eq = build_equal_image_partition(view.channels, dist,
+                                             w_part.cells[key].members, m_singles,
+                                             eta=eta, delta_n=delta_n)
+            for label, vcell in eq.index.cells.items():
+                q_cells[f"{prefix}w{key}|v{label}"] = vcell
+        all_cells = dict(q_cells)
+        if w_part.remainder.size:
+            all_cells[prefix + "q0"] = w_part.remainder
 
-    for label, cell in all_cells.items():
-        inside = set(cell.ids_list())
-        cell_pairs = [t for t in view.pairs if t[1] in inside]
-        mass = weight * sum(p for _, _, p in cell_pairs)
-        report.cell_pairs[label] = [(m, x // view.shift, weight * p)
-                                    for m, x, p in cell_pairs]
-        is_rem = label not in q_cells
-        if is_rem:
-            report.q0_mass += mass
+        for label, cell in all_cells.items():
+            inside = set(cell.ids_list())
+            cell_pairs = [t for t in view.pairs if t[1] in inside]
+            mass = weight * sum(p for _, _, p in cell_pairs)
+            report.cell_pairs[label] = [(m, x // view.shift, weight * p)
+                                        for m, x, p in cell_pairs]
+            is_rem = label not in q_cells
+            if is_rem:
+                report.q0_mass += mass
+            for k in receivers:
+                S_k = tuple(sorted(view.decoders[k].S))
+                others = tuple(j for j in range(len(view.sizes)) if j not in S_k)
+                for cond in _subsets_of(others):
+                    mi, h_rate = _mi_rate(view, cell_pairs, S_k, k, cond)
+                    joint_vals = {(tuple(m[j] for j in S_k), tuple(m[j] for j in cond))
+                                  for m, _, _ in cell_pairs}
+                    cond_vals = {c for _, c in joint_vals}
+                    lhs = aexp(len(joint_vals), view.n) - aexp(len(cond_vals), view.n)
+                    report.rows.append(FanoRow(
+                        receiver=k, q_label=label, is_remainder=is_rem,
+                        cond_on=cond if cond else None, n_eff=view.n, mass=mass,
+                        aexp_messages=lhs, mi_rate=mi, gap=lhs - mi,
+                        h_rate_lower=h_rate))
+                    if not is_rem and not cond:
+                        cap = min(h_rate, math.log2(view.channels[k].output.size))
+                        report.counting.add(f"dps:{label}:k{k}", mi, cap,
+                                            mi <= cap + 1e-9)
+        report.q_count += len(all_cells)
+
         for k in receivers:
+            ch = view.channels[k]
+            dsets = build_decoding_sets(view.pairs, view.decoders[k], ch, view.n,
+                                        alphas[k], q_cells)
+            report.counting.items += dsets.certificates.items
+            report.counting.items += dsets.multiplicity.items
+            # set monotonicity of image sizes: message cell inside its q cell
+            if ch.output.size ** view.n > EXACT_SOLVER_CAP:
+                continue
             S_k = tuple(sorted(view.decoders[k].S))
-            others = tuple(j for j in range(len(view.sizes)) if j not in S_k)
-            for cond in _subsets_of(others):
-                mi, h_rate = _mi_rate(view, cell_pairs, S_k, k, cond)
-                joint_vals = {(tuple(m[j] for j in S_k), tuple(m[j] for j in cond))
-                              for m, _, _ in cell_pairs}
-                cond_vals = {c for _, c in joint_vals}
-                lhs = aexp(len(joint_vals), view.n) - aexp(len(cond_vals), view.n)
-                report.rows.append(FanoRow(
-                    receiver=k, q_label=label, is_remainder=is_rem,
-                    cond_on=cond if cond else None, n_eff=view.n, mass=mass,
-                    aexp_messages=lhs, mi_rate=mi, gap=lhs - mi,
-                    h_rate_lower=h_rate))
-                if not is_rem and not cond:
-                    cap = min(h_rate, math.log2(view.channels[k].output.size))
-                    report.counting.add(f"dps:{label}:k{k}", mi, cap, mi <= cap + 1e-9)
-    report.q_count += len(all_cells)
-
-    for k in receivers:
-        ch = view.channels[k]
-        dsets = build_decoding_sets(view.pairs, view.decoders[k], ch, view.n,
-                                    alphas[k], q_cells)
-        report.counting.items += dsets.certificates.items
-        report.counting.items += dsets.multiplicity.items
-        # set monotonicity of image sizes: message cell inside its q cell
-        if ch.output.size ** view.n > EXACT_SOLVER_CAP:
-            continue
-        S_k = tuple(sorted(view.decoders[k].S))
-        for label, cell in q_cells.items():
-            g_cell = min_image(ch, cell, eta).lower
-            for m_S, members in _members_by_message(view.pairs, cell,
-                                                    S_k).items():
-                sub = SequenceSet.from_ids(view.n, view.base, members)
-                g_sub = min_image(ch, sub, eta).lower
-                report.counting.add(f"monotone:{label}:k{k}:{m_S}",
-                                    g_sub, g_cell, g_sub <= g_cell)
+            for label, cell in q_cells.items():
+                g_cell = min_image(ch, cell, eta).lower
+                for m_S, members in _members_by_message(view.pairs, cell,
+                                                        S_k).items():
+                    sub = SequenceSet.from_ids(view.n, view.base, members)
+                    g_sub = min_image(ch, sub, eta).lower
+                    report.counting.add(f"monotone:{label}:k{k}:{m_S}",
+                                        g_sub, g_cell, g_sub <= g_cell)
 
 
 def strong_fano_max(code: Code, channels, *, eta: float = 0.5,

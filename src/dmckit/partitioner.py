@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Channel, SequenceDist, SequenceSet, aexp, entropy_bits,
-                   output_dist, output_rows)
+from .core import (Channel, SequenceDist, SequenceSet, _row_store, aexp,
+                   entropy_bits, output_dist, output_rows)
 from .errors import (CapacityError, DomainError, InvariantError,
                      ValidationError)
 from .images import ETA_TOL, image_exponents, min_quasi_image
@@ -618,148 +618,152 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     iteration = 0
     cells: dict = {}
     cell_records: dict = {}
-    while residual.size:
-        iteration += 1
-        if iteration > max(iteration_cap, A.size) + 1:
-            raise InvariantError("lattice exhaustion exceeded every iteration cap")
-        cond = dist.conditioned_on(residual)
-        single = [restrict_index(mi, residual) for mi in messages]
-        # per subset S, aligned with residual.ids: each word's message (its
-        # position in inner[S]), its inner cell u and that cell's lattice point
-        inner: dict = {}
-        code: dict = {}
-        unit: dict = {}
-        point: dict = {}
-        eps = 1.0 / n ** 2
-        # one inner partition per distinct message cell: every other input of
-        # build_image_entropy_partition is fixed within the iteration, so
-        # subsets that yield the same cell share its partition and placements
-        built: dict = {}
-        for S in subsets:
-            idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
-            for j in S[1:]:
-                idx = product_index(idx, single[j])
-            inner[S] = []
-            code[S] = np.empty(residual.size, dtype=np.intp)
-            unit[S] = np.empty(residual.size, dtype=np.intp)
-            point[S] = np.empty((residual.size, len(dims)), dtype=np.int64)
-            for i, (m, cell_m) in enumerate(idx.cells.items()):
-                key = cell_m.ids.tobytes()
-                if key not in built:
-                    part = build_image_entropy_partition(channels, cond, cell_m,
-                                                         eta, delta)
-                    placed_units = {}
-                    for u, rec in part.records.items():
-                        # the record holds the x and output entropy rates of
-                        # `cond` given u, the lattice point's coordinates
-                        rates = [rec.x_entropy_rate] + [
-                            c["entropy_rate"] for c in rec.channel_records]
-                        placed_units[u] = (
-                            np.searchsorted(residual.ids, rec.members.ids),
-                            [_lattice_coord(r, delta_n, d) for r, d in zip(rates, dims)])
-                    built[key] = (part, placed_units)
-                part, placed_units = built[key]
-                inner[S].append((m, part.records))
-                eps = max(eps, part.epsilon_measured)
-                for u, (at, lattice) in placed_units.items():
-                    code[S][at] = i
-                    unit[S][at] = u
-                    point[S][at] = lattice
-
-        # one cell per distinct lattice point over all subsets, ascending
-        points, which = np.unique(np.hstack([point[S] for S in subsets]),
-                                  axis=0, return_inverse=True)
-        kept: dict = {}
-        placed = np.zeros(residual.size, dtype=bool)
-        for c, row in enumerate(points.tolist()):
-            inside = which == c
-            cell = SequenceSet._trusted(n, dist.base, residual.ids[inside])
-            cell_mass = cond.mass_of(cell)
-            if cell_mass >= threshold or len(points) == 1:
-                v = tuple(tuple(row[k:k + len(dims)])
-                          for k in range(0, len(row), len(dims)))
-                kept[v] = (inside, cell, cell_mass)
-                placed |= inside
-        if not kept:
-            # cannot happen: fewer than v_space**2 cells means one passes
-            raise InvariantError("no lattice cell met the mass threshold")
-
-        sqrt_eps = math.sqrt(eps)
-        for v, (inside, cell, cell_mass) in kept.items():
-            label = (iteration, v)
-            cells[label] = cell
-            per_subset: dict = {}
-            # one message set recurs under several subsets S (the whole cell
-            # under S = () and S = (0,) when it holds one message), so its
-            # mass, output entropy rates and image exponents are measured once
-            measured: dict = {}
+    # every row below is a row of A: build each channel's once
+    with _row_store(channels, A):
+        while residual.size:
+            iteration += 1
+            if iteration > max(iteration_cap, A.size) + 1:
+                raise InvariantError("lattice exhaustion exceeded every iteration cap")
+            cond = dist.conditioned_on(residual)
+            single = [restrict_index(mi, residual) for mi in messages]
+            # per subset S, aligned with residual.ids: each word's message (its
+            # position in inner[S]), its inner cell u and that cell's lattice point
+            inner: dict = {}
+            code: dict = {}
+            unit: dict = {}
+            point: dict = {}
+            eps = 1.0 / n ** 2
+            # one inner partition per distinct message cell: every other input of
+            # build_image_entropy_partition is fixed within the iteration, so
+            # subsets that yield the same cell share its partition and placements
+            built: dict = {}
             for S in subsets:
-                codes = code[S][inside]
-                units = unit[S][inside]
-                msg_mass = []
-                h_y_given = [0.0 for _ in channels]
-                img_exp: dict = {}
-                omega = []
-                tilde = []
-                hat = []
-                for i in np.unique(codes).tolist():
-                    m, records = inner[S][i]
-                    of_m = codes == i
-                    inter = SequenceSet._trusted(n, dist.base, cell.ids[of_m])
-                    key = inter.ids.tobytes()
-                    if key not in measured:
-                        cond_m = cond.conditioned_on(inter)
-                        measured[key] = (
-                            cond.mass_of(inter),
-                            [output_dist(ch, cond_m).entropy() / n for ch in channels],
-                            [image_exponents(ch, inter, eta) for ch in channels])
-                    mass, h_rates, exps = measured[key]
-                    img_exp[m] = exps
-                    msg_mass.append(mass)
-                    p_m = mass / cell_mass
-                    for kk, h in enumerate(h_rates):
-                        h_y_given[kk] += p_m * h
-                    # shares of m's inner cells that fall in this cell
-                    share_sum = 0.0
-                    for u, count in enumerate(np.bincount(units[of_m]).tolist()):
-                        if count and count / records[u].members.size >= sqrt_eps:
-                            omega.append((m, u))
-                            share_sum += count / inter.size
-                    if share_sum > 0.0:
-                        hat.append(m)
-                        if share_sum >= 1.0 - delta_n:
-                            tilde.append(m)
-                gap1 = -math.inf
-                for exps in img_exp.values():
-                    for kk in range(len(channels)):
-                        gap1 = max(gap1, exps[kk][1] - h_y_given[kk])
+                idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
+                for j in S[1:]:
+                    idx = product_index(idx, single[j])
+                inner[S] = []
+                code[S] = np.empty(residual.size, dtype=np.intp)
+                unit[S] = np.empty(residual.size, dtype=np.intp)
+                point[S] = np.empty((residual.size, len(dims)), dtype=np.int64)
+                for i, (m, cell_m) in enumerate(idx.cells.items()):
+                    key = cell_m.ids.tobytes()
+                    if key not in built:
+                        part = build_image_entropy_partition(channels, cond, cell_m,
+                                                             eta, delta)
+                        placed_units = {}
+                        for u, rec in part.records.items():
+                            # the record holds the x and output entropy rates of
+                            # `cond` given u, the lattice point's coordinates
+                            rates = [rec.x_entropy_rate] + [
+                                c["entropy_rate"] for c in rec.channel_records]
+                            placed_units[u] = (
+                                np.searchsorted(residual.ids, rec.members.ids),
+                                [_lattice_coord(r, delta_n, d)
+                                 for r, d in zip(rates, dims)])
+                        built[key] = (part, placed_units)
+                    part, placed_units = built[key]
+                    inner[S].append((m, part.records))
+                    eps = max(eps, part.epsilon_measured)
+                    for u, (at, lattice) in placed_units.items():
+                        code[S][at] = i
+                        unit[S][at] = u
+                        point[S][at] = lattice
 
-                aexp_m = aexp(len(img_exp), n)
-                aexp_t = aexp(len(tilde), n) if tilde else None
-                h_m = entropy_bits([mass / cell_mass for mass in msg_mass]) / n
-                gap2 = abs(aexp_m - aexp_t) if aexp_t is not None else None
-                gap3 = abs(h_m - aexp_t) if aexp_t is not None else None
-                gap4 = None
-                if tilde:
-                    gap4 = 0.0
-                    for m in tilde:
+            # one cell per distinct lattice point over all subsets, ascending
+            points, which = np.unique(np.hstack([point[S] for S in subsets]),
+                                      axis=0, return_inverse=True)
+            kept: dict = {}
+            placed = np.zeros(residual.size, dtype=bool)
+            for c, row in enumerate(points.tolist()):
+                inside = which == c
+                cell = SequenceSet._trusted(n, dist.base, residual.ids[inside])
+                cell_mass = cond.mass_of(cell)
+                if cell_mass >= threshold or len(points) == 1:
+                    v = tuple(tuple(row[k:k + len(dims)])
+                              for k in range(0, len(row), len(dims)))
+                    kept[v] = (inside, cell, cell_mass)
+                    placed |= inside
+            if not kept:
+                # cannot happen: fewer than v_space**2 cells means one passes
+                raise InvariantError("no lattice cell met the mass threshold")
+
+            sqrt_eps = math.sqrt(eps)
+            for v, (inside, cell, cell_mass) in kept.items():
+                label = (iteration, v)
+                cells[label] = cell
+                per_subset: dict = {}
+                # one message set recurs under several subsets S (the whole cell
+                # under S = () and S = (0,) when it holds one message), so its
+                # mass, output entropy rates and image exponents are measured once
+                measured: dict = {}
+                for S in subsets:
+                    codes = code[S][inside]
+                    units = unit[S][inside]
+                    msg_mass = []
+                    h_y_given = [0.0 for _ in channels]
+                    img_exp: dict = {}
+                    omega = []
+                    tilde = []
+                    hat = []
+                    for i in np.unique(codes).tolist():
+                        m, records = inner[S][i]
+                        of_m = codes == i
+                        inter = SequenceSet._trusted(n, dist.base, cell.ids[of_m])
+                        key = inter.ids.tobytes()
+                        if key not in measured:
+                            cond_m = cond.conditioned_on(inter)
+                            measured[key] = (
+                                cond.mass_of(inter),
+                                [output_dist(ch, cond_m).entropy() / n
+                                 for ch in channels],
+                                [image_exponents(ch, inter, eta) for ch in channels])
+                        mass, h_rates, exps = measured[key]
+                        img_exp[m] = exps
+                        msg_mass.append(mass)
+                        p_m = mass / cell_mass
+                        for kk, h in enumerate(h_rates):
+                            h_y_given[kk] += p_m * h
+                        # shares of m's inner cells that fall in this cell
+                        share_sum = 0.0
+                        for u, count in enumerate(np.bincount(units[of_m]).tolist()):
+                            if count and count / records[u].members.size >= sqrt_eps:
+                                omega.append((m, u))
+                                share_sum += count / inter.size
+                        if share_sum > 0.0:
+                            hat.append(m)
+                            if share_sum >= 1.0 - delta_n:
+                                tilde.append(m)
+                    gap1 = -math.inf
+                    for exps in img_exp.values():
                         for kk in range(len(channels)):
-                            lo, hi, _ = img_exp[m][kk]
-                            gap4 = max(gap4,
-                                       abs(h_y_given[kk] - lo),
-                                       abs(h_y_given[kk] - hi))
-                per_subset[S] = MessageRecord(
-                    messages=tuple(img_exp), messages_tilde=tuple(tilde),
-                    messages_hat=tuple(hat), message_image_exponents=img_exp,
-                    h_y_given_m=h_y_given, h_m_rate=h_m,
-                    aexp_messages=aexp_m, aexp_tilde=aexp_t,
-                    gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
-                    gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
-                    omega=tuple(omega))
-            cell_records[label] = {"mass": cell_mass, "subsets": per_subset,
-                                   "epsilon_n": eps}
+                            gap1 = max(gap1, exps[kk][1] - h_y_given[kk])
 
-        residual = SequenceSet._trusted(n, dist.base, residual.ids[~placed])
+                    aexp_m = aexp(len(img_exp), n)
+                    aexp_t = aexp(len(tilde), n) if tilde else None
+                    h_m = entropy_bits([mass / cell_mass for mass in msg_mass]) / n
+                    gap2 = abs(aexp_m - aexp_t) if aexp_t is not None else None
+                    gap3 = abs(h_m - aexp_t) if aexp_t is not None else None
+                    gap4 = None
+                    if tilde:
+                        gap4 = 0.0
+                        for m in tilde:
+                            for kk in range(len(channels)):
+                                lo, hi, _ = img_exp[m][kk]
+                                gap4 = max(gap4,
+                                           abs(h_y_given[kk] - lo),
+                                           abs(h_y_given[kk] - hi))
+                    per_subset[S] = MessageRecord(
+                        messages=tuple(img_exp), messages_tilde=tuple(tilde),
+                        messages_hat=tuple(hat), message_image_exponents=img_exp,
+                        h_y_given_m=h_y_given, h_m_rate=h_m,
+                        aexp_messages=aexp_m, aexp_tilde=aexp_t,
+                        gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
+                        gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
+                        omega=tuple(omega))
+                cell_records[label] = {"mass": cell_mass, "subsets": per_subset,
+                                       "epsilon_n": eps}
+
+            residual = SequenceSet._trusted(n, dist.base, residual.ids[~placed])
 
     lam = {"image_vs_entropy": 0.0, "tilde_vs_all": 0.0,
            "entropy_vs_tilde": 0.0, "two_sided": 0.0}

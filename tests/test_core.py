@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
-                         SequenceSet, bsc, cond_output_given_set, entropy,
+                         SequenceSet, _positions, bsc, cond_output_given_set,
+                         entropy,
                          identity_channel, info_density, mutual_information,
                          output_dist, output_rows, product_prob)
 from dmckit.errors import (CapacityError, ConditioningError,
@@ -183,6 +186,37 @@ def test_mutual_information_identity():
 def test_sequence_set_bitset_agrees():
     s = SequenceSet.from_ids(3, 2, [1, 5, 6])
     assert s.size == 3 and s.contains(5) and not s.contains(2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=40),
+       st.lists(st.integers(0, 63), min_size=1, max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_sorted_lookups_match_isin(query, support, seed):
+    # the searchsorted lookups against the np.isin forms they replaced: the
+    # same words, so the same probabilities summed in the same order; the
+    # query may be empty and may hold ids outside the support
+    rng = np.random.default_rng(seed)
+    A = SequenceSet.from_ids(6, 2, query)
+    B = SequenceSet.from_ids(6, 2, support)
+    w = rng.uniform(size=B.size) * 10.0 ** rng.integers(-9, 1, size=B.size)
+    dist = SequenceDist(6, 2, B.ids, w / w.sum())
+    inside = np.isin(dist.ids, A.ids)
+    assert np.array_equal(_positions(B.ids, A.ids), np.flatnonzero(inside))
+    assert _positions(A.ids, B.ids).size == np.isin(B.ids, A.ids).sum()
+    assert dist.mass_of(A).hex() == float(np.sum(dist.probs[inside])).hex()
+    empty = SequenceSet.from_ids(6, 2, [])
+    for X, Y in ((A, B), (B, A), (empty, A), (A, empty), (empty, empty)):
+        assert X.is_subset_of(Y) == bool(np.isin(X.ids, Y.ids).all())
+    if not inside.any():
+        with pytest.raises(ConditioningError):
+            dist.conditioned_on(A)
+        return
+    probs = dist.probs[inside]
+    probs = probs / float(np.sum(probs))
+    cond = dist.conditioned_on(A)
+    assert np.array_equal(cond.ids, dist.ids[inside][probs > 0.0])
+    assert cond.probs.tobytes() == probs[probs > 0.0].tobytes()
 
 
 def test_sequence_dist_validation():

@@ -375,3 +375,35 @@ def test_pipelines_count_through_the_public_decoding_sets(code_file, monkeypatch
     reported = {(r.q_label.split("|")[0], r.receiver) for r in rep.rows}
     assert len(reported) >= 2
     assert sorted(calls) == sorted(k for _, k in reported)
+
+
+def record_row_builds(monkeypatch):
+    """(words built, whether a row store was open) per row build, that is
+    per `_product_rows` request the open store does not serve."""
+    real = core._product_rows
+    builds = []
+
+    def recording(ch, ids, n):
+        if core._stored(ch, ids, n) is None:
+            builds.append((ids.size, core._ROW_STORE.get() is not None))
+        return real(ch, ids, n)
+
+    monkeypatch.setattr(core, "_product_rows", recording)
+    return builds
+
+
+@pytest.mark.parametrize("code_file", ["code4.json", "code3_shared.json",
+                                       "code4j2.json", "code4_splits.json"])
+def test_pipelines_build_rows_only_for_their_stores(code_file, monkeypatch):
+    # the success tables build the codewords' rows once; every cell, image
+    # and decoding-set request after that is served by the store of its view
+    # (appended views included), so no build happens inside a store
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    code = load_code(os.path.join(golden, code_file))
+    channels = [load_channel(os.path.join(golden, name))
+                for name in ("bsc01.json", "bsc02.json")[:len(code.decoders)]]
+    builds = record_row_builds(monkeypatch)
+    for pipeline in (strong_fano_max, strong_fano_avg):
+        builds.clear()
+        pipeline(code, channels)
+        assert builds and not any(in_store for _, in_store in builds)

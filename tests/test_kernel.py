@@ -1,8 +1,10 @@
 """The product-channel kernel, the single-build image bracket and the
 subset-sum exact image solver against the paths they replaced
-(`kernel_oracles`), bit for bit, and the working memory of the bracket and
-the output marginal."""
+(`kernel_oracles`), bit for bit; every call the row store serves against the
+same call with no store open; and the working memory of the bracket and the
+output marginal."""
 
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -12,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as old
+from dmckit import core
 from dmckit.core import (_BLOCK, Alphabet, Channel, Sequence, SequenceDist,
-                         SequenceSet, _product_rows, bsc,
+                         SequenceSet, _product_rows, _row_store, _stored, bsc,
                          output_dist, output_rows)
-from dmckit.errors import DomainError
-from dmckit.images import (_TABLE_BITS, ETA_TOL, _greedy_cover, _lower_bounds,
-                           _singleton_sizes, min_image_bracket, min_image_exact,
-                           min_quasi_image, singleton_image_size)
+from dmckit.errors import DomainError, ToolkitError
+from dmckit.images import (_TABLE_BITS, EXACT_SOLVER_CAP, ETA_TOL,
+                           _greedy_cover, _lower_bounds, _singleton_sizes,
+                           min_image_bracket, min_image_exact, min_quasi_image,
+                           singleton_image_size)
+from dmckit.partitioner import extract_equal_cell
 
 
 def random_channel(rng, nx: int, ny: int) -> Channel:
@@ -170,6 +175,155 @@ def test_unreachable_eta_raises_like_the_argmax_greedy():
         old.greedy_cover_argmax(output_rows(ch, A), 0.99))
 
 
+def outcome(fn) -> str:
+    """repr of a call's result, or of the toolkit error it raises: reprs of
+    floats and of whole int arrays are exact, so equal strings mean equal
+    bits."""
+    try:
+        out = fn()
+    except ToolkitError as exc:
+        return f"raises {type(exc).__name__}: {exc}"
+    if isinstance(out, np.ndarray):
+        return f"{out.shape} {out.tobytes().hex()}"
+    if isinstance(out, SequenceDist):
+        return f"{out.ids.tobytes().hex()} {out.probs.tobytes().hex()}"
+    with np.printoptions(threshold=sys.maxsize):
+        return repr(out)
+
+
+def store_calls(ch, dist, A, eta):
+    """Every call on A that reads rows: the kernel, the output marginal, both
+    image solvers and a dominant-bin extraction (whose refinement sums
+    witness columns), each as `outcome` strings."""
+    calls = [lambda: output_rows(ch, A),
+             lambda: output_dist(ch, dist.conditioned_on(A)),
+             lambda: min_image_bracket(ch, A, eta),
+             lambda: extract_equal_cell(ch, dist, A, 0.3, 0.5, min(eta, 0.9))]
+    if ch.output.size ** A.n <= EXACT_SOLVER_CAP:
+        calls.append(lambda: min_image_exact(ch, A, eta))
+    return [outcome(call) for call in calls]
+
+
+@st.composite
+def store_instances(draw):
+    """(channel, ground, input distribution on the ground, eta, a subset of
+    the ground, a word outside it or None when the ground is the space)."""
+    ch, A, dist, eta = draw(instances())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sub = SequenceSet.from_ids(A.n, A.base, rng.choice(
+        A.ids, rng.integers(1, A.size + 1), replace=False).tolist())
+    outside = np.setdiff1d(np.arange(A.base ** A.n), A.ids)
+    return ch, A, dist, eta, sub, int(outside[0]) if outside.size else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(store_instances())
+def test_store_serves_the_bits_of_a_fresh_build(inst):
+    ch, ground, dist, eta, sub, outside = inst
+    sets = [ground, sub]
+    if outside is not None:
+        sets.append(SequenceSet.from_ids(sub.n, sub.base, sub.ids_list() + [outside]))
+    want = [store_calls(ch, dist, A, eta) for A in sets]
+    with _row_store([ch], ground):
+        assert _stored(ch, ground.ids, ground.n) is not None
+        assert _stored(ch, sub.ids, sub.n) is not None
+        if outside is not None:  # one word outside the ground: a miss
+            assert _stored(ch, sets[2].ids, sub.n) is None
+        assert [store_calls(ch, dist, A, eta) for A in sets] == want
+    assert core._ROW_STORE.get() is None
+
+
+def store_case():
+    rng = np.random.default_rng(41)
+    ch = random_channel(rng, 2, 2)
+    ground = SequenceSet.from_ids(4, 2, rng.choice(16, 10, replace=False).tolist())
+    w = rng.uniform(0.1, 1.0, ground.size)
+    return ch, ground, SequenceDist(4, 2, ground.ids, w / w.sum())
+
+
+def test_store_is_keyed_on_the_channel_object_and_n():
+    ch, ground, dist = store_case()
+    twin = Channel(ch.input, ch.output, ch.matrix.copy())
+    short = SequenceSet.from_ids(3, 2, [i for i in ground.ids_list() if i < 8])
+    want = [store_calls(twin, dist, ground, 0.8), outcome(lambda: output_rows(ch, short))]
+    with _row_store([ch], ground):
+        # an equal matrix in another Channel object, or another n: no hit
+        assert _stored(twin, ground.ids, 4) is None
+        assert _stored(ch, short.ids, 3) is None
+        assert [store_calls(twin, dist, ground, 0.8),
+                outcome(lambda: output_rows(ch, short))] == want
+
+
+def test_nested_store_reuses_a_covering_outer_one():
+    ch, ground, dist = store_case()
+    other = bsc(0.2)
+    sub = SequenceSet.from_ids(4, 2, ground.ids_list()[:4])
+    want = store_calls(ch, dist, sub, 0.8)
+    with _row_store([ch], ground):
+        outer = core._ROW_STORE.get()
+        with _row_store([ch, ch], sub):
+            assert core._ROW_STORE.get() is outer
+            assert store_calls(ch, dist, sub, 0.8) == want
+        # a channel the outer store lacks opens a store of its own
+        with _row_store([ch, other], sub):
+            inner = core._ROW_STORE.get()
+            assert inner is not outer and inner.ids is sub.ids
+            assert store_calls(ch, dist, sub, 0.8) == want
+        assert core._ROW_STORE.get() is outer
+
+
+def test_greedy_overwrites_never_reach_the_store():
+    ch, ground, _ = store_case()
+    fresh = _product_rows(ch, ground.ids, ground.n)
+    first = min_image_bracket(ch, ground, 0.95)
+    with _row_store([ch], ground):
+        (_, rows), = core._ROW_STORE.get().rows
+        assert not rows.flags.writeable
+        assert repr(min_image_bracket(ch, ground, 0.95)) == repr(first)
+        assert repr(min_image_bracket(ch, ground, 0.95)) == repr(first)
+        assert rows.tobytes() == fresh.tobytes()
+
+
+def test_store_closes_when_its_scope_raises():
+    ch, ground, _ = store_case()
+    with pytest.raises(RuntimeError):
+        with _row_store([ch], ground):
+            assert core._ROW_STORE.get() is not None
+            raise RuntimeError("inside the scope")
+    assert core._ROW_STORE.get() is None
+
+
+def test_store_over_the_budget_does_not_open(monkeypatch):
+    # the ground's matrix does not fit but a subset's does: the subset's
+    # request builds and charges its own rows, as with no store
+    ch, ground, _ = store_case()
+    sub = SequenceSet.from_ids(4, 2, ground.ids_list()[:3])
+    want = outcome(lambda: output_rows(ch, sub))
+    monkeypatch.setattr(core, "BUDGET_BYTES", 8 * sub.size * 16)
+    with _row_store([ch], ground):
+        assert core._ROW_STORE.get() is None
+        assert outcome(lambda: output_rows(ch, sub)) == want
+
+
+def test_store_opens_only_beside_a_copy_of_its_largest_matrix(monkeypatch):
+    # the store holds one matrix per channel and a request for the whole
+    # ground copies one out: all of them together must fit the budget
+    ch, ground, _ = store_case()
+    other = bsc(0.2)
+    matrix = 8 * ground.size * 16
+    monkeypatch.setattr(core, "BUDGET_BYTES", 3 * matrix - 1)
+    with _row_store([ch, other], ground):
+        assert core._ROW_STORE.get() is None
+    with _row_store([ch], ground):
+        assert len(core._ROW_STORE.get().rows) == 1
+    monkeypatch.setattr(core, "BUDGET_BYTES", 2 * matrix - 1)
+    with _row_store([ch], ground):
+        assert core._ROW_STORE.get() is None
+    monkeypatch.setattr(core, "BUDGET_BYTES", 3 * matrix)
+    with _row_store([ch, other], ground):
+        assert len(core._ROW_STORE.get().rows) == 2
+
+
 def peak_bytes(fn) -> int:
     """Peak traced allocation of one call, after a warm-up call."""
     fn()
@@ -195,6 +349,13 @@ def test_bracket_and_marginal_working_memory():
     ufunc_buffers = 3 * np.getbufsize() * 8
     assert peak_bytes(lambda: output_dist(ch, SequenceDist.uniform_on(A))) <= (
         2 ** 10 * 8 + 2 * _BLOCK * 8 + ufunc_buffers)
+    # with A's rows stored before measuring, the bracket copies its matrix
+    # out of the store and the marginal its blocks, within the same bounds
+    with _row_store([ch], A):
+        assert peak_bytes(lambda: min_image_bracket(ch, A, 0.99)) <= (
+            matrix + 4 * _BLOCK * 8)
+        assert peak_bytes(lambda: output_dist(ch, SequenceDist.uniform_on(A))) <= (
+            2 ** 10 * 8 + 2 * _BLOCK * 8 + ufunc_buffers)
 
 
 def test_thousand_letter_input_at_n8():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dmckit import partitioner
+from dmckit import core, partitioner
 from dmckit.core import SequenceDist, SequenceSet, bsc, identity_channel
 from dmckit.errors import CapacityError, DomainError
 from dmckit.images import image_exponents, min_image_exact
@@ -368,6 +368,27 @@ def test_equal_image_partition_builds_each_cell_once(monkeypatch):
         M2 = PartitioningIndex.from_labeling(A, lambda s: (s >> 1) % 2)
         build_equal_image_partition([bsc(0.1), bsc(0.2)], d, A, [M1, M2], eta=0.5)
         assert calls and len(set(calls)) == len(calls)
+
+
+def test_equal_image_partition_builds_each_row_once(monkeypatch):
+    # one matrix of A's rows per channel; every request below it is a slice
+    real = core._product_rows
+    builds = []
+
+    def recording(ch, ids, n):
+        if core._stored(ch, ids, n) is None:
+            builds.append((ch.name, ids.tobytes()))
+        return real(ch, ids, n)
+
+    monkeypatch.setattr(core, "_product_rows", recording)
+    rng = rng_from_seed(29)
+    A = random_subset(rng, 5, 2)
+    d = random_dist_on(rng, A)
+    M1 = PartitioningIndex.from_labeling(A, lambda s: s % 2)
+    M2 = PartitioningIndex.from_labeling(A, lambda s: (s >> 1) % 3)
+    build_equal_image_partition([bsc(0.1), bsc(0.2)], d, A, [M1, M2], eta=0.5)
+    assert builds == [("bsc(0.1)", A.ids.tobytes()), ("bsc(0.2)", A.ids.tobytes())]
+    assert core._ROW_STORE.get() is None
 
 
 def test_equal_image_partition_reuses_shared_cells(monkeypatch):

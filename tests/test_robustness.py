@@ -7,16 +7,19 @@ timeout; a golden `spectrum` run fits well inside that limit, so the limit
 only catches allocations the budget should have refused.
 """
 
+import contextlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import dmckit
-from dmckit import core
+from dmckit import core, partitioner
 from dmckit.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -84,6 +87,63 @@ def test_spectrum_report_is_charged_before_it_is_built(tmp_path, monkeypatch):
     assert main(argv) == 3
 
 
+def test_partition_budget_threshold_is_its_row_matrix(tmp_path, monkeypatch):
+    # the partition builds the whole ground set's row matrix, 8 |A| |Y|^n
+    # bytes, with or without a row store: that charge, and no larger one,
+    # decides between a report and exit 3
+    out = tmp_path / "report.json"
+    argv = golden(PARTITION_N6) + ["--out", str(out)]
+    assert main(argv) == 0
+    want = out.read_bytes()
+    with open(os.path.join(GOLDEN, "dist6.json"), encoding="utf-8") as fh:
+        ground = len(json.load(fh)["entries"])
+    out.unlink()
+    monkeypatch.setattr(core, "BUDGET_BYTES", 8 * ground * 2 ** 6)
+    assert main(argv) == 0
+    assert out.read_bytes() == want
+    monkeypatch.setattr(core, "BUDGET_BYTES", 8 * ground * 2 ** 6 - 1)
+    assert main(argv) == 3
+
+
+def test_store_opens_only_where_it_fits_beside_its_copy(tmp_path, monkeypatch):
+    # two channels on 64 words at n = 10: each row matrix M fits a budget of
+    # 3 M - 1 bytes, but the two stored ones and the copy the bracket takes
+    # out of them do not, so no store opens and the run peaks where it peaks
+    # with no store at all; at 3 M the store opens and adds its two matrices
+    n, size = 10, 64
+    rng = np.random.default_rng(3)
+    ids = np.sort(rng.choice(2 ** n, size, replace=False)).tolist()
+    w = rng.uniform(0.1, 1.0, size)
+    (tmp_path / "dist.json").write_text(json.dumps(
+        {"n": n, "alphabet_size": 2, "entries": [[i, p] for i, p in zip(ids, w / w.sum())]}))
+    (tmp_path / "msg.json").write_text(json.dumps(
+        {"n": n, "alphabet_size": 2, "cells": [ids[:size // 2], ids[size // 2:]]}))
+    out = tmp_path / "report.json"
+    argv = golden(["partition", "--channel", "bsc01.json", "--channel", "bsc02.json"]) + [
+        "--dist", str(tmp_path / "dist.json"), "--messages", str(tmp_path / "msg.json"),
+        "--out", str(out)]
+    matrix = 8 * size * 2 ** n
+
+    def run():
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1], out.read_bytes()
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(core, "BUDGET_BYTES", 3 * matrix - 1)
+    closed = run()
+    monkeypatch.setattr(core, "BUDGET_BYTES", 3 * matrix)
+    opened = run()
+    monkeypatch.setattr(partitioner, "_row_store",
+                        lambda channels, ground: contextlib.nullcontext())
+    bare = run()
+    assert closed[1] == opened[1] == bare[1]
+    assert closed[0] <= bare[0] + matrix // 8
+    assert opened[0] <= bare[0] + 2 * matrix + matrix // 8
+
+
 def _limit_memory():
     limit = 600 << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -98,6 +158,10 @@ def run_limited(argv, tmp_path):
 
 
 LIMITED = {
+    # two channels: the partition opens a row store of two matrices
+    "partition-two-channel-store": (["partition", "--channel", "bsc01.json",
+                                     "--channel", "bsc02.json", "--dist", "dist6.json",
+                                     "--messages", "msg6a.json"], 0),
     # slice width 1/6^52: the spectrum would need about 3e40 bins
     "partition-rho-50": (PARTITION_N6 + ["--rho", "50"], 3),
     "fano-max-rho-50": (FANO_MAX_N4 + ["--rho", "50"], 3),
