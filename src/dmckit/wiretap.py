@@ -4,13 +4,14 @@ bound with a cardinality-bounded auxiliary variable."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Channel, aexp, mutual_information
+from .core import Channel, aexp, check_budget, mutual_information
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      InvariantError, PreconditionError)
 from .fano import (Code, FanoReport, _message_output_joint, avg_error,
@@ -216,26 +217,45 @@ def _secrecy_objective(p_u: np.ndarray, p_xgu: np.ndarray,
     return mutual_information(p_ux @ wy) - mutual_information(p_ux @ wz)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)`, bit for bit.  numpy adds a row of fewer than 8
+    entries left to right, which column adds repeat without one inner-loop
+    call per row; longer rows it sums pairwise, so those go to numpy."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    total = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > 0.0)
+    terms *= p
+    return -_row_sums(terms)
 
 
+@functools.cache
 def _lattice(nx: int, steps: int) -> np.ndarray:
-    """Input laws in multiples of 1/steps as counts, first count ascending."""
+    """Input laws in multiples of 1/steps as counts, first count ascending;
+    built once per shape and shared read-only."""
     bars = np.array(list(itertools.combinations(range(steps + nx - 1), nx - 1)))
-    return np.diff(bars, axis=1, prepend=-1, append=steps + nx - 1) - 1
+    counts = np.diff(bars, axis=1, prepend=-1, append=steps + nx - 1) - 1
+    counts.flags.writeable = False
+    return counts
 
 
 def _widest_facet(counts: np.ndarray, fv: np.ndarray):
     """Corners of the lower hull facet of the lifted lattice (counts, F) with
     the largest gap at a lattice point inside it, or None without a gap."""
     if counts.shape[1] == 2:  # monotone chain over the first count
-        pts = list(zip(counts[:, 0].tolist(), fv.tolist()))
+        xs, ys = counts[:, 0].tolist(), fv.tolist()
         chain: list[int] = []
-        for i, (x, y) in enumerate(pts):
+        for i, (x, y) in enumerate(zip(xs, ys)):
             while len(chain) >= 2:
-                (xa, ya), (xb, yb) = pts[chain[-2]], pts[chain[-1]]
-                if (yb - ya) * (x - xa) < (y - ya) * (xb - xa):
+                a, b = chain[-2], chain[-1]
+                if (ys[b] - ys[a]) * (x - xs[a]) < (y - ys[a]) * (xs[b] - xs[a]):
                     break
                 chain.pop()  # on or above the chord from chain[-2] to i
             chain.append(i)
@@ -274,10 +294,16 @@ def _local_grid(center: np.ndarray, half: float, budget: int):
     d = center.size - 1
     k = int(round(budget ** (1.0 / d))) | 1
     offsets = np.linspace(-half, half, k)
-    mesh = np.stack(np.meshgrid(*[offsets] * d, indexing="ij"), axis=-1)
-    head = center[:d] + mesh.reshape(-1, d)
-    laws = np.maximum(np.column_stack([head, 1.0 - head.sum(axis=1)]), 0.0)
-    return laws / laws.sum(axis=1, keepdims=True), 2.0 * half / (k - 1)
+    laws = np.empty((k ** d, d + 1))
+    # the grid in "ij" meshgrid order: coordinate j varies along axis j
+    head = laws[:, :d].reshape((k,) * d + (d,))
+    assert np.shares_memory(head, laws)
+    for j in range(d):
+        head[..., j] = center[j] + offsets.reshape((k,) + (1,) * (d - 1 - j))
+    laws[:, d] = 1.0 - _row_sums(laws[:, :d])
+    np.maximum(laws, 0.0, out=laws)
+    laws /= _row_sums(laws)[:, None]
+    return laws, 2.0 * half / (k - 1)
 
 
 def _envelope(wy: np.ndarray, wz: np.ndarray):
@@ -352,6 +378,10 @@ def secrecy_bound_single_letter(instance: WiretapInstance,
         u_size = nx
     if u_size < 1:
         raise DomainError("auxiliary alphabet needs at least one symbol")
+    # a row of the result, padding rows included, is 1 + |X| numbers of at
+    # most 121 bytes each at the report's peak (tracemalloc: 363 bytes a row
+    # at |X| = 2, 456 at 3, 468 at 4)
+    check_budget(128.0 * (nx + 1) * u_size, "secrecy bound rows |U|*(1+|X|)")
     wy, wz = instance.main.matrix, instance.eve.matrix
     value, p_u, p_xgu = 0.0, np.array([1.0]), np.full((1, nx), 1.0 / nx)
     if min(u_size, nx) > 1:

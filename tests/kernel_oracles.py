@@ -2,7 +2,8 @@
 single-build image bracket replaced, the branch-and-bound that the
 subset-sum table of `min_image_exact` replaced, and the per-pick and
 per-word paths that the in-place greedy, the blocked bracket mixture and the
-array spectrum binning replaced, kept as test oracles.
+array spectrum binning replaced, and the secrecy envelope's `np.where`
+entropy and meshgrid local grid, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
@@ -240,3 +241,19 @@ def min_image_branch_and_bound(rows: np.ndarray, eta: float) -> tuple[int, list[
     if witness is None:
         raise AssertionError("no feasible image at the computed optimum size")
     return best_size, witness
+
+
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each law along the last axis, zeros skipped."""
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def local_grid(center: np.ndarray, half: float, budget: int):
+    """The secrecy envelope's local grid, built by `np.meshgrid`."""
+    d = center.size - 1
+    k = int(round(budget ** (1.0 / d))) | 1
+    offsets = np.linspace(-half, half, k)
+    mesh = np.stack(np.meshgrid(*[offsets] * d, indexing="ij"), axis=-1)
+    head = center[:d] + mesh.reshape(-1, d)
+    laws = np.maximum(np.column_stack([head, 1.0 - head.sum(axis=1)]), 0.0)
+    return laws / laws.sum(axis=1, keepdims=True), 2.0 * half / (k - 1)

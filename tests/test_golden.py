@@ -71,6 +71,26 @@ CASES = {
         "--channel", "bsc02.json"],
     "spectrum-n6": [
         "spectrum", "--dist", "dist6.json", "--delta-n", "0.2", "--delta", "0.5"],
+    # the single-letter secrecy bound at |X| = 2 and 3
+    "wiretap-bound-bsc-usize2": [
+        "wiretap-bound", "--main", "bsc01.json", "--eve", "bsc02.json",
+        "--usize", "2"],
+    "wiretap-bound-bsc-erasure": [
+        "wiretap-bound", "--main", "bsc01.json", "--eve", "erasure23.json"],
+    # the pair on which the retired multi-start ascent fell short
+    "wiretap-bound-shortfall": [
+        "wiretap-bound", "--main", "shortfall_main.json",
+        "--eve", "shortfall_eve.json"],
+    # nine outputs: the entropy rows are at least 8 wide, so summed pairwise
+    "wiretap-bound-wide-y9": [
+        "wiretap-bound", "--main", "wide29.json", "--eve", "bsc02.json"],
+    # |X| = 3: the full envelope (a three-law facet with an inner corner)
+    # wins by the last ulp over the best two-law decomposition
+    "wiretap-bound-tern": [
+        "wiretap-bound", "--main", "tern33.json", "--eve", "tern3eve.json"],
+    "wiretap-bound-tern-usize2": [
+        "wiretap-bound", "--main", "tern33.json", "--eve", "tern3eve.json",
+        "--usize", "2"],
 }
 
 

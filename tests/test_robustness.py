@@ -40,6 +40,7 @@ PARTITION_N5 = ["partition", "--channel", "bsc01.json", "--channel", "bsc02.json
                 "--messages", "msg5b.json", "--messages", "msg5c.json"]
 SPECTRUM_N6 = ["spectrum", "--dist", "dist6.json"]
 FANO_MAX_N4 = ["fano-max", "--code", "code4.json", "--channel", "bsc01.json"]
+WIRETAP_BSC = ["wiretap-bound", "--main", "bsc01.json", "--eve", "bsc02.json"]
 
 FAST = {
     "spectrum-delta-nan": (SPECTRUM_N6 + ["--delta-n", "0.2", "--delta", "nan"], 2),
@@ -85,6 +86,30 @@ def test_spectrum_report_is_charged_before_it_is_built(tmp_path, monkeypatch):
     assert main(argv) == 0
     monkeypatch.setattr(core, "BUDGET_BYTES", 128 * bins)
     assert main(argv) == 3
+
+
+def test_wiretap_rows_are_charged_before_the_search(tmp_path, monkeypatch):
+    # 128 bytes for each of the 1 + |X| numbers of a result row, padding
+    # rows included: that charge, and no larger one, decides the exit
+    out = tmp_path / "report.json"
+    argv = golden(WIRETAP_BSC + ["--usize", "5"]) + ["--out", str(out)]
+    monkeypatch.setattr(core, "BUDGET_BYTES", 128 * 3 * 5)
+    assert main(argv) == 0
+    monkeypatch.setattr(core, "BUDGET_BYTES", 128 * 3 * 5 - 1)
+    assert main(argv) == 3
+
+
+def test_small_usize_still_pads(tmp_path):
+    # rows past the envelope's two get weight 0 and the uniform law
+    reports = {}
+    for u in ("2", "5"):
+        out = tmp_path / f"usize{u}.json"
+        assert main(golden(WIRETAP_BSC + ["--usize", u]) + ["--out", str(out)]) == 0
+        reports[u] = json.loads(out.read_text(encoding="utf-8"))
+    two, five = reports["2"], reports["5"]
+    assert five["value"] == two["value"]
+    assert five["P_U"] == two["P_U"] + [0.0] * 3
+    assert five["P_X_given_U"] == two["P_X_given_U"] + [[0.5, 0.5]] * 3
 
 
 def test_partition_budget_threshold_is_its_row_matrix(tmp_path, monkeypatch):
@@ -172,6 +197,9 @@ LIMITED = {
     "verify-lemmas-n-40": (["verify-lemmas", "--n", "40", "--trials", "1"], 3),
     # 2**26 ids pass an 8-byte charge but peak at 24 bytes each
     "verify-lemmas-n-26": (["verify-lemmas", "--n", "26", "--trials", "1"], 3),
+    # padding rows: 7.45 GiB of arrays, or a 93 MB report peaking near 1 GiB
+    "wiretap-bound-usize-1e9": (WIRETAP_BSC + ["--usize", str(10 ** 9)], 3),
+    "wiretap-bound-usize-3e6": (WIRETAP_BSC + ["--usize", str(3 * 10 ** 6)], 3),
 }
 
 

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_oracles as old
 from dmckit.core import Alphabet, Channel, bsc, identity_channel
 from dmckit.errors import CapacityError, DimensionMismatchError
 from dmckit.fano import MessageSpace, deterministic_code, ml_decoder
 from dmckit.wiretap import (WiretapInstance, evaluate_wtc_code,
                             secrecy_bound_single_letter, wtc_converse_chain,
+                            _entropy_rows, _lattice, _local_grid, _row_sums,
                             _secrecy_objective)
 from secrecy_ascent import ascent_secrecy_bound, project_simplex
 
@@ -236,3 +240,60 @@ def test_single_letter_caps_input_alphabet():
     assert secrecy_bound_single_letter(inst, 1).value == 0.0
     with pytest.raises(CapacityError):
         secrecy_bound_single_letter(inst, 2)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def spread_values(rng, shape, zero_share):
+    """Magnitudes over 20 decades, so a change of summation order shows,
+    with exact zeros mixed in."""
+    v = rng.uniform(size=shape) * 10.0 ** rng.integers(-18, 3, size=shape)
+    v[rng.uniform(size=shape) < zero_share] = 0.0
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 5000), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_row_sums_match_numpy_sum(width, rows, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    a = spread_values(rng, (rows, width + 3), zero_share)
+    for view in (a[:, :width], np.ascontiguousarray(a[:, 3:])):
+        assert same_bits(_row_sums(view), view.sum(axis=-1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 2001), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_entropy_rows_match_where_form(width, rows, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    p = spread_values(rng, (rows, width), zero_share)
+    p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+    p[rng.uniform(size=rows) < 0.2] = np.eye(width)[rng.integers(width)]
+    assert same_bits(_entropy_rows(p), old.entropy_rows(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([201, 2001]), st.floats(-12.0, 0.0),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_local_grid_matches_meshgrid_form(d, budget, log_half, zeros, seed):
+    # centers on a face of the simplex: up to d of the d + 1 coordinates 0
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(size=d + 1) * 10.0 ** rng.integers(-12, 1, size=d + 1)
+    center[rng.permutation(d + 1)[:min(zeros, d)]] = 0.0
+    center /= center.sum()
+    laws, step = _local_grid(center, 10.0 ** log_half, budget)
+    want, want_step = old.local_grid(center, 10.0 ** log_half, budget)
+    assert same_bits(laws, want) and step.hex() == want_step.hex()
+
+
+def test_lattice_is_cached_and_read_only():
+    for nx, steps in ((2, 1000), (3, 243), (4, 54)):
+        counts = _lattice(nx, steps)
+        assert _lattice(nx, steps) is counts
+        assert np.array_equal(counts, _lattice.__wrapped__(nx, steps))
+        with pytest.raises(ValueError):
+            counts[0, 0] = 1
