@@ -4,8 +4,8 @@ converse bounds over discrete memoryless channels."""
 __version__ = "0.1.0"
 
 from .core import (Alphabet, Channel, Sequence, SequenceDist, SequenceSet,
-                   bsc, cond_output_given_set, entropy, identity_channel,
-                   info_density, mutual_information, output_dist, product_prob)
+                   bsc, entropy, identity_channel, info_density,
+                   mutual_information, output_dist, product_prob)
 from .errors import (CapacityError, ConditioningError, DimensionMismatchError,
                      DomainError, InvariantError, PreconditionError,
                      ToolkitError, ValidationError)

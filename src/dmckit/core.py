@@ -522,12 +522,6 @@ def output_dist(ch: Channel, input_dist: SequenceDist) -> SequenceDist:
     return SequenceDist._trusted(input_dist.n, ch.output.size, ids, acc[ids])
 
 
-def cond_output_given_set(ch: Channel, input_dist: SequenceDist,
-                          A: SequenceSet) -> SequenceDist:
-    """Output distribution conditioned on the input falling in A."""
-    return output_dist(ch, input_dist.conditioned_on(A))
-
-
 def info_density(dist: SequenceDist, x: Sequence | int) -> float:
     """Per-symbol information density -(1/n) log2 P(x), in bits."""
     seq_id = x.value if isinstance(x, Sequence) else int(x)

@@ -231,7 +231,7 @@ def avg_error(code: Code, channels: list[Channel], k: int) -> float:
                                             channels[k], code.n))
 
 
-def classic_fano(h_m_given: float, eps: float, card_m: float, n: int) -> float:
+def classic_fano(eps: float, card_m: float, n: int) -> float:
     """Classic Fano right-hand side (eps * log2|M| + 1)/n, in bits/symbol."""
     if not 0.0 <= eps <= 1.0:
         raise DomainError("eps must lie in [0, 1]")
@@ -558,12 +558,14 @@ def _add_cells(report: FanoReport, view: _JointView, alphas, receivers,
         w_part = build_uniformizing_partition(dist, view.message_index(full),
                                               delta=math.log2(view.base), rho=rho)
         q_cells = {}
+        q_subsets = {}
         for key in sorted(w_part.cells):
             eq = build_equal_image_partition(view.channels, dist,
                                              w_part.cells[key].members, m_singles,
                                              eta=eta, delta_n=delta_n)
             for label, vcell in eq.index.cells.items():
                 q_cells[f"{prefix}w{key}|v{label}"] = vcell
+                q_subsets[f"{prefix}w{key}|v{label}"] = eq.cell_records[label]["subsets"]
         all_cells = dict(q_cells)
         if w_part.remainder.size:
             all_cells[prefix + "q0"] = w_part.remainder
@@ -603,17 +605,17 @@ def _add_cells(report: FanoReport, view: _JointView, alphas, receivers,
                                         alphas[k], q_cells)
             report.counting.items += dsets.certificates.items
             report.counting.items += dsets.multiplicity.items
-            # set monotonicity of image sizes: message cell inside its q cell
+            # set monotonicity of image sizes: message cell inside its q cell,
+            # compared on the exact lower exponents the equal-image records
+            # hold for the whole cell (S = ()) and for each message of S_k
             if ch.output.size ** view.n > EXACT_SOLVER_CAP:
                 continue
             S_k = tuple(sorted(view.decoders[k].S))
-            for label, cell in q_cells.items():
-                g_cell = min_image(ch, cell, eta).lower
-                for m_S, members in _members_by_message(view.pairs, cell,
-                                                        S_k).items():
-                    sub = SequenceSet.from_ids(view.n, view.base, members)
-                    g_sub = min_image(ch, sub, eta).lower
-                    report.counting.add(f"monotone:{label}:k{k}:{m_S}",
+            for label, per_subset in q_subsets.items():
+                g_cell = per_subset[()].message_image_exponents[()][k][0]
+                for m, exps in per_subset[S_k].message_image_exponents.items():
+                    g_sub = exps[k][0]
+                    report.counting.add(f"monotone:{label}:k{k}:{m}",
                                         g_sub, g_cell, g_sub <= g_cell)
 
 
@@ -642,7 +644,7 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
         report.passing_target[k] = 1.0 - report.q0_bound
         m_marg = view.marginal(tuple(sorted(view.decoders[k].S)))
         report.details[f"classic_fano_k{k}"] = classic_fano(
-            0.0, 1.0 - alphas[k], math.log2(len(m_marg)), view.n)
+            1.0 - alphas[k], math.log2(len(m_marg)), view.n)
     report.details["alphas"] = list(alphas)
     return report
 
@@ -722,5 +724,5 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
         report.qstar_mass[k] = star_mass
         report.qstar_target[k] = (1.0 - errs[k]) / 4.0
         report.details[f"classic_fano_k{k}"] = classic_fano(
-            0.0, errs[k], math.log2(len(m_marg)), view.n)
+            errs[k], math.log2(len(m_marg)), view.n)
     return report

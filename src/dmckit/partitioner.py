@@ -268,13 +268,9 @@ class ExtractionStep:
     image_exponent_lower: float
     image_exponent_upper: float
     image_exact: bool
+    #: measured cexp g(A*, eta) - (1/n) H(Y^n | X^n in A*)
     slack_upper: float
     refinement: RefinementResult
-
-    @property
-    def slack(self) -> float:
-        """Measured cexp g(A*, eta) - (1/n) H(Y^n | X^n in A*)."""
-        return self.slack_upper
 
 
 def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
@@ -403,14 +399,13 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
         current, step = extract_equal_cell(ch, dist, current, width, delta, eta)
         slack = max(step.continuity_gap, abs(step.slack_upper))
         steps.append(step)
-    # the last step already solved its channel on `current` at eta
-    last = steps[-1]
-    exponents = [image_exponents(ch, current, eta) for ch in channels[:-1]]
-    exponents.append((last.image_exponent_lower, last.image_exponent_upper,
-                      last.image_exact))
     per_channel = []
     cond = dist.conditioned_on(current)
-    for i, (ch, (lo, hi, exact)) in enumerate(zip(channels, exponents)):
+    for i, (ch, step) in enumerate(zip(channels, steps)):
+        # step results are nested: equal sizes mean the step solved `current`
+        lo, hi, exact = ((step.image_exponent_lower, step.image_exponent_upper,
+                          step.image_exact) if step.result.size == current.size
+                         else image_exponents(ch, current, eta))
         h_rate = output_dist(ch, cond).entropy() / n
         per_channel.append({
             "channel": i, "entropy_rate": h_rate,
@@ -637,6 +632,10 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             # build_image_entropy_partition is fixed within the iteration, so
             # subsets that yield the same cell share its partition and placements
             built: dict = {}
+            # set ids -> per-channel output entropy rates and image exponents
+            # of that set under `cond`, seeded from every inner record below,
+            # so a message set equal to a record's members is not solved again
+            measured: dict = {}
             for S in subsets:
                 idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
                 for j in S[1:]:
@@ -653,13 +652,16 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                         placed_units = {}
                         for u, rec in part.records.items():
                             # the record holds the x and output entropy rates of
-                            # `cond` given u, the lattice point's coordinates
-                            rates = [rec.x_entropy_rate] + [
-                                c["entropy_rate"] for c in rec.channel_records]
+                            # `cond` given u, the lattice point's coordinates,
+                            # and u's image exponents
+                            h_rates = [c["entropy_rate"] for c in rec.channel_records]
+                            measured[rec.members.ids.tobytes()] = (h_rates, [
+                                (c["image_exponent_lower"], c["image_exponent_upper"],
+                                 c["image_exact"]) for c in rec.channel_records])
                             placed_units[u] = (
                                 np.searchsorted(residual.ids, rec.members.ids),
-                                [_lattice_coord(r, delta_n, d)
-                                 for r, d in zip(rates, dims)])
+                                [_lattice_coord(r, delta_n, d) for r, d in
+                                 zip([rec.x_entropy_rate] + h_rates, dims)])
                         built[key] = (part, placed_units)
                     part, placed_units = built[key]
                     inner[S].append((m, part.records))
@@ -692,10 +694,6 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                 label = (iteration, v)
                 cells[label] = cell
                 per_subset: dict = {}
-                # one message set recurs under several subsets S (the whole cell
-                # under S = () and S = (0,) when it holds one message), so its
-                # mass, output entropy rates and image exponents are measured once
-                measured: dict = {}
                 for S in subsets:
                     codes = code[S][inside]
                     units = unit[S][inside]
@@ -713,11 +711,11 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                         if key not in measured:
                             cond_m = cond.conditioned_on(inter)
                             measured[key] = (
-                                cond.mass_of(inter),
                                 [output_dist(ch, cond_m).entropy() / n
                                  for ch in channels],
                                 [image_exponents(ch, inter, eta) for ch in channels])
-                        mass, h_rates, exps = measured[key]
+                        h_rates, exps = measured[key]
+                        mass = cond.mass_of(inter)
                         img_exp[m] = exps
                         msg_mass.append(mass)
                         p_m = mass / cell_mass

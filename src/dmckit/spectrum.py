@@ -141,8 +141,7 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
                              K=K, bins=bins, bin_mass=tuple(masses.tolist()))
 
 
-def verify_bin_size_bounds(sp: SpectrumPartition, dist: SequenceDist,
-                           tol: float = 1e-9) -> BoundReport:
+def verify_bin_size_bounds(sp: SpectrumPartition, tol: float = 1e-9) -> BoundReport:
     """Per-bin size bounds: aexp(A_k) < (k+1)*delta_n always, and
     |aexp(A_k) - k*delta_n| < delta_n whenever P(A_k) > 2^(-n*delta_n)."""
     n = sp.n

@@ -68,7 +68,7 @@ def _check_bins(rng, n: int, trials: int, tol: float) -> tuple[BoundReport, Boun
         delta_n = float(rng.uniform(0.05, 0.9))
         delta = float(rng.uniform(0.1, 0.99))
         sp = build_spectrum_partition(dist, delta_n, delta)
-        r1 = verify_bin_size_bounds(sp, dist, tol)
+        r1 = verify_bin_size_bounds(sp, tol)
         r2 = verify_bin_conditional_uniformity(sp, dist, tol)
         sizes.add(f"trial{t}", None, None, r1.passed)
         unif.add(f"trial{t}", None, None, r2.passed)
@@ -89,7 +89,7 @@ def _check_gamma_entropy(rng, n: int, trials: int, tol: float) -> BoundReport:
     return rep
 
 
-def _check_images(rng, n: int, trials: int, tol: float) -> tuple[BoundReport, BoundReport, BoundReport]:
+def _check_images(rng, n: int, trials: int) -> tuple[BoundReport, BoundReport, BoundReport]:
     """Domination (quasi <= image), eta-monotonicity, set-monotonicity."""
     nn = min(n, IMAGE_CHECK_N_CAP)
     dom = BoundReport("quasi-dominated-by-image", details={"n": nn, "trials": trials})
@@ -176,7 +176,7 @@ def run_lemma_suite(seed: int, trials: int, n: int, tol: float = 1e-9
     rng = rng_from_seed(seed)
     sizes, unif = _check_bins(rng, n, trials, tol)
     gamma = _check_gamma_entropy(rng, n, trials, tol)
-    dom, mono_eta, mono_set = _check_images(rng, n, trials, tol)
+    dom, mono_eta, mono_set = _check_images(rng, n, trials)
     blow = _check_blowup(rng, n, trials)
     pert = _check_perturbation(rng, n, trials, tol)
     dps = _check_data_processing(rng, n, trials, tol)

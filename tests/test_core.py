@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
-                         SequenceSet, _positions, bsc, cond_output_given_set,
-                         entropy,
+                         SequenceSet, _positions, bsc, entropy,
                          identity_channel, info_density, mutual_information,
                          output_dist, output_rows, product_prob)
 from dmckit.errors import (CapacityError, ConditioningError,
@@ -132,14 +131,15 @@ def test_output_dist_linearity():
 
 
 def test_cond_output_given_set():
+    # the output law given the input in A is output_dist of the conditioned law
     ch = bsc(0.1)
     d = SequenceDist.uniform_on(SequenceSet.from_ids(2, 2, [0, 1, 3]))
     A = SequenceSet.from_ids(2, 2, [0, 3])
-    out = cond_output_given_set(ch, d, A)
+    out = output_dist(ch, d.conditioned_on(A))
     assert dict(out.items()) == pytest.approx(
         {0: 0.41, 1: 0.09, 2: 0.09, 3: 0.41}, abs=1e-12)
     with pytest.raises(ConditioningError):
-        cond_output_given_set(ch, d, SequenceSet.from_ids(2, 2, [2]))
+        d.conditioned_on(SequenceSet.from_ids(2, 2, [2]))
 
 
 def test_capacity_cap_on_output_space():

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 
@@ -6,9 +7,10 @@ import pytest
 
 from dmckit import core, fano
 from dmckit.cli import load_channel, load_code
-from dmckit.core import (Alphabet, Channel, SequenceSet, bsc,
+from dmckit.core import (Alphabet, Channel, SequenceSet, aexp, bsc,
                          identity_channel)
 from dmckit.errors import CapacityError, PreconditionError, ValidationError
+from dmckit.images import EXACT_SOLVER_CAP
 from dmckit.fano import (Code, Decoder, MessageSpace, avg_error,
                          build_decoding_sets, classic_fano, deterministic_code,
                          max_error, ml_decoder, sphere_packing_check,
@@ -68,12 +70,12 @@ def test_avg_le_max_random_codes():
 
 
 def test_classic_fano_values():
-    assert classic_fano(0.0, 0.0, 3.0, 4) == pytest.approx(0.25)
+    assert classic_fano(0.0, 3.0, 4) == pytest.approx(0.25)
     n = 5
-    assert classic_fano(0.0, 1.0, float(n), n) == pytest.approx(1 + 1 / n)
-    assert classic_fano(0.0, 0.5, 2.0, 2) == pytest.approx(1.0)
+    assert classic_fano(1.0, float(n), n) == pytest.approx(1 + 1 / n)
+    assert classic_fano(0.5, 2.0, 2) == pytest.approx(1.0)
     with pytest.raises(Exception):
-        classic_fano(0.0, 1.5, 2.0, 2)
+        classic_fano(1.5, 2.0, 2)
 
 
 def test_decoding_sets_identity():
@@ -407,3 +409,62 @@ def test_pipelines_build_rows_only_for_their_stores(code_file, monkeypatch):
         builds.clear()
         pipeline(code, channels)
         assert builds and not any(in_store for _, in_store in builds)
+
+
+def _resolved_monotone_items(pairs, decoder, channel, k, n, cells, eta=0.5):
+    """The set-monotonicity items as the pipelines once made them, by solving
+    the q cell and each of its message sets again: label -> (lhs, rhs,
+    passed), the sizes given as exponents."""
+    if channel.output.size ** n > EXACT_SOLVER_CAP:
+        return {}
+    S_k = tuple(sorted(decoder.S))
+    items = {}
+    for label, cell in cells.items():
+        g_cell = fano.min_image(channel, cell, eta).lower
+        for m_S, members in fano._members_by_message(pairs, cell, S_k).items():
+            sub = SequenceSet.from_ids(n, cell.base, members)
+            g_sub = fano.min_image(channel, sub, eta).lower
+            items[f"monotone:{label}:k{k}:{m_S}"] = (
+                aexp(g_sub, n), aexp(g_cell, n), g_sub <= g_cell)
+    return items
+
+
+def _flat(label) -> tuple:
+    """A product message label such as ((0,), (1,)) as the tuple (0, 1)."""
+    return tuple(x for part in label
+                 for x in (_flat(part) if isinstance(part, tuple) else (part,)))
+
+
+# code3_shared.json appends symbols past the exact solver's cap, so its
+# reports carry no monotonicity items
+@pytest.mark.parametrize("code_file", ["code4.json", "code4j2.json",
+                                       "code4_splits.json"])
+def test_monotonicity_items_match_a_re_solve(code_file, monkeypatch):
+    # the pipelines read the exponents of the equal-image records; every
+    # item must pass or fail, with the same values, as solving again does
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    code = load_code(os.path.join(golden, code_file))
+    channels = [load_channel(os.path.join(golden, name))
+                for name in ("bsc01.json", "bsc02.json")[:len(code.decoders)]]
+    real = fano.build_decoding_sets
+    want: dict = {}
+
+    def resolving(pairs, decoder, channel, n, alpha, cells):
+        k = next(k for k, ch in enumerate(channels) if ch is channel)
+        want.update(_resolved_monotone_items(pairs, decoder, channel, k, n, cells))
+        return real(pairs, decoder, channel, n, alpha, cells)
+
+    monkeypatch.setattr(fano, "build_decoding_sets", resolving)
+    checked = 0
+    for pipeline in (strong_fano_max, strong_fano_avg):
+        want.clear()
+        report = pipeline(code, channels)
+        got = {}
+        for item in report.counting.items:
+            if item.label.startswith("monotone:"):
+                head, m = item.label.rsplit(":", 1)
+                got[f"{head}:{_flat(ast.literal_eval(m))}"] = (
+                    item.lhs, item.rhs, item.passed)
+        assert got == want
+        checked += len(got)
+    assert checked

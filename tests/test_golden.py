@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import dmckit
+from dmckit import fano, partitioner
 from dmckit.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -135,3 +136,40 @@ def test_default_runs_write_nothing_to_stderr(name, tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+#: the layers that read exponents solved below them instead of solving again
+READERS = ("extract_main", "build_equal_image_partition", "_add_cells")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES
+                                        if n.startswith(("partition-", "fano-"))))
+def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
+    # each (channel, set, eta) is solved at most once by the layers that can
+    # read it from a record, and the Fano cells solve images only for their
+    # decoding sets
+    solved = set()
+    repeats = []
+    fano_callers = set()
+
+    def recording(solve, counted=None):
+        def wrapper(ch, A, eta):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            caller = frame.f_code.co_name
+            key = (id(ch), A.n, A.ids.tobytes(), eta)
+            if key in solved and caller in READERS:
+                repeats.append((caller, A.ids_list(), eta))
+            solved.add(key)
+            if counted is not None:
+                counted.add(caller)
+            return solve(ch, A, eta)
+        return wrapper
+
+    monkeypatch.setattr(partitioner, "image_exponents",
+                        recording(partitioner.image_exponents))
+    monkeypatch.setattr(fano, "min_image", recording(fano.min_image, fano_callers))
+    run_case(name, tmp_path)
+    assert repeats == []
+    assert fano_callers <= {"build_decoding_sets"}

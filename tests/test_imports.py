@@ -1,10 +1,11 @@
 """Every name a `dmckit` module imports is used in that module, every
-import sits at module level, and only `core` names the memory budget.
+import sits at module level, every function reads each of its parameters,
+and only `core` names the memory budget.
 
 No linter runs on this repository, so these stdlib checks stand in for an
-unused-import rule, a no-local-import rule and a rule that keeps the budget
-in one place.  `__init__.py` is exempt from the first: its imports are the
-public API.
+unused-import rule, a no-local-import rule, an unused-parameter rule and a
+rule that keeps the budget in one place.  `__init__.py` is exempt from the
+first: its imports are the public API.
 """
 
 import ast
@@ -56,6 +57,25 @@ def local_imports(source: str, allowed=()) -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """Parameters, other than `self` and `cls`, that their function's body
+    never reads (a nested function's read counts)."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = func.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            p for p in (args.vararg, args.kwarg) if p is not None]
+        body = func.body if isinstance(func.body, list) else [func.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(func, "name", "<lambda>")
+        found += [f"{name}.{p.arg} (line {p.lineno})" for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
 def test_checker_flags_an_unused_name():
     source = "import math\nfrom os import path, sep\nprint(path)\n"
     assert unused_imports(source) == ["math (line 1)", "sep (line 2)"]
@@ -65,6 +85,22 @@ def test_checker_flags_an_unused_name():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_checker_flags_an_unused_parameter():
+    source = ("class C:\n    def m(self, a, b=1, *rest, c, **kw):\n"
+              "        def inner():\n            return a + c\n"
+              "        b = 2\n        return inner() + len(rest)\n"
+              "    @classmethod\n    def k(cls, x):\n        return x\n"
+              "f = lambda y, z: y\n")
+    assert unused_parameters(source) == ["m.b (line 2)", "m.kw (line 2)",
+                                         "<lambda>.z (line 10)"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_unused_parameters(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert unused_parameters(fh.read()) == []
 
 
 def test_checker_flags_a_local_import():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmckit import core, partitioner
 from dmckit.core import SequenceDist, SequenceSet, bsc, identity_channel
@@ -125,7 +127,7 @@ def test_extract_identity_slack_zero():
     result, step = extract_equal_cell(ch, d, A, 0.25, 0.5, 0.5)
     assert result.ids_list() == [0, 1, 2, 3]
     assert step.entropy_rate == pytest.approx(step.image_exponent_lower)
-    assert step.slack == pytest.approx(0.0, abs=1e-12)
+    assert step.slack_upper == pytest.approx(0.0, abs=1e-12)
 
 
 def test_extract_singleton():
@@ -182,19 +184,32 @@ def test_extract_main_two_channels():
         assert rec["two_sided_gap"] >= 0.0
 
 
-def test_extract_main_exponents_match_a_fresh_solve():
-    # the last channel's exponents come from the last extraction step; they
-    # must equal a fresh solve on the result, like every other channel's
+def _extraction_instances():
     rng = rng_from_seed(17)
     for trial in range(4):
         chs = [random_channel(rng, 2, 2, allow_zeros=False) for _ in range(1 + trial % 2)]
         A = random_subset(rng, 3, 2)
-        d = random_dist_on(rng, A)
+        yield chs, random_dist_on(rng, A), A
+    # two channels where the second step shrinks the first step's result
+    rng = rng_from_seed(3)
+    chs = [random_channel(rng, 2, 2, allow_zeros=False) for _ in range(2)]
+    A = random_subset(rng, 3, 2)
+    yield chs, random_dist_on(rng, A), A
+
+
+def test_extract_main_exponents_match_a_fresh_solve():
+    # a channel's exponents come from its own extraction step when no later
+    # step shrank the set, and from a new solve otherwise; either way they
+    # must equal a fresh solve on the result
+    read = set()
+    for chs, d, A in _extraction_instances():
         result, trace = extract_main(chs, d, A, 0.4)
-        for ch, rec in zip(chs, trace.per_channel):
+        for ch, step, rec in zip(chs, trace.steps, trace.per_channel):
+            read.add(step.result.size == result.size)
             lo, hi, exact = image_exponents(ch, result, 0.4)
             assert (rec["image_exponent_lower"], rec["image_exponent_upper"],
                     rec["image_exact"]) == (lo, hi, exact)
+    assert read == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +279,31 @@ def test_equal_image_partition_bsc_oracle():
         for m in rec.messages:
             inter = M.cell(m).intersect(cell)
             assert min_image_exact(ch, inter, 0.5).lower <= g_cell
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3),
+       n_channels=st.integers(1, 2), n_messages=st.integers(1, 2),
+       eta=st.sampled_from([0.3, 0.5, 0.8]))
+def test_equal_image_partition_exponents_match_fresh_solves(seed, n, n_channels,
+                                                            n_messages, eta):
+    # every message's exponents, whether read from an inner record or solved
+    # in the record loop, equal a fresh solve of message cell ∩ cell
+    rng = rng_from_seed(seed)
+    chs = [random_channel(rng, 2, 2) for _ in range(n_channels)]
+    A = random_subset(rng, n, 2)
+    d = random_dist_on(rng, A)
+    Ms = [PartitioningIndex.from_labeling(A, lambda s, j=j: (s >> j) % 2)
+          for j in range(n_messages)]
+    eq = build_equal_image_partition(chs, d, A, Ms, eta=eta)
+    for label, cell in eq.index.cells.items():
+        for S, mrec in eq.cell_records[label]["subsets"].items():
+            for m, exps in mrec.message_image_exponents.items():
+                labels = (m,) if len(S) == 1 else m
+                inter = cell
+                for j, lab in zip(S, labels):
+                    inter = inter.intersect(Ms[j].cell(lab))
+                assert exps == [image_exponents(ch, inter, eta) for ch in chs]
 
 
 def test_equal_image_partition_empty_subset_reduces():

@@ -148,11 +148,11 @@ def test_bin_bounds_examples():
     with pytest.warns(UserWarning, match="delta >= 1"):
         sp = build_spectrum_partition(three_atom(), 0.5, 1.0)
     d = three_atom()
-    assert verify_bin_size_bounds(sp, d).passed
+    assert verify_bin_size_bounds(sp).passed
     assert verify_bin_conditional_uniformity(sp, d).passed
     du = SequenceDist.uniform_on(SequenceSet.from_ids(3, 2, [0, 2, 5, 7]))
     spu = build_spectrum_partition(du, 0.3, 0.5)
-    assert verify_bin_size_bounds(spu, du).passed
+    assert verify_bin_size_bounds(spu).passed
     assert verify_bin_conditional_uniformity(spu, du).passed
 
 
@@ -164,7 +164,7 @@ def test_bin_bounds_random_trials():
         delta_n = float(rng.uniform(0.05, 0.9))
         delta = float(rng.uniform(0.1, 0.99))
         sp = build_spectrum_partition(d, delta_n, delta)
-        assert verify_bin_size_bounds(sp, d).passed
+        assert verify_bin_size_bounds(sp).passed
         assert verify_bin_conditional_uniformity(sp, d).passed
 
 
