@@ -335,7 +335,11 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
 
     cond_res = cond.conditioned_on(result)
     h_rate = output_dist(ch, cond_res).entropy() / n
-    img_lo, img_hi, exact = image_exponents(ch, result, eta)
+    # the refined set's exponents may already be solved at eta, at one of
+    # the two levels above
+    solved = ({min(beta, 1.0): exp_beta, lo_level: exp_low}
+              if result is a_prime else {})
+    img_lo, img_hi, exact = solved.get(eta) or image_exponents(ch, result, eta)
     step = ExtractionStep(
         channel_name=ch.name, delta_n=delta_n, delta=delta, eta=eta, K_out=K,
         heavy_bin=heavy, heavy_prefix_mass=prefix_mass, continuity_gap=tau,

@@ -229,11 +229,31 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    terms = np.zeros_like(p)
+def _plogp(p: np.ndarray) -> np.ndarray:
+    terms = np.zeros(p.shape)
     np.log2(p, out=terms, where=p > 0.0)
     terms *= p
-    return -_row_sums(terms)
+    return terms
+
+
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    return -_row_sums(_plogp(p))
+
+
+def _entropy_gap(wy: np.ndarray, wz: np.ndarray):
+    """F(P) = H(P W_Y) - H(P W_Z) of each of two or more laws P along the
+    last axis, by one product with [W_Y | W_Z] and one log2.  Equal bit for
+    bit to `_entropy_rows(p @ wy) - _entropy_rows(p @ wz)`: (-a) - (-b)
+    rounds as b - a, and numpy's matrix product gives each entry the same
+    bits whatever the other columns are.  A one-column product goes through
+    a matrix-vector kernel with other bits, so such a channel keeps its own."""
+    ny, nz = wy.shape[1], wz.shape[1]
+    w = np.hstack([wy, wz])
+
+    def f(p: np.ndarray) -> np.ndarray:
+        terms = _plogp(p @ w if min(ny, nz) > 1 else np.hstack([p @ wy, p @ wz]))
+        return _row_sums(terms[..., ny:]) - _row_sums(terms[..., :ny])
+    return f
 
 
 @functools.cache
@@ -287,13 +307,39 @@ def _widest_facet(counts: np.ndarray, fv: np.ndarray):
     return widest
 
 
+@functools.cache
+def _ramp(k: int) -> np.ndarray:
+    ramp = np.arange(k, dtype=np.float64)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _offsets(half: float, k: int) -> np.ndarray:
+    """`np.linspace(-half, half, k)` by linspace's own arithmetic, without
+    its per-call cost."""
+    offsets = _ramp(k) * ((half - -half) / (k - 1))
+    offsets += -half
+    offsets[-1] = half
+    return offsets
+
+
 def _local_grid(center: np.ndarray, half: float, budget: int):
     """About `budget` laws on an odd cube grid of half-width `half` around
     `center` (in the chart of its leading coordinates), pushed back onto the
     simplex.  Returns the laws and the grid step."""
     d = center.size - 1
     k = int(round(budget ** (1.0 / d))) | 1
-    offsets = np.linspace(-half, half, k)
+    offsets = _offsets(half, k)
+    if d == 1:  # both columns directly: a row sum of one entry is that entry
+        offsets += center[0]
+        tail = 1.0 - offsets
+        np.maximum(offsets, 0.0, out=offsets)
+        np.maximum(tail, 0.0, out=tail)
+        total = offsets + tail
+        laws = np.empty((k, 2))
+        np.divide(offsets, total, out=laws[:, 0])
+        np.divide(tail, total, out=laws[:, 1])
+        return laws, 2.0 * half / (k - 1)
     laws = np.empty((k ** d, d + 1))
     # the grid in "ij" meshgrid order: coordinate j varies along axis j
     head = laws[:, :d].reshape((k,) * d + (d,))
@@ -304,6 +350,15 @@ def _local_grid(center: np.ndarray, half: float, budget: int):
     np.maximum(laws, 0.0, out=laws)
     laws /= _row_sums(laws)[:, None]
     return laws, 2.0 * half / (k - 1)
+
+
+@functools.cache
+def _first_zoom(nx: int):
+    """The first peak-zoom grid and its step: every round starts at uniform
+    weights and half-width 1 - 1/|X|.  Built once per |X|, read-only."""
+    grid, step = _local_grid(np.full(nx, 1.0 / nx), 1.0 - 1.0 / nx, PEAK_POINTS)
+    grid.flags.writeable = False
+    return grid, step
 
 
 def _envelope(wy: np.ndarray, wz: np.ndarray):
@@ -320,29 +375,31 @@ def _envelope(wy: np.ndarray, wz: np.ndarray):
     nx = wy.shape[0]
     steps = LATTICE_STEPS[nx]
     counts = _lattice(nx, steps)
-
-    def f(p):
-        return _entropy_rows(p @ wy) - _entropy_rows(p @ wz)
-
+    f = _entropy_gap(wy, wz)
     facet = _widest_facet(counts, f(counts / steps))
     if facet is None:
         return np.eye(nx)[0], np.eye(nx)
     corners, half = counts[facet] / steps, 2.0 / steps
     while True:
         f_corners = f(corners)
-        weights, zoom = np.full(nx, 1.0 / nx), 1.0 - 1.0 / nx
-        while zoom > PEAK_TOL:
-            grid, zoom = _local_grid(weights, zoom, PEAK_POINTS)
+        grid, zoom = _first_zoom(nx)
+        while True:
             weights = grid[np.argmax(f(grid @ corners) - grid @ f_corners)]
+            if zoom <= PEAK_TOL:
+                break
+            grid, zoom = _local_grid(weights, zoom, PEAK_POINTS)
         if half <= TANGENT_TOL:
             return weights, corners
         qy, qz = weights @ corners @ wy, weights @ corners @ wz
         slope = (wz @ np.log2(np.where(qz > 0.0, qz, 1.0))
                  - wy @ np.log2(np.where(qy > 0.0, qy, 1.0)))  # grad F at the peak
-        for i in range(nx):
-            grid, step = _local_grid(corners[i], half, TANGENT_POINTS)
-            corners[i] = grid[np.argmin(f(grid) - grid @ slope)]
-        half = 2.0 * step
+        # each corner's grid lies around that corner alone, so the |X| grids
+        # go through F stacked, and each takes the minimum of its own block
+        grids = [_local_grid(c, half, TANGENT_POINTS) for c in corners]
+        stacked = np.vstack([grid for grid, _ in grids])
+        gap = (f(stacked) - stacked @ slope).reshape(nx, -1)
+        corners = stacked[np.arange(nx) * gap.shape[1] + gap.argmin(axis=1)]
+        half = 2.0 * grids[0][1]
 
 
 def _decompositions(wy: np.ndarray, wz: np.ndarray, k: int):

@@ -3,7 +3,8 @@ single-build image bracket replaced, the branch-and-bound that the
 subset-sum table of `min_image_exact` replaced, and the per-pick and
 per-word paths that the in-place greedy, the blocked bracket mixture and the
 array spectrum binning replaced, and the secrecy envelope's `np.where`
-entropy and meshgrid local grid, kept as test oracles.
+entropy, meshgrid local grid and two-product, one-corner-at-a-time
+envelope, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
@@ -17,6 +18,9 @@ import numpy as np
 from dmckit.core import SequenceDist, SequenceSet, aexp, snap
 from dmckit.errors import DomainError
 from dmckit.images import ETA_TOL
+from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
+                            TANGENT_POINTS, TANGENT_TOL, _lattice,
+                            _widest_facet)
 
 
 def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
@@ -257,3 +261,35 @@ def local_grid(center: np.ndarray, half: float, budget: int):
     head = center[:d] + mesh.reshape(-1, d)
     laws = np.maximum(np.column_stack([head, 1.0 - head.sum(axis=1)]), 0.0)
     return laws / laws.sum(axis=1, keepdims=True), 2.0 * half / (k - 1)
+
+
+def envelope_reference(wy: np.ndarray, wz: np.ndarray):
+    """The secrecy envelope with two products and two entropy passes per
+    evaluation of F, every peak zoom built from uniform weights by
+    `np.linspace`, and one tangent grid through F per corner."""
+    nx = wy.shape[0]
+    steps = LATTICE_STEPS[nx]
+    counts = _lattice(nx, steps)
+
+    def f(p):
+        return entropy_rows(p @ wy) - entropy_rows(p @ wz)
+
+    facet = _widest_facet(counts, f(counts / steps))
+    if facet is None:
+        return np.eye(nx)[0], np.eye(nx)
+    corners, half = counts[facet] / steps, 2.0 / steps
+    while True:
+        f_corners = f(corners)
+        weights, zoom = np.full(nx, 1.0 / nx), 1.0 - 1.0 / nx
+        while zoom > PEAK_TOL:
+            grid, zoom = local_grid(weights, zoom, PEAK_POINTS)
+            weights = grid[np.argmax(f(grid @ corners) - grid @ f_corners)]
+        if half <= TANGENT_TOL:
+            return weights, corners
+        qy, qz = weights @ corners @ wy, weights @ corners @ wz
+        slope = (wz @ np.log2(np.where(qz > 0.0, qz, 1.0))
+                 - wy @ np.log2(np.where(qy > 0.0, qy, 1.0)))
+        for i in range(nx):
+            grid, step = local_grid(corners[i], half, TANGENT_POINTS)
+            corners[i] = grid[np.argmin(f(grid) - grid @ slope)]
+        half = 2.0 * step

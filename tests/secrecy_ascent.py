@@ -7,11 +7,24 @@ and P_X|U for every |U| <= u_size and returns the best value, floored at 0.
 Initializers come from the full 1/grid lattice when it is small enough (top
 `starts` points), otherwise from seeded grid-snapped random draws; each is
 refined by projected gradient ascent with finite differences.
+
+Points are packed as theta = (P_U, P_X|U row by row).  The objective and the
+projection take one point per row, and every start of one |U| ascends in
+step: per iteration, one objective call scores the finite-difference
+perturbations of all active starts and one more scores every step length of
+their line searches; the lattice starts are scored in one call too.
+`fd_gradient_loop`, one objective call per coordinate, is kept to check the
+batched gradient.
 """
+
+import itertools
 
 import numpy as np
 
 from dmckit.wiretap import _secrecy_objective
+
+#: the line search's step lengths: 0.25, halved while at least 1e-12
+LINE_STEPS = 0.25 * 0.5 ** np.arange(38)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -39,49 +52,109 @@ def _simplex_grid_points(dim: int, G: int) -> list[tuple[float, ...]]:
     return out
 
 
-def _ascend(theta: np.ndarray, blocks: list[tuple[int, int]], f,
-            fd_step: float = 1e-6, tol: float = 1e-10,
-            max_iters: int = 300) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent with finite differences and step halving."""
+def project_rows(v: np.ndarray) -> np.ndarray:
+    """`project_simplex` of each row of `v`, with the same operations."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    ind = np.arange(1, v.shape[1] + 1)
+    cond = u - css / ind > 0
+    rho = v.shape[1] - np.argmax(cond[:, ::-1], axis=1)  # last true, from 1
+    theta = css[np.arange(len(v)), rho - 1] / rho
+    return np.maximum(v - theta[:, None], 0.0)
+
+
+def _mutual_information_rows(joint: np.ndarray) -> np.ndarray:
+    """`core.mutual_information` of each joint matrix along the first axis."""
+    pm = joint.sum(axis=2)
+    qm = joint.sum(axis=1)
+    denom = pm[:, :, None] * qm[:, None, :]
+    pos = joint > 0.0
+    vals = np.zeros_like(joint)
+    vals[pos] = joint[pos] * (np.log2(joint[pos]) - np.log2(denom[pos]))
+    return np.maximum(0.0, vals.sum(axis=(1, 2)))
+
+
+def _problem(u, nx, wy, wz):
+    """(objective, projection) of a batch of packed points, one per row."""
+
+    def f(thetas):
+        p_ux = thetas[:, :u, None] * thetas[:, u:].reshape(-1, u, nx)
+        return (_mutual_information_rows(p_ux @ wy)
+                - _mutual_information_rows(p_ux @ wz))
+
+    def project(thetas):
+        out = np.empty_like(thetas)
+        out[:, :u] = project_rows(thetas[:, :u])
+        out[:, u:] = project_rows(thetas[:, u:].reshape(-1, nx)).reshape(len(thetas), -1)
+        return out
+
+    return f, project
+
+
+def fd_gradient(thetas: np.ndarray, f, project, fd_step: float) -> np.ndarray:
+    """Central differences of f after projection at each row of `thetas`,
+    all in one call."""
+    count, dim = thetas.shape
+    diag = np.arange(dim)
+    moved = np.repeat(thetas[:, None, :], 2 * dim, axis=1)
+    moved[:, diag, diag] += fd_step
+    moved[:, dim + diag, diag] -= fd_step
+    vals = f(project(moved.reshape(-1, dim))).reshape(count, 2 * dim)
+    return (vals[:, :dim] - vals[:, dim:]) / (2 * fd_step)
+
+
+def fd_gradient_loop(theta: np.ndarray, u: int, nx: int, wy, wz,
+                     fd_step: float) -> np.ndarray:
+    """`fd_gradient` at one point, one coordinate and one objective call at
+    a time."""
+
+    def f(th):
+        return _secrecy_objective(th[:u], th[u:].reshape(u, nx), wy, wz)
 
     def project_all(vec):
         out = vec.copy()
-        for lo, hi in blocks:
+        for lo, hi in [(0, u)] + [(u + i * nx, u + (i + 1) * nx) for i in range(u)]:
             out[lo:hi] = project_simplex(out[lo:hi])
         return out
 
-    theta = project_all(theta)
-    val = f(theta)
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        up = theta.copy()
+        dn = theta.copy()
+        up[i] += fd_step
+        dn[i] -= fd_step
+        grad[i] = (f(project_all(up)) - f(project_all(dn))) / (2 * fd_step)
+    return grad
+
+
+def _ascend(thetas: np.ndarray, f, project, fd_step: float = 1e-6,
+            tol: float = 1e-10, max_iters: int = 300) -> np.ndarray:
+    """Projected gradient ascent with finite differences and step halving
+    from each row of `thetas`, all rows in step: each iteration moves a row
+    by the longest step of LINE_STEPS that gains more than tol, and a row
+    stops where none does.  Returns the final values."""
+    thetas = project(thetas)
+    vals = f(thetas)
+    active = np.arange(len(thetas))
+    dim, n_steps = thetas.shape[1], len(LINE_STEPS)
     for _ in range(max_iters):
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            up = theta.copy()
-            dn = theta.copy()
-            up[i] += fd_step
-            dn[i] -= fd_step
-            grad[i] = (f(project_all(up)) - f(project_all(dn))) / (2 * fd_step)
-        step = 0.25
-        improved = False
-        while step >= 1e-12:
-            cand = project_all(theta + step * grad)
-            cand_val = f(cand)
-            if cand_val > val + tol:
-                theta, val = cand, cand_val
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
+        if not active.size:
             break
-    return val, theta
+        grads = fd_gradient(thetas[active], f, project, fd_step)
+        cands = project((thetas[active, None, :] + LINE_STEPS[:, None]
+                         * grads[:, None, :]).reshape(-1, dim))
+        cand_vals = f(cands)
+        gains = cand_vals.reshape(-1, n_steps) > vals[active, None] + tol
+        moved = gains.any(axis=1)
+        picks = np.flatnonzero(moved) * n_steps + gains[moved].argmax(axis=1)
+        active = active[moved]
+        thetas[active] = cands[picks]
+        vals[active] = cand_vals[picks]
+    return vals
 
 
 def _best_for_size(u, nx, wy, wz, starts, grid, seed, grid_cap):
-    blocks = [(0, u)]
-    for i in range(u):
-        blocks.append((u + i * nx, u + (i + 1) * nx))
-
-    def f(theta):
-        return _secrecy_objective(theta[:u], theta[u:].reshape(u, nx), wy, wz)
+    f, project = _problem(u, nx, wy, wz)
 
     def pack(p_u, rows):
         return np.concatenate([np.asarray(p_u, dtype=np.float64),
@@ -93,23 +166,13 @@ def _best_for_size(u, nx, wy, wz, starts, grid, seed, grid_cap):
 
     candidates: list[np.ndarray] = []
     if total <= grid_cap:
-        scored = []
-        idx = 0
-
-        def rec(rows_so_far, depth):
-            nonlocal idx
-            if depth == u:
-                for pu in u_points:
-                    theta = pack(pu, rows_so_far)
-                    scored.append((f(theta), idx, theta))
-                    idx += 1
-                return
-            for row in x_points:
-                rec(rows_so_far + [row], depth + 1)
-
-        rec([], 0)
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        candidates = [t[2] for t in scored[:starts]]
+        # every row combination, first row outermost, then every P_U
+        lattice = np.array([pack(pu, rows)
+                            for rows in itertools.product(x_points, repeat=u)
+                            for pu in u_points])
+        # best first, ties to the earlier lattice point
+        order = np.argsort(-f(lattice), kind="stable")
+        candidates = list(lattice[order[:starts]])
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         for _ in range(starts):
@@ -128,8 +191,7 @@ def _best_for_size(u, nx, wy, wz, starts, grid, seed, grid_cap):
     candidates.append(pack(pu0, rows0))
     candidates.append(pack(pu0, np.full((u, nx), 1.0 / nx)))
 
-    results = [_ascend(c, blocks, f) for c in candidates]
-    return max(val for val, _ in results)
+    return _ascend(np.array(candidates), f, project).max()
 
 
 def ascent_secrecy_bound(wy, wz, u_size: int, *, starts: int = 32,

@@ -146,11 +146,13 @@ READERS = ("extract_main", "build_equal_image_partition", "_add_cells")
                                         if n.startswith(("partition-", "fano-"))))
 def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
     # each (channel, set, eta) is solved at most once by the layers that can
-    # read it from a record, and the Fano cells solve images only for their
-    # decoding sets
+    # read it from a record, and once within one extraction, which reads the
+    # final set's exponents from a level it solved on the refined set; the
+    # Fano cells solve images only for their decoding sets
     solved = set()
     repeats = []
     fano_callers = set()
+    extractions = []  # the keys solved by each extraction in progress
 
     def recording(solve, counted=None):
         def wrapper(ch, A, eta):
@@ -161,14 +163,29 @@ def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
             key = (id(ch), A.n, A.ids.tobytes(), eta)
             if key in solved and caller in READERS:
                 repeats.append((caller, A.ids_list(), eta))
+            if caller == "extract_equal_cell":
+                if key in extractions[-1]:
+                    repeats.append((caller, A.ids_list(), eta))
+                extractions[-1].add(key)
             solved.add(key)
             if counted is not None:
                 counted.add(caller)
             return solve(ch, A, eta)
         return wrapper
 
+    def extracting(extract):
+        def wrapper(*args):
+            extractions.append(set())
+            try:
+                return extract(*args)
+            finally:
+                extractions.pop()
+        return wrapper
+
     monkeypatch.setattr(partitioner, "image_exponents",
                         recording(partitioner.image_exponents))
+    monkeypatch.setattr(partitioner, "extract_equal_cell",
+                        extracting(partitioner.extract_equal_cell))
     monkeypatch.setattr(fano, "min_image", recording(fano.min_image, fano_callers))
     run_case(name, tmp_path)
     assert repeats == []

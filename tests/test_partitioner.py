@@ -212,6 +212,31 @@ def test_extract_main_exponents_match_a_fresh_solve():
     assert read == {True, False}
 
 
+def test_extraction_solves_each_level_once(monkeypatch):
+    # when the result is the refined set and eta is one of the two levels
+    # solved on it, the step reads those exponents instead of solving again
+    ch = bsc(0.1)
+    A = SequenceSet.full_space(2, 2)
+    d = SequenceDist.uniform_on(A)
+    _, probe = extract_equal_cell(ch, d, A, 0.3, 0.5, 0.5)
+    lo_level = max(min(probe.heavy_prefix_mass / A.n, 1.0), partitioner.ETA_TOL)
+    solve = partitioner.image_exponents
+    for eta in (0.9, lo_level):  # beta = max(eta, 1 - 1/n^2) is eta at 0.9
+        calls = []
+
+        def counting(ch_, B, level):
+            calls.append((B.ids.tobytes(), level))
+            return solve(ch_, B, level)
+
+        monkeypatch.setattr(partitioner, "image_exponents", counting)
+        result, step = extract_equal_cell(ch, d, A, 0.3, 0.5, eta)
+        monkeypatch.undo()
+        assert result is step.refined and step.branch == "shallow"
+        assert len(calls) == len(set(calls)) == 2
+        assert (step.image_exponent_lower, step.image_exponent_upper,
+                step.image_exact) == solve(ch, result, eta)
+
+
 # ---------------------------------------------------------------------------
 # image-entropy partition and the equal-image-size partition
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ import kernel_oracles as old
 from dmckit.core import Alphabet, Channel, bsc, identity_channel
 from dmckit.errors import CapacityError, DimensionMismatchError
 from dmckit.fano import MessageSpace, deterministic_code, ml_decoder
-from dmckit.wiretap import (WiretapInstance, evaluate_wtc_code,
-                            secrecy_bound_single_letter, wtc_converse_chain,
-                            _entropy_rows, _lattice, _local_grid, _row_sums,
+from dmckit.wiretap import (PEAK_POINTS, TANGENT_POINTS, WiretapInstance,
+                            evaluate_wtc_code, secrecy_bound_single_letter,
+                            wtc_converse_chain, _entropy_gap,
+                            _entropy_rows, _envelope, _first_zoom, _lattice,
+                            _local_grid, _offsets, _row_sums,
                             _secrecy_objective)
-from secrecy_ascent import ascent_secrecy_bound, project_simplex
+from secrecy_ascent import (_problem, ascent_secrecy_bound, fd_gradient,
+                            fd_gradient_loop, project_rows, project_simplex)
 
 
 def h2(p):
@@ -144,6 +147,33 @@ def test_project_simplex():
     assert v.sum() == pytest.approx(1.0)
     p = np.array([0.2, 0.5, 0.3])
     assert np.allclose(project_simplex(p), p)
+
+
+def test_project_rows_matches_project_simplex():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(50, 4))
+    v[::7, 1] = v[::7, 2]  # ties
+    want = np.vstack([project_simplex(row) for row in v])
+    assert same_bits(project_rows(v), want)
+
+
+@pytest.mark.parametrize("u,nx,seed", [(2, 2, 12), (3, 3, 21)])
+def test_batched_gradient_matches_the_loop(u, nx, seed):
+    # the ascent oracle's gradient at several iterates in one call against
+    # one objective call per coordinate, at a uniform, a corner and two
+    # random iterates.  The batch sums each joint matrix with its zero
+    # entries and the loop without; above 8 entries numpy sums pairwise, so
+    # the two objectives can differ by an ulp, 5e-11 after a 2e-6 difference
+    rng = np.random.default_rng(seed)
+    main, eve = random_pair(rng, nx, False)
+    f, project = _problem(u, nx, main, eve)
+    corner = np.concatenate([np.eye(u)[0], np.eye(nx)[np.arange(u) % nx].ravel()])
+    iterates = project(np.vstack([np.full(u + u * nx, 1.0 / nx), corner,
+                                  rng.uniform(size=(2, u + u * nx))]))
+    grads = fd_gradient(iterates, f, project, 1e-6)
+    for theta, grad in zip(iterates, grads):
+        assert np.allclose(grad, fd_gradient_loop(theta, u, nx, main, eve, 1e-6),
+                           rtol=0.0, atol=1e-9)
 
 
 def test_single_letter_known_values():
@@ -297,3 +327,88 @@ def test_lattice_is_cached_and_read_only():
         assert np.array_equal(counts, _lattice.__wrapped__(nx, steps))
         with pytest.raises(ValueError):
             counts[0, 0] = 1
+
+
+def stochastic_rows(rng, shape, zero_share):
+    """Random channel rows over 20 decades with exact zeros, no row empty."""
+    rows = spread_values(rng, shape, zero_share)
+    empty = rows.sum(axis=1) == 0.0
+    rows[empty, rng.integers(shape[1], size=int(empty.sum()))] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def same_envelope(wy, wz) -> bool:
+    got, want = _envelope(wy, wz), old.envelope_reference(wy, wz)
+    return all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 0.6),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_envelope_matches_reference_binary(ny, nz, zero_share, degraded, seed):
+    # the fused F, the cached first zoom grid and the stacked tangent grids
+    # give the bits of two products per F and one tangent grid per corner
+    rng = np.random.default_rng(seed)
+    wy = stochastic_rows(rng, (2, ny), zero_share)
+    wz = (wy @ stochastic_rows(rng, (ny, nz), zero_share) if degraded
+          else stochastic_rows(rng, (2, nz), zero_share))
+    assert same_envelope(wy, wz)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_envelope_matches_reference_ternary(seed):
+    rng = np.random.default_rng(seed)
+    wy = stochastic_rows(rng, (3, 3 + seed), 0.2)
+    wz = stochastic_rows(rng, (3, 2), 0.0)
+    assert same_envelope(wy, wz)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 12), st.integers(1, 12),
+       st.integers(2, 2001), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_fused_gap_matches_two_products(nx, ny, nz, rows, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    wy = stochastic_rows(rng, (nx, ny), zero_share)
+    wz = stochastic_rows(rng, (nx, nz), zero_share)
+    p = stochastic_rows(rng, (rows, nx), zero_share)
+    got = _entropy_gap(wy, wz)(p)
+    assert same_bits(got, _entropy_rows(p @ wy) - _entropy_rows(p @ wz))
+    assert same_bits(got, old.entropy_rows(p @ wy) - old.entropy_rows(p @ wz))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([7, 13, 15, 45, 201, 1001, 2001]), st.floats(-13.0, 0.0),
+       st.floats(0.0, 1.0))
+def test_offsets_match_linspace(k, log_half, mantissa):
+    half = (1.0 + mantissa) * 10.0 ** log_half
+    assert same_bits(_offsets(half, k), np.linspace(-half, half, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 12), st.integers(1, 12),
+       st.floats(-12.0, -2.0), st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+def test_stacked_grids_match_one_grid_at_a_time(nx, ny, nz, log_half,
+                                                zero_share, seed):
+    # a row of F and of the tangent plane does not depend on the rows that
+    # go through the same product with it
+    rng = np.random.default_rng(seed)
+    f = _entropy_gap(stochastic_rows(rng, (nx, ny), zero_share),
+                     stochastic_rows(rng, (nx, nz), zero_share))
+    corners = stochastic_rows(rng, (nx, nx), zero_share)
+    slope = rng.normal(size=nx)
+    grids = [_local_grid(c, 10.0 ** log_half, TANGENT_POINTS)[0] for c in corners]
+    stacked = np.vstack(grids)
+    gap = f(stacked) - stacked @ slope
+    for block, grid in zip(np.split(gap, nx), grids):
+        assert same_bits(block, f(grid) - grid @ slope)
+
+
+def test_first_zoom_grid_is_cached_and_read_only():
+    for nx in (2, 3, 4):
+        grid, step = _first_zoom(nx)
+        assert _first_zoom(nx)[0] is grid
+        want, want_step = _local_grid(np.full(nx, 1.0 / nx), 1.0 - 1.0 / nx,
+                                      PEAK_POINTS)
+        assert same_bits(grid, want) and step.hex() == want_step.hex()
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
