@@ -52,7 +52,7 @@ def load_set(path: str) -> SequenceSet:
     try:
         return SequenceSet.from_ids(int(obj["n"]), int(obj["alphabet_size"]),
                                     obj["ids"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed set file {path}: {exc}") from exc
 
 
@@ -61,7 +61,7 @@ def load_message_index(path: str, ground: SequenceSet) -> PartitioningIndex:
     try:
         cells = {i: SequenceSet.from_ids(ground.n, ground.base, ids)
                  for i, ids in enumerate(obj["cells"])}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed message file {path}: {exc}") from exc
     return PartitioningIndex(ground, cells)
 
@@ -108,7 +108,7 @@ def load_code(path: str) -> Code:
             decoders.append(Decoder(S=S, m_values=m_values, table=table))
         return Code(messages=messages, n=n, base=base, encoder=encoder,
                     decoders=tuple(decoders))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed code file {path}: {exc}") from exc
 
 
@@ -144,7 +144,7 @@ def _cmd_spectrum(args) -> int:
     sp = build_spectrum_partition(dist, args.delta_n, args.delta)
     # 40 bytes a bin in the partition, 209 more at the report's peak (tracemalloc)
     check_budget(256 * (sp.K + 1), "spectrum report")
-    _emit(json_text(sp.to_json_obj(), indent=1), args.out)
+    _emit(json_text(sp.to_json_obj()), args.out)
     return 0
 
 
@@ -157,7 +157,7 @@ def _cmd_image_size(args) -> int:
         br = min_image_bracket(ch, A, args.eta)
     obj = {"eta": args.eta, "size_lower": br.lower, "size_upper": br.upper,
            "exact": br.exact, "witness": br.upper_witness.ids_list()}
-    _emit(json_text(obj, indent=1), args.out)
+    _emit(json_text(obj), args.out)
     return 0
 
 
@@ -215,7 +215,7 @@ def _cmd_partition(args) -> int:
                                         key=lambda kv: str(kv[0]))],
         },
     }
-    _emit(json_text(obj, indent=1), args.out)
+    _emit(json_text(obj), args.out)
     return 0
 
 
@@ -229,7 +229,7 @@ def _cmd_fano(args, criterion: str) -> int:
         rep = strong_fano_max(code, channels, **kwargs)
     else:
         rep = strong_fano_avg(code, channels, **kwargs)
-    _emit(json_text(rep.to_json_obj(), indent=1), args.out)
+    _emit(json_text(rep.to_json_obj()), args.out)
     header, rows = rep.csv_rows()
     if args.out:
         with open(args.out + ".csv", "w", encoding="utf-8") as fh:
@@ -243,7 +243,7 @@ def _cmd_wiretap(args) -> int:
     inst = WiretapInstance(main=load_channel(args.main), eve=load_channel(args.eve))
     res = secrecy_bound_single_letter(inst, args.usize)
     obj = {"value": res.value, "P_U": res.p_u, "P_X_given_U": res.p_x_given_u}
-    _emit(json_text(obj, indent=1), args.out)
+    _emit(json_text(obj), args.out)
     return 0
 
 
@@ -259,7 +259,7 @@ def _cmd_verify(args) -> int:
         } for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    _emit(json_text(obj, indent=1), args.out)
+    _emit(json_text(obj), args.out)
     if not obj["all_passed"]:
         raise InvariantError("lemma suite reported failures")
     return 0

@@ -34,8 +34,10 @@ from .errors import (CapacityError, ConditioningError, DimensionMismatchError,
 #: size of 2**26 float64 or int64 entries).
 BUDGET_BYTES = 8 << 26
 
-#: Comparison grid for threshold tests (>= eta, bin edges).
+#: Comparison grid for threshold tests (>= eta, bin edges, row sums).
 GRID = 1e-12
+#: How far from 1 the total of a probability vector may lie.
+SUM_TOL = 1e-10
 
 
 def check_budget(nbytes: float, what: str) -> None:
@@ -72,16 +74,10 @@ def aexp(count: int, n: int) -> float:
 @dataclass(frozen=True)
 class Alphabet:
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValidationError("alphabet size must be >= 1")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValidationError("label count must equal alphabet size")
-            if len(set(self.labels)) != self.size:
-                raise ValidationError("alphabet labels must be unique")
 
 
 @dataclass(frozen=True, order=True)
@@ -149,8 +145,8 @@ class Channel:
         if np.any(m < 0.0) or np.any(m > 1.0 + GRID):
             raise ValidationError("channel entries must lie in [0, 1]")
         rows = m.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
-            raise ValidationError("every channel row must sum to 1 within 1e-12")
+        if np.any(np.abs(rows - 1.0) > GRID):
+            raise ValidationError(f"every channel row must sum to 1 within {GRID}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -169,8 +165,8 @@ class Channel:
                        output=Alphabet(int(obj["output_size"])),
                        matrix=np.asarray(obj["rows"], dtype=np.float64),
                        name=str(obj.get("name", "")))
-        except KeyError as exc:
-            raise ValidationError(f"channel file missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed channel file: {exc}") from exc
 
 
 def identity_channel(size: int, name: str = "identity") -> Channel:
@@ -196,6 +192,8 @@ class SequenceSet:
     ids: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("blocklength n must be >= 1")
         ids = np.asarray(self.ids, dtype=np.int64)
         ids = np.unique(ids)
         if ids.size and (ids[0] < 0 or ids[-1] >= self.base ** self.n):
@@ -255,8 +253,8 @@ class SequenceSet:
 
 def _check_total(probs: np.ndarray):
     total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(f"probabilities sum to {total}, not 1 +/- 1e-10")
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValidationError(f"probabilities sum to {total}, not 1 +/- {SUM_TOL}")
 
 
 @dataclass(frozen=True)
@@ -273,6 +271,8 @@ class SequenceDist:
     probs: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("blocklength n must be >= 1")
         ids = np.asarray(self.ids, dtype=np.int64)
         probs = np.asarray(self.probs, dtype=np.float64)
         if ids.shape != probs.shape or ids.ndim != 1:
@@ -370,7 +370,7 @@ class SequenceDist:
             ids = _int64_ids([int(e[0]) for e in entries], n, base)
             probs = np.array([float(e[1]) for e in entries])
             return cls(n, base, ids, probs)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed distribution file: {exc}") from exc
 
 
@@ -536,7 +536,7 @@ def entropy(dist) -> float:
     if isinstance(dist, SequenceDist):
         return dist.entropy()
     v = np.asarray(dist, dtype=np.float64)
-    if np.any(v < 0.0) or abs(float(v.sum()) - 1.0) > 1e-10:
+    if np.any(v < 0.0) or abs(float(v.sum()) - 1.0) > SUM_TOL:
         raise ValidationError("entropy argument must be a normalized distribution")
     return entropy_bits(v)
 
@@ -550,7 +550,7 @@ def mutual_information(joint) -> float:
     J = np.asarray(joint, dtype=np.float64)
     if J.ndim != 2:
         raise ValidationError("joint must be a 2-d matrix")
-    if np.any(J < 0.0) or abs(float(J.sum()) - 1.0) > 1e-10:
+    if np.any(J < 0.0) or abs(float(J.sum()) - 1.0) > SUM_TOL:
         raise ValidationError("joint must be a normalized distribution")
     pm = J.sum(axis=1)
     qm = J.sum(axis=0)

@@ -16,15 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Channel, SequenceDist, SequenceSet, _row_store, aexp,
+from .core import (GRID, SUM_TOL, Channel, SequenceDist, SequenceSet, _row_store, aexp,
                    check_budget, entropy_bits, mutual_information, output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
-from .images import (ETA_TOL, EXACT_SOLVER_CAP, _singleton_sizes, min_image,
+from .images import (EXACT_SOLVER_CAP, _singleton_sizes, min_image,
                      min_image_exact)
 from .partitioner import (_subsets_of, build_equal_image_partition,
                           build_uniformizing_partition)
-from .reports import BoundReport
+from .reports import SLACK, BoundReport
 from .spectrum import PartitioningIndex
 
 
@@ -45,8 +45,8 @@ class MessageSpace:
             raise ValidationError("need at least one message index")
         if len(self.support) != len(self.probs) or not self.support:
             raise ValidationError("support and probs must align and be nonempty")
-        if abs(sum(self.probs) - 1.0) > 1e-10:
-            raise ValidationError("message joint must sum to 1 +/- 1e-10")
+        if abs(sum(self.probs) - 1.0) > SUM_TOL:
+            raise ValidationError(f"message joint must sum to 1 +/- {SUM_TOL}")
         if any(p <= 0.0 for p in self.probs):
             raise ValidationError("zero-probability messages must be removed")
         for m in self.support:
@@ -90,7 +90,7 @@ class Decoder:
         t = np.ascontiguousarray(np.asarray(self.table, dtype=np.float64))
         if t.ndim != 2 or t.shape[1] != len(self.m_values):
             raise ValidationError("decoder table shape mismatch")
-        if np.any(t < -ETA_TOL) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-10):
+        if np.any(t < -GRID) or np.any(np.abs(t.sum(axis=1) - 1.0) > SUM_TOL):
             raise ValidationError("decoder rows must be distributions")
         if tuple(sorted(self.m_values)) != self.m_values:
             raise ValidationError("decoder columns must be sorted m_S tuples")
@@ -127,7 +127,7 @@ class Code:
         if set(enc) != set(self.messages.support):
             raise ValidationError("encoder must cover exactly the message support")
         for m, row in enc.items():
-            if abs(sum(p for _, p in row) - 1.0) > 1e-10 or \
+            if abs(sum(p for _, p in row) - 1.0) > SUM_TOL or \
                     any(p <= 0.0 for _, p in row):
                 raise ValidationError("encoder rows must be positive and sum to 1")
             for x, _ in row:
@@ -283,7 +283,7 @@ def build_decoding_sets(pairs, decoder: Decoder, channel: Channel, n: int,
     tilde: dict = {}
     for m_S in decoder.m_values:
         ids = np.nonzero(decoder.table[:, decoder.column(m_S)]
-                         >= alpha / 2.0 - ETA_TOL)[0]
+                         >= alpha / 2.0 - GRID)[0]
         tilde[m_S] = SequenceSet(n, channel.output.size, ids)
 
     sets: dict = {}
@@ -305,7 +305,7 @@ def build_decoding_sets(pairs, decoder: Decoder, channel: Channel, n: int,
                                                              members))
             min_mass = float(rows[:, c_set.ids].sum(axis=1).min())
             certificates.add(f"{label}:{m_S}", alpha / 4.0, min_mass,
-                             min_mass >= alpha / 4.0 - ETA_TOL,
+                             min_mass >= alpha / 4.0 - GRID,
                              slack=min_mass - alpha / 4.0)
         worst = int(counts.max()) if counts.size else 0
         multiplicity.add(f"{label}", worst, cap, worst <= cap)
@@ -347,7 +347,7 @@ def sphere_packing_check(code: Code, channel: Channel, mu: float,
     report = BoundReport("sphere-packing-rate-bound",
                          details={"mu": mu, "eps": eps,
                                   "g_outer": g_outer, "g_inner": g_inner})
-    report.add("rate", lhs, rhs, lhs <= rhs + 1e-9, slack=rhs - lhs)
+    report.add("rate", lhs, rhs, lhs <= rhs + SLACK, slack=rhs - lhs)
     return report
 
 
@@ -483,7 +483,7 @@ class FanoReport:
 
     @property
     def q0_within(self) -> bool:
-        return self.q0_mass <= self.q0_bound + 1e-12
+        return self.q0_mass <= self.q0_bound + GRID
 
     def bound_rows(self, k: int | None = None):
         return [r for r in self.rows
@@ -596,7 +596,7 @@ def _add_cells(report: FanoReport, view: _JointView, alphas, receivers,
                     if not is_rem and not cond:
                         cap = min(h_rate, math.log2(view.channels[k].output.size))
                         report.counting.add(f"dps:{label}:k{k}", mi, cap,
-                                            mi <= cap + 1e-9)
+                                            mi <= cap + SLACK)
         report.q_count += len(all_cells)
 
         for k in receivers:
@@ -669,14 +669,14 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
     err = max(errs)
     if alpha_n is None:
         alpha_n = (1.0 - err) / math.log2(view.n)
-    # at or below ETA_TOL a pair that always fails would pass the split test
-    if not ETA_TOL < alpha_n <= 1.0:
-        raise PreconditionError(f"alpha_n must lie in ({ETA_TOL}, 1]")
+    # at or below GRID a pair that always fails would pass the split test
+    if not GRID < alpha_n <= 1.0:
+        raise PreconditionError(f"alpha_n must lie in ({GRID}, 1]")
     K = len(view.decoders)
 
     splits: dict = {}
     for m, x, p in view.pairs:
-        T = tuple(k for k in range(K) if succ[k][(m, x)] >= alpha_n - ETA_TOL)
+        T = tuple(k for k in range(K) if succ[k][(m, x)] >= alpha_n - GRID)
         splits.setdefault(T, []).append((m, x, p))
 
     report = FanoReport("avg", view.n, q0_bound=view.base ** (-view.n), appended=0,
@@ -717,7 +717,7 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
         star_mass = 0.0
         for r in report.bound_rows(k):
             h_rate = r.h_rate_lower
-            if full_aexp <= h_rate + delta_cor + 1e-12:
+            if full_aexp <= h_rate + delta_cor + GRID:
                 star.append(r.q_label)
                 star_mass += r.mass
         report.qstar[k] = star

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BLOCK, Channel, Sequence, SequenceDist, SequenceSet,
+from .core import (_BLOCK, GRID, Channel, Sequence, SequenceDist, SequenceSet,
                    aexp, output_dist, output_rows)
 from .errors import CapacityError, DomainError
 from .reports import BoundReport
@@ -30,8 +30,8 @@ from .reports import BoundReport
 #: Largest number of output columns the exact solver will search.
 EXACT_SOLVER_CAP = 24
 
-#: Non-strict threshold slack for ">= eta" comparisons.
-ETA_TOL = 1e-12
+#: Non-strict threshold slack for ">= eta" comparisons: the comparison grid.
+ETA_TOL = GRID
 
 #: Output columns the exact solver's subset-sum table spans (2**15 floats).
 #: A 2**16-float table (with its rank table) added 0.4 MB to the peak RSS of

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Channel, SequenceDist, SequenceSet, _row_store, aexp,
+from .core import (GRID, Channel, SequenceDist, SequenceSet, _row_store, aexp,
                    entropy_bits, output_dist, output_rows)
 from .errors import (CapacityError, DomainError, InvariantError,
                      ValidationError)
-from .images import ETA_TOL, image_exponents, min_quasi_image
-from .reports import BoundReport
+from .images import image_exponents, min_quasi_image
+from .reports import SLACK, BoundReport
 from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
                        build_spectrum_partition, floor_on_grid, product_index,
                        restrict_index, uniformity)
@@ -45,11 +45,11 @@ class SliceCell:
 
     @property
     def x_ok(self) -> bool:
-        return self.x_uniformity.gamma <= self.x_bound * (1.0 + 1e-9)
+        return self.x_uniformity.gamma <= self.x_bound * (1.0 + SLACK)
 
     @property
     def m_ok(self) -> bool:
-        return self.m_uniformity.gamma <= self.m_bound * (1.0 + 1e-9)
+        return self.m_uniformity.gamma <= self.m_bound * (1.0 + SLACK)
 
 
 @dataclass
@@ -203,18 +203,18 @@ class RefinementResult:
 
     @property
     def certificate_ok(self) -> bool:
-        return self.min_row_mass >= self.threshold - ETA_TOL
+        return self.min_row_mass >= self.threshold - GRID
 
     @property
     def ratio_ok(self) -> bool:
-        return self.ratio > self.ratio_floor - 1e-9
+        return self.ratio > self.ratio_floor - SLACK
 
 
 def _refine_against_witness(ch: Channel, dist: SequenceDist, A: SequenceSet,
                             alpha: float, witness: SequenceSet) -> RefinementResult:
     row_mass = output_rows(ch, A)[:, witness.ids].sum(axis=1)
     threshold = alpha / A.n
-    keep = row_mass >= threshold - ETA_TOL
+    keep = row_mass >= threshold - GRID
     refined = SequenceSet._trusted(A.n, A.base, A.ids[keep])
     gamma = uniformity(dist, A).gamma
     return RefinementResult(
@@ -296,7 +296,7 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     K = sp.K
     masses = np.array(sp.bin_mass)
     threshold = 1.0 / (K + 1)
-    heavy_candidates = np.nonzero(masses >= threshold * (1.0 - 1e-12))[0]
+    heavy_candidates = np.nonzero(masses >= threshold * (1.0 - GRID))[0]
     heavy = int(heavy_candidates[0]) if heavy_candidates.size else int(np.argmax(masses))
     prefix_mass = float(masses[: heavy + 1].sum())
 
@@ -306,7 +306,7 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     a_prime = ref.refined
 
     beta = max(eta, 1.0 - 1.0 / n ** 2)
-    lo_level = max(min(prefix_mass / n, 1.0), ETA_TOL)
+    lo_level = max(min(prefix_mass / n, 1.0), GRID)
     exp_beta = image_exponents(ch, a_prime, min(beta, 1.0))
     exp_low = image_exponents(ch, a_prime, lo_level)
     tau = max(0.0, exp_beta[1] - exp_low[0])
@@ -792,7 +792,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
 # ---------------------------------------------------------------------------
 
 def entropy_perturbation_bound(h_e: float, h_e_given: float, p: float,
-                               log_card: float, tol: float = 1e-9) -> BoundReport:
+                               log_card: float) -> BoundReport:
     """Check |H(E) - H(E|S=1)| <= 1 + (1-p) * log2|E| for P(S=1) >= p.
 
     Stated in bits; divide both sides by n for the per-symbol form.
@@ -805,5 +805,5 @@ def entropy_perturbation_bound(h_e: float, h_e_given: float, p: float,
     rhs = 1.0 + (1.0 - p) * log_card
     report = BoundReport("entropy-perturbation",
                          details={"p": p, "log_card": log_card})
-    report.add("perturbation", lhs, rhs, lhs <= rhs + tol, slack=rhs - lhs)
+    report.add("perturbation", lhs, rhs, lhs <= rhs + SLACK, slack=rhs - lhs)
     return report

@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: Slack of every recorded inequality: lhs <= rhs passes while lhs <= rhs + SLACK.
+SLACK = 1e-9
+
 
 @dataclass
 class BoundItem:
@@ -66,16 +69,18 @@ def _format_float(x: float) -> str:
     return text
 
 
-def json_text(obj, indent: int = 0, _level: int = 0) -> str:
-    """Serialize with a fixed field order and floats at 17 significant digits.
+def json_text(obj) -> str:
+    """Serialize with a fixed field order, floats at 17 significant digits
+    and one space of indent per level.
 
     Byte-identical output for identical inputs; dict insertion order is the
     field order.
     """
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
+    return _json(obj, "")
+
+
+def _json(obj, end_pad: str) -> str:
+    """`obj` as JSON, its nested lines indented one space past `end_pad`."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -90,20 +95,18 @@ def json_text(obj, indent: int = 0, _level: int = 0) -> str:
         return f'"{out}"'
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    pad = end_pad + " "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [json_text(v, indent, _level + 1) for v in obj]
-        return "[" + nl + sep.join(pad + p for p in parts) + nl + end_pad + "]"
+        parts = [pad + _json(v, pad) for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + end_pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                key = str(key)
-            parts.append(pad + json_text(key) + ": " + json_text(value, indent, _level + 1))
-        return "{" + nl + sep.join(parts) + nl + end_pad + "}"
+        parts = [pad + _json(str(key), pad) + ": " + _json(value, pad)
+                 for key, value in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + end_pad + "}"
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import GRID, SequenceDist, SequenceSet, aexp, check_budget, snap
 from .errors import (DimensionMismatchError, DomainError, ValidationError)
-from .reports import BoundReport
+from .reports import SLACK, BoundReport
 
 
 def floor_on_grid(t: float) -> int:
@@ -57,8 +57,7 @@ def uniformity(dist: SequenceDist, A: SequenceSet) -> UniformityReport:
     return UniformityReport(gamma=mx / mn, max_atom=mx, min_atom=mn)
 
 
-def verify_uniform_entropy_bounds(dist: SequenceDist, A: SequenceSet,
-                                  tol: float = 1e-9) -> BoundReport:
+def verify_uniform_entropy_bounds(dist: SequenceDist, A: SequenceSet) -> BoundReport:
     """Check log2|A| - log2(gamma) <= H(X^n | X^n in A) <= log2|A|."""
     cond = dist.conditioned_on(A)
     rep = uniformity(dist, A)
@@ -68,8 +67,8 @@ def verify_uniform_entropy_bounds(dist: SequenceDist, A: SequenceSet,
                          details={"gamma": rep.gamma, "entropy": h,
                                   "log2_size": size_bits})
     report.add("lower", size_bits - math.log2(rep.gamma), h,
-               size_bits - math.log2(rep.gamma) <= h + tol)
-    report.add("upper", h, size_bits, h <= size_bits + tol)
+               size_bits - math.log2(rep.gamma) <= h + SLACK)
+    report.add("upper", h, size_bits, h <= size_bits + SLACK)
     return report
 
 
@@ -141,7 +140,7 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
                              K=K, bins=bins, bin_mass=tuple(masses.tolist()))
 
 
-def verify_bin_size_bounds(sp: SpectrumPartition, tol: float = 1e-9) -> BoundReport:
+def verify_bin_size_bounds(sp: SpectrumPartition) -> BoundReport:
     """Per-bin size bounds: aexp(A_k) < (k+1)*delta_n always, and
     |aexp(A_k) - k*delta_n| < delta_n whenever P(A_k) > 2^(-n*delta_n)."""
     n = sp.n
@@ -149,16 +148,16 @@ def verify_bin_size_bounds(sp: SpectrumPartition, tol: float = 1e-9) -> BoundRep
     for k, bin_k in sp.nonempty():
         a_k = aexp(bin_k.size, n)
         upper = (k + 1) * sp.delta_n
-        report.add(f"bin{k}:upper", a_k, upper, a_k < upper + tol, slack=upper - a_k)
+        report.add(f"bin{k}:upper", a_k, upper, a_k < upper + SLACK, slack=upper - a_k)
         if sp.bin_mass[k] > 2.0 ** (-n * sp.delta_n):
             dev = abs(a_k - k * sp.delta_n)
             report.add(f"bin{k}:two-sided", dev, sp.delta_n,
-                       dev < sp.delta_n + tol, slack=sp.delta_n - dev)
+                       dev < sp.delta_n + SLACK, slack=sp.delta_n - dev)
     return report
 
 
-def verify_bin_conditional_uniformity(sp: SpectrumPartition, dist: SequenceDist,
-                                      tol: float = 1e-9) -> BoundReport:
+def verify_bin_conditional_uniformity(sp: SpectrumPartition,
+                                      dist: SequenceDist) -> BoundReport:
     """Conditional atoms of every non-tail bin lie strictly inside
     (2^(-n d)/|A_k|, 2^(n d)/|A_k|); checked with multiplicative slack."""
     n = sp.n
@@ -171,7 +170,7 @@ def verify_bin_conditional_uniformity(sp: SpectrumPartition, dist: SequenceDist,
         hi = 2.0 ** (n * sp.delta_n) / bin_k.size
         for seq_id in bin_k.ids_list():
             p_cond = dist.prob_of(seq_id) / mass
-            ok = lo * (1.0 - tol) < p_cond < hi * (1.0 + tol)
+            ok = lo * (1.0 - SLACK) < p_cond < hi * (1.0 + SLACK)
             report.add(f"bin{k}:x{seq_id}", lo, hi, ok, slack=min(p_cond - lo, hi - p_cond),
                        atom=p_cond)
     return report

@@ -16,7 +16,7 @@ from .core import (Alphabet, Channel, SequenceDist, SequenceSet, check_budget,
 from .errors import DomainError
 from .images import hamming_blowup, min_image_exact, min_quasi_image
 from .partitioner import entropy_perturbation_bound
-from .reports import BoundReport
+from .reports import SLACK, BoundReport
 from .spectrum import (build_spectrum_partition, verify_bin_conditional_uniformity,
                        verify_bin_size_bounds, verify_uniform_entropy_bounds)
 
@@ -49,9 +49,9 @@ def random_subset(rng, n: int, base: int, max_size: int | None = None) -> Sequen
     return SequenceSet(n, base, ids)
 
 
-def random_dist_on(rng, A: SequenceSet, spread: float = 6.0) -> SequenceDist:
+def random_dist_on(rng, A: SequenceSet) -> SequenceDist:
     """Distribution with information densities spread over several bins."""
-    w = np.exp(rng.uniform(0.0, spread, size=A.size))
+    w = np.exp(rng.uniform(0.0, 6.0, size=A.size))
     return SequenceDist(A.n, A.base, A.ids, w / w.sum())
 
 
@@ -59,7 +59,7 @@ def random_eta(rng) -> float:
     return float(rng.uniform(0.05, 0.95))
 
 
-def _check_bins(rng, n: int, trials: int, tol: float) -> tuple[BoundReport, BoundReport]:
+def _check_bins(rng, n: int, trials: int) -> tuple[BoundReport, BoundReport]:
     sizes = BoundReport("bin-size-bounds", details={"n": n, "trials": trials})
     unif = BoundReport("bin-conditional-uniformity", details={"n": n, "trials": trials})
     for t in range(trials):
@@ -68,14 +68,14 @@ def _check_bins(rng, n: int, trials: int, tol: float) -> tuple[BoundReport, Boun
         delta_n = float(rng.uniform(0.05, 0.9))
         delta = float(rng.uniform(0.1, 0.99))
         sp = build_spectrum_partition(dist, delta_n, delta)
-        r1 = verify_bin_size_bounds(sp, tol)
-        r2 = verify_bin_conditional_uniformity(sp, dist, tol)
+        r1 = verify_bin_size_bounds(sp)
+        r2 = verify_bin_conditional_uniformity(sp, dist)
         sizes.add(f"trial{t}", None, None, r1.passed)
         unif.add(f"trial{t}", None, None, r2.passed)
     return sizes, unif
 
 
-def _check_gamma_entropy(rng, n: int, trials: int, tol: float) -> BoundReport:
+def _check_gamma_entropy(rng, n: int, trials: int) -> BoundReport:
     rep = BoundReport("gamma-uniform-entropy", details={"n": n, "trials": trials})
     for t in range(trials):
         A = random_subset(rng, n, 2)
@@ -85,7 +85,7 @@ def _check_gamma_entropy(rng, n: int, trials: int, tol: float) -> BoundReport:
         if sub.size == 0:
             sub = A
         rep.add(f"trial{t}", None, None,
-                verify_uniform_entropy_bounds(dist, sub, tol).passed)
+                verify_uniform_entropy_bounds(dist, sub).passed)
     return rep
 
 
@@ -131,7 +131,7 @@ def _check_blowup(rng, n: int, trials: int) -> BoundReport:
     return rep
 
 
-def _check_perturbation(rng, n: int, trials: int, tol: float) -> BoundReport:
+def _check_perturbation(rng, n: int, trials: int) -> BoundReport:
     rep = BoundReport("entropy-perturbation", details={"n": n, "trials": trials})
     for t in range(trials):
         card = int(rng.integers(2, 9))
@@ -140,12 +140,12 @@ def _check_perturbation(rng, n: int, trials: int, tol: float) -> BoundReport:
         p1 = float(joint[:, 1].sum())
         h_e = entropy_bits(joint.sum(axis=1))
         h_e_given = entropy_bits(joint[:, 1] / p1)
-        res = entropy_perturbation_bound(h_e, h_e_given, p1, math.log2(card), tol)
+        res = entropy_perturbation_bound(h_e, h_e_given, p1, math.log2(card))
         rep.add(f"trial{t}", None, None, res.passed)
     return rep
 
 
-def _check_data_processing(rng, n: int, trials: int, tol: float) -> BoundReport:
+def _check_data_processing(rng, n: int, trials: int) -> BoundReport:
     rep = BoundReport("data-processing-sanity", details={"n": n, "trials": trials})
     nn = min(n, 4)
     for t in range(trials):
@@ -162,22 +162,21 @@ def _check_data_processing(rng, n: int, trials: int, tol: float) -> BoundReport:
         i_my = mutual_information(joint_my)
         i_xy = mutual_information(joint_xy)
         h_m = entropy_bits(joint_mx.sum(axis=1))
-        ok = (i_my <= i_xy + tol and i_my <= h_m + tol
-              and i_my <= nn * math.log2(ch.output.size) + tol)
+        ok = (i_my <= i_xy + SLACK and i_my <= h_m + SLACK
+              and i_my <= nn * math.log2(ch.output.size) + SLACK)
         rep.add(f"trial{t}", i_my, min(i_xy, h_m), ok)
     return rep
 
 
-def run_lemma_suite(seed: int, trials: int, n: int, tol: float = 1e-9
-                    ) -> list[BoundReport]:
+def run_lemma_suite(seed: int, trials: int, n: int) -> list[BoundReport]:
     """All unconditional checks, `trials` randomized instances each."""
-    if n < 2:
-        raise DomainError("lemma suite needs n >= 2")
+    if n < 2 or seed < 0 or trials < 1:
+        raise DomainError("lemma suite needs n >= 2, seed >= 0 and trials >= 1")
     rng = rng_from_seed(seed)
-    sizes, unif = _check_bins(rng, n, trials, tol)
-    gamma = _check_gamma_entropy(rng, n, trials, tol)
+    sizes, unif = _check_bins(rng, n, trials)
+    gamma = _check_gamma_entropy(rng, n, trials)
     dom, mono_eta, mono_set = _check_images(rng, n, trials)
     blow = _check_blowup(rng, n, trials)
-    pert = _check_perturbation(rng, n, trials, tol)
-    dps = _check_data_processing(rng, n, trials, tol)
+    pert = _check_perturbation(rng, n, trials)
+    dps = _check_data_processing(rng, n, trials)
     return [sizes, unif, gamma, dom, mono_eta, mono_set, blow, pert, dps]

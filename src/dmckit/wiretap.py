@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Channel, aexp, check_budget, mutual_information
+from .core import GRID, Channel, aexp, check_budget, mutual_information
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      InvariantError, PreconditionError)
 from .fano import (Code, FanoReport, _message_output_joint, avg_error,
                    strong_fano_avg)
-from .reports import BoundReport
+from .reports import SLACK, BoundReport
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
 
     identities = BoundReport("wiretap-chain-identities")
     identities.add("rate<=mi+mu", rate, mi_main_star + mu,
-                   rate <= mi_main_star + mu + 1e-9,
+                   rate <= mi_main_star + mu + SLACK,
                    slack=mi_main_star + mu - rate)
 
     # eavesdropper side; cell pairs are already mapped back to the original
@@ -154,12 +154,12 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
         mi_eve_star += (r.mass / star_mass) * per_label_mi[lab]
 
     identities.add("deflate:event", mi_eve_event * star_mass, leakage + 1.0,
-                   mi_eve_event * star_mass <= leakage + 1.0 + 1e-9,
+                   mi_eve_event * star_mass <= leakage + 1.0 + SLACK,
                    slack=leakage + 1.0 - mi_eve_event * star_mass)
     identities.add("deflate:index", mi_eve_star,
                    mi_eve_event + math.log2(max(len(star_labels), 1)),
                    mi_eve_star <= mi_eve_event
-                   + math.log2(max(len(star_labels), 1)) + 1e-9)
+                   + math.log2(max(len(star_labels), 1)) + SLACK)
 
     deflation_measured = (leakage + 1.0) / (star_mass * n)
     deflation_theorem = 4.0 * (leakage + 1.0) / ((1.0 - eps) * n)
@@ -169,7 +169,7 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
     final_measured = (mi_main_star - mi_eve_star / n) + mu \
         + deflation_measured + star_count_term
     identities.add("chain:assembled", rate, final_measured,
-                   rate <= final_measured + 1e-9,
+                   rate <= final_measured + SLACK,
                    slack=final_measured - rate)
     final_theorem = (mi_main_star - mi_eve_star / n) + mu \
         + deflation_theorem + cell_count_term
@@ -179,7 +179,7 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
     return WiretapReport(
         rate=rate, epsilon=eps, leakage=leakage, n=n, q_count=rep.q_count,
         qstar_count=len(star_labels), qstar_mass=star_mass,
-        qstar_mass_target=target, qstar_mass_ok=star_mass >= target - 1e-12,
+        qstar_mass_target=target, qstar_mass_ok=star_mass >= target - GRID,
         mi_main_rows=mi_rows, mi_main_qstar=mi_main_star, mu_measured=mu,
         mi_eve_qstar=mi_eve_star, mi_eve_event=mi_eve_event,
         leakage_deflation_measured=deflation_measured,
@@ -236,16 +236,12 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    return -_row_sums(_plogp(p))
-
-
 def _entropy_gap(wy: np.ndarray, wz: np.ndarray):
     """F(P) = H(P W_Y) - H(P W_Z) of each of two or more laws P along the
     last axis, by one product with [W_Y | W_Z] and one log2.  Equal bit for
-    bit to `_entropy_rows(p @ wy) - _entropy_rows(p @ wz)`: (-a) - (-b)
-    rounds as b - a, and numpy's matrix product gives each entry the same
-    bits whatever the other columns are.  A one-column product goes through
+    bit to H(p @ wy) - H(p @ wz), each H the negated `_row_sums` of
+    `_plogp`: (-a) - (-b) rounds as b - a, and numpy's matrix product gives
+    each entry the same bits whatever the other columns are.  A one-column product goes through
     a matrix-vector kernel with other bits, so such a channel keeps its own."""
     ny, nz = wy.shape[1], wz.shape[1]
     w = np.hstack([wy, wz])

@@ -19,8 +19,8 @@ from dmckit.core import SequenceDist, SequenceSet, aexp, snap
 from dmckit.errors import DomainError
 from dmckit.images import ETA_TOL
 from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
-                            TANGENT_POINTS, TANGENT_TOL, _lattice,
-                            _widest_facet)
+                            TANGENT_POINTS, TANGENT_TOL, _lattice, _plogp,
+                            _row_sums, _widest_facet)
 
 
 def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
@@ -250,6 +250,12 @@ def min_image_branch_and_bound(rows: np.ndarray, eta: float) -> tuple[int, list[
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """Entropy in bits of each law along the last axis, zeros skipped."""
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """`entropy_rows` from the secrecy envelope's own terms and row sums:
+    the two-product form its fused F must match bit for bit."""
+    return -_row_sums(_plogp(p))
 
 
 def local_grid(center: np.ndarray, half: float, budget: int):

@@ -96,7 +96,7 @@ def test_criterion_2_image_solver_soundness():
 def test_criterion_3_unconditional_lemma_suite():
     failures = []
     for n in range(2, 9):
-        for rep in run_lemma_suite(SEED + n, trials=100, n=n, tol=1e-9):
+        for rep in run_lemma_suite(SEED + n, trials=100, n=n):
             if not rep.passed:
                 failures.append((n, rep.name, [i.label for i in rep.failing()]))
     assert not failures, failures

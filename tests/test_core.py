@@ -20,8 +20,6 @@ def test_channel_validation():
         Channel(Alphabet(2), Alphabet(2), [[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(ValidationError):
         Channel(Alphabet(2), Alphabet(2), [[1.5, -0.5], [0.5, 0.5]])
-    with pytest.raises(ValidationError):
-        Alphabet(2, labels=("a", "a"))
 
 
 def test_sequence_roundtrip():

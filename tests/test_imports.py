@@ -1,11 +1,13 @@
 """Every name a `dmckit` module imports is used in that module, every
 import sits at module level, every function reads each of its parameters,
-and only `core` names the memory budget.
+every module-level private name is read somewhere in the package, no
+function takes a `tol`, and only `core` names the memory budget.
 
 No linter runs on this repository, so these stdlib checks stand in for an
-unused-import rule, a no-local-import rule, an unused-parameter rule and a
-rule that keeps the budget in one place.  `__init__.py` is exempt from the
-first: its imports are the public API.
+unused-import rule, a no-local-import rule, an unused-parameter rule, a
+dead-private-code rule and rules that keep the budget and the comparison
+tolerances in one place.  `__init__.py` is exempt from the first: its
+imports are the public API.
 """
 
 import ast
@@ -57,16 +59,20 @@ def local_imports(source: str, allowed=()) -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
+def functions(source: str):
+    """(function, its parameters) for every function and lambda."""
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = func.args
+            yield func, args.posonlyargs + args.args + args.kwonlyargs + [
+                p for p in (args.vararg, args.kwarg) if p is not None]
+
+
 def unused_parameters(source: str) -> list[str]:
     """Parameters, other than `self` and `cls`, that their function's body
     never reads (a nested function's read counts)."""
     found = []
-    for func in ast.walk(ast.parse(source)):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        args = func.args
-        params = args.posonlyargs + args.args + args.kwonlyargs + [
-            p for p in (args.vararg, args.kwarg) if p is not None]
+    for func, params in functions(source):
         body = func.body if isinstance(func.body, list) else [func.body]
         read = {node.id for stmt in body for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -138,3 +144,62 @@ def test_only_core_names_the_memory_budget():
         named += [f"{module}: {name}" for name in ("BUDGET_BYTES", "DENSE_CAP")
                   if name in source]
     assert named == ["core.py: BUDGET_BYTES"]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no
+    statement of any of `sources` reads outside their own definition."""
+    defined, reads = [], []
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(f"{module}: {name}", name, len(reads)) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+            reads.append({n.id for n in ast.walk(node)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                         | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+    return [label for label, name, at in defined
+            if not any(name in read for i, read in enumerate(reads) if i != at)]
+
+
+def test_checker_flags_an_unreferenced_private():
+    sources = {"a.py": ("_A, _B = 1, 2\n_C: int = 3\n"
+                        "def _f():\n    return _f() + _C\n"
+                        "class _K:\n    pass\n__all__ = []\n"),
+               "b.py": "from .a import _B, _K\nx = _B + _K.__name__.count('_')\n"}
+    assert unreferenced_privates(sources) == ["a.py: _A", "a.py: _f"]
+
+
+def test_every_private_name_is_read():
+    # a private helper that only a test calls belongs with the test
+    sources = {}
+    for module in ALL_MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unreferenced_privates(sources) == []
+
+
+def tol_parameters(source: str) -> list[str]:
+    """Functions that take a parameter named `tol`."""
+    return [f"{getattr(func, 'name', '<lambda>')} (line {func.lineno})"
+            for func, params in functions(source) if "tol" in {p.arg for p in params}]
+
+
+def test_checker_flags_a_tol_parameter():
+    source = "def f(x, tol=1e-9):\n    return x\ng = lambda *, tol: tol\n"
+    assert tol_parameters(source) == ["f (line 1)", "<lambda> (line 3)"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_tolerance_parameters(module):
+    # every comparison tolerance is a constant (core.GRID, core.SUM_TOL,
+    # reports.SLACK), so none can be set per call
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        assert tol_parameters(fh.read()) == []

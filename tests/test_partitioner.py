@@ -219,7 +219,7 @@ def test_extraction_solves_each_level_once(monkeypatch):
     A = SequenceSet.full_space(2, 2)
     d = SequenceDist.uniform_on(A)
     _, probe = extract_equal_cell(ch, d, A, 0.3, 0.5, 0.5)
-    lo_level = max(min(probe.heavy_prefix_mass / A.n, 1.0), partitioner.ETA_TOL)
+    lo_level = max(min(probe.heavy_prefix_mass / A.n, 1.0), partitioner.GRID)
     solve = partitioner.image_exponents
     for eta in (0.9, lo_level):  # beta = max(eta, 1 - 1/n^2) is eta at 0.9
         calls = []

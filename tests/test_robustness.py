@@ -58,6 +58,10 @@ FAST = {
     "partition-rho-400": (PARTITION_N6 + ["--rho", "400"], 3),
     "fano-max-rho-511": (FANO_MAX_N4 + ["--rho", "511"], 3),
     "fano-max-rho-600": (FANO_MAX_N4 + ["--rho", "600"], 3),
+    # PCG64 refuses a negative seed; no trials once reported all passed
+    "verify-lemmas-seed-negative": (["verify-lemmas", "--n", "2", "--seed", "-5"], 2),
+    "verify-lemmas-trials-negative": (["verify-lemmas", "--n", "2", "--trials", "-1"], 2),
+    "verify-lemmas-trials-zero": (["verify-lemmas", "--n", "2", "--trials", "0"], 2),
 }
 
 
@@ -66,6 +70,57 @@ FAST = {
 def test_fast_escape_exits_cleanly(name, tmp_path, capsys):
     argv, code = FAST[name]
     assert main(golden(argv) + ["--out", str(tmp_path / "report.json")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _tiny_dist(n):
+    return {"n": n, "alphabet_size": 2, "entries": [[0, 1.0]]}
+
+
+IMAGE_B4 = ["image-size", "--channel", "bsc01.json", "--set", "set_b4.json",
+            "--eta", "0.5"]
+SPECTRUM_N6_RUN = SPECTRUM_N6 + ["--delta-n", "0.2", "--delta", "0.5"]
+# name: (argv, {golden file: the file that replaces it, or the (path, value)
+# of one entry to change in a copy}); each case once ended in a ValueError
+# or ZeroDivisionError traceback, or in a report on a blocklength below 1
+MALFORMED = {
+    "channel-input-size-text": (IMAGE_B4, {"bsc01.json": (["input_size"], "x")}),
+    "channel-rows-ragged": (IMAGE_B4, {"bsc01.json": (["rows"], [[0.5, 0.5], [0.5]])}),
+    "set-n-text": (IMAGE_B4, {"set_b4.json": (["n"], "x")}),
+    "set-id-text": (IMAGE_B4, {"set_b4.json": (["ids", 0], "q")}),
+    "set-n-negative": (IMAGE_B4, {"set_b4.json": {"n": -1, "alphabet_size": 2,
+                                                  "ids": [0]}}),
+    "message-cell-id-text": (PARTITION_N6, {"msg6a.json": (["cells", 0, 0], "q")}),
+    "dist-prob-text": (SPECTRUM_N6_RUN, {"dist6.json": (["entries", 0, 1], "p")}),
+    "dist-n-zero-spectrum": (SPECTRUM_N6_RUN, {"dist6.json": _tiny_dist(0)}),
+    "dist-n-negative-spectrum": (SPECTRUM_N6_RUN, {"dist6.json": _tiny_dist(-1)}),
+    "dist-n-zero-partition": (PARTITION_N6, {
+        "dist6.json": _tiny_dist(0),
+        "msg6a.json": {"n": 0, "alphabet_size": 2, "cells": [[0]]}}),
+    "code-n-text": (FANO_MAX_N4, {"code4.json": (["n"], "x")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_exits_2(name, tmp_path, capsys):
+    argv, edits = MALFORMED[name]
+    argv = golden(argv)
+    for target, change in edits.items():
+        source = os.path.join(GOLDEN, target)
+        if isinstance(change, dict):
+            obj = change
+        else:
+            with open(source, encoding="utf-8") as fh:
+                obj = json.load(fh)
+            (*outer, last), value = change
+            entry = obj
+            for key in outer:
+                entry = entry[key]
+            entry[last] = value
+        edited = tmp_path / target
+        edited.write_text(json.dumps(obj), encoding="utf-8")
+        argv = [str(edited) if a == source else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
