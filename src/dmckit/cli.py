@@ -59,10 +59,15 @@ def load_set(path: str) -> SequenceSet:
 def load_message_index(path: str, ground: SequenceSet) -> PartitioningIndex:
     obj = _load_json(path)
     try:
+        space = (obj["n"], obj["alphabet_size"])
         cells = {i: SequenceSet.from_ids(ground.n, ground.base, ids)
                  for i, ids in enumerate(obj["cells"])}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed message file {path}: {exc}") from exc
+    if not all(type(v) is int for v in space) or space != (ground.n, ground.base):
+        raise ValidationError(
+            f"message file {path} has n, alphabet_size = {space[0]!r}, "
+            f"{space[1]!r}; the distribution has {ground.n}, {ground.base}")
     return PartitioningIndex(ground, cells)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,9 +245,20 @@ def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
 # dominant-bin extraction
 # ---------------------------------------------------------------------------
 
+def _branch_threshold(tau: float, delta_n: float) -> float:
+    """The deep-drop threshold 4.19 + tau/delta_n.  With tau >= 0 and
+    delta_n > 0 it is never below 4.19."""
+    return 4.19 + tau / delta_n
+
+
 @dataclass
 class ExtractionStep:
-    """Diagnostics of one dominant-bin extraction on one channel."""
+    """Diagnostics of one dominant-bin extraction on one channel.
+
+    The continuity gap tau = cexp g(A', beta) - cexp g(A', lo), floored at 0,
+    is solved on the refined set A' the first time `continuity_gap` or
+    `branch_threshold` is read, unless the branch test already solved it.
+    """
 
     channel_name: str
     delta_n: float
@@ -255,8 +267,6 @@ class ExtractionStep:
     K_out: int
     heavy_bin: int
     heavy_prefix_mass: float
-    continuity_gap: float
-    branch_threshold: float
     branch: str
     drop_bin: int | None
     refined: SequenceSet
@@ -271,6 +281,15 @@ class ExtractionStep:
     #: measured cexp g(A*, eta) - (1/n) H(Y^n | X^n in A*)
     slack_upper: float
     refinement: RefinementResult
+    _gap: Callable[[], float] = field(repr=False, compare=False)
+
+    @property
+    def continuity_gap(self) -> float:
+        return self._gap()
+
+    @property
+    def branch_threshold(self) -> float:
+        return _branch_threshold(self.continuity_gap, self.delta_n)
 
 
 def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
@@ -305,17 +324,24 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     ref = _refine_against_witness(ch, cond, A, prefix_mass, witness)
     a_prime = ref.refined
 
-    beta = max(eta, 1.0 - 1.0 / n ** 2)
+    beta = max(eta, 1.0 - 1.0 / n ** 2)  # below 1, since eta < 1
     lo_level = max(min(prefix_mass / n, 1.0), GRID)
-    exp_beta = image_exponents(ch, a_prime, min(beta, 1.0))
-    exp_low = image_exponents(ch, a_prime, lo_level)
-    tau = max(0.0, exp_beta[1] - exp_low[0])
-    c_threshold = 4.19 + tau / delta_n
+    solved: dict = {}  # A''s exponents by eta level, each level solved once
+
+    def exponents(level: float) -> tuple[float, float, bool]:
+        if level not in solved:
+            solved[level] = image_exponents(ch, a_prime, level)
+        return solved[level]
+
+    def gap() -> float:
+        return max(0.0, exponents(beta)[1] - exponents(lo_level)[0])
 
     drop_bin = None
     dropped = None
     branch = "shallow"
     result = a_prime
+    # a heavy bin of at most 4 is shallow whatever tau is
+    c_threshold = _branch_threshold(gap(), delta_n) if heavy > 4 else math.inf
     if heavy > c_threshold:
         drop_bin = int(math.floor(heavy - c_threshold))
         tilde = SequenceSet(out.n, out.base,
@@ -335,20 +361,16 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
 
     cond_res = cond.conditioned_on(result)
     h_rate = output_dist(ch, cond_res).entropy() / n
-    # the refined set's exponents may already be solved at eta, at one of
-    # the two levels above
-    solved = ({min(beta, 1.0): exp_beta, lo_level: exp_low}
-              if result is a_prime else {})
-    img_lo, img_hi, exact = solved.get(eta) or image_exponents(ch, result, eta)
+    img_lo, img_hi, exact = (exponents(eta) if result is a_prime
+                             else image_exponents(ch, result, eta))
     step = ExtractionStep(
         channel_name=ch.name, delta_n=delta_n, delta=delta, eta=eta, K_out=K,
-        heavy_bin=heavy, heavy_prefix_mass=prefix_mass, continuity_gap=tau,
-        branch_threshold=c_threshold, branch=branch, drop_bin=drop_bin,
-        refined=a_prime, dropped=dropped, result=result,
+        heavy_bin=heavy, heavy_prefix_mass=prefix_mass, branch=branch,
+        drop_bin=drop_bin, refined=a_prime, dropped=dropped, result=result,
         ratio=result.size / A.size, ratio_floor=1.0 / (2.0 * (K + 1)),
         entropy_rate=h_rate, image_exponent_lower=img_lo,
         image_exponent_upper=img_hi, image_exact=exact,
-        slack_upper=img_hi - h_rate, refinement=ref)
+        slack_upper=img_hi - h_rate, refinement=ref, _gap=gap)
     return result, step
 
 
@@ -399,9 +421,10 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
     width = None
     slack = None
     for ch in channels:
+        if steps:  # the previous gap is read only when another channel follows
+            slack = max(steps[-1].continuity_gap, abs(steps[-1].slack_upper))
         width = _width(len(steps), n, len(channels), width, slack)
         current, step = extract_equal_cell(ch, dist, current, width, delta, eta)
-        slack = max(step.continuity_gap, abs(step.slack_upper))
         steps.append(step)
     per_channel = []
     cond = dist.conditioned_on(current)

@@ -4,7 +4,8 @@ subset-sum table of `min_image_exact` replaced, and the per-pick and
 per-word paths that the in-place greedy, the blocked bracket mixture and the
 array spectrum binning replaced, and the secrecy envelope's `np.where`
 entropy, meshgrid local grid and two-product, one-corner-at-a-time
-envelope, kept as test oracles.
+envelope, and the dominant-bin extraction that solved its continuity gap up
+front, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
@@ -17,7 +18,9 @@ import numpy as np
 
 from dmckit.core import SequenceDist, SequenceSet, aexp, snap
 from dmckit.errors import DomainError
-from dmckit.images import ETA_TOL
+from dmckit.images import ETA_TOL, image_exponents
+from dmckit.partitioner import GRID, _refine_against_witness
+from dmckit.spectrum import build_spectrum_partition
 from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
                             TANGENT_POINTS, TANGENT_TOL, _lattice, _plogp,
                             _row_sums, _widest_facet)
@@ -299,3 +302,55 @@ def envelope_reference(wy: np.ndarray, wz: np.ndarray):
             grid, step = local_grid(corners[i], half, TANGENT_POINTS)
             corners[i] = grid[np.argmin(f(grid) - grid @ slope)]
         half = 2.0 * step
+
+
+def extract_equal_cell_eager(ch, dist: SequenceDist, A: SequenceSet,
+                             delta_n: float, delta: float, eta: float) -> dict:
+    """Dominant-bin extraction that solves the refined set at beta and at the
+    low level before the branch test, whatever the heavy bin; returns the
+    result, the branch fields, the gap, the threshold and the exponents."""
+    cond = dist.conditioned_on(A)
+    n = A.n
+    out = output_dist(ch, cond)
+    sp = build_spectrum_partition(out, delta_n, delta,
+                                  space_aexp=math.log2(ch.output.size))
+    K = sp.K
+    masses = np.array(sp.bin_mass)
+    threshold = 1.0 / (K + 1)
+    heavy_candidates = np.nonzero(masses >= threshold * (1.0 - GRID))[0]
+    heavy = int(heavy_candidates[0]) if heavy_candidates.size else int(np.argmax(masses))
+    prefix_mass = float(masses[: heavy + 1].sum())
+
+    witness = SequenceSet(out.n, out.base,
+                          np.concatenate([b.ids for b in sp.bins[:heavy + 1]]))
+    a_prime = _refine_against_witness(ch, cond, A, prefix_mass, witness).refined
+
+    beta = max(eta, 1.0 - 1.0 / n ** 2)
+    lo_level = max(min(prefix_mass / n, 1.0), GRID)
+    exp_beta = image_exponents(ch, a_prime, min(beta, 1.0))
+    exp_low = image_exponents(ch, a_prime, lo_level)
+    tau = max(0.0, exp_beta[1] - exp_low[0])
+    c_threshold = 4.19 + tau / delta_n
+
+    drop_bin = None
+    branch = "shallow"
+    result = a_prime
+    if heavy > c_threshold:
+        drop_bin = int(math.floor(heavy - c_threshold))
+        tilde = SequenceSet(out.n, out.base,
+                            np.concatenate([b.ids for b in sp.bins[:drop_bin + 1]]))
+        tilde_mass = float(masses[: drop_bin + 1].sum())
+        if tilde_mass > 1.0 / n:
+            dropped = _refine_against_witness(ch, cond, A, tilde_mass, tilde).refined
+            diff = a_prime.difference(dropped)
+            if diff.size:
+                branch = "deep-drop"
+                result = diff
+            else:
+                branch = "deep-drop-empty-fallback"
+        else:
+            branch = "deep-light-tail"
+    return {"result": result, "heavy_bin": heavy, "branch": branch,
+            "drop_bin": drop_bin, "continuity_gap": tau,
+            "branch_threshold": c_threshold,
+            "exponents": image_exponents(ch, result, eta)}

@@ -148,11 +148,14 @@ def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
     # each (channel, set, eta) is solved at most once by the layers that can
     # read it from a record, and once within one extraction, which reads the
     # final set's exponents from a level it solved on the refined set; the
-    # Fano cells solve images only for their decoding sets
+    # solves made when a step's continuity gap is read count toward that
+    # step's extraction; the Fano cells solve images only for their decoding
+    # sets
     solved = set()
     repeats = []
     fano_callers = set()
     extractions = []  # the keys solved by each extraction in progress
+    finished = {}  # id of a finished step's refined set -> (step, its keys)
 
     def recording(solve, counted=None):
         def wrapper(ch, A, eta):
@@ -163,10 +166,14 @@ def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
             key = (id(ch), A.n, A.ids.tobytes(), eta)
             if key in solved and caller in READERS:
                 repeats.append((caller, A.ids_list(), eta))
-            if caller == "extract_equal_cell":
-                if key in extractions[-1]:
+            # the extraction's body, or a closure it left on its step
+            if frame.f_code.co_qualname.split(".")[0] == "extract_equal_cell":
+                step, keys = finished.get(id(A), (None, None))
+                if step is None or step.refined is not A:
+                    keys = extractions[-1]
+                if key in keys:
                     repeats.append((caller, A.ids_list(), eta))
-                extractions[-1].add(key)
+                keys.add(key)
             solved.add(key)
             if counted is not None:
                 counted.add(caller)
@@ -175,11 +182,14 @@ def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
 
     def extracting(extract):
         def wrapper(*args):
-            extractions.append(set())
+            keys = set()
+            extractions.append(keys)
             try:
-                return extract(*args)
+                result, step = extract(*args)
             finally:
                 extractions.pop()
+            finished[id(step.refined)] = (step, keys)
+            return result, step
         return wrapper
 
     monkeypatch.setattr(partitioner, "image_exponents",
@@ -188,5 +198,35 @@ def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
                         extracting(partitioner.extract_equal_cell))
     monkeypatch.setattr(fano, "min_image", recording(fano.min_image, fano_callers))
     run_case(name, tmp_path)
+    for step, _ in finished.values():  # read the gaps the run left unread
+        assert step.continuity_gap >= 0.0
     assert repeats == []
     assert fano_callers <= {"build_decoding_sets"}
+
+
+@pytest.mark.parametrize("name", ["partition-bsc-n7", "partition-two-messages-n6"])
+def test_single_channel_partition_never_solves_at_beta(name, tmp_path, monkeypatch):
+    # with one channel no later step reads a continuity gap, and every step
+    # of these runs is shallow, so no refined set is solved at
+    # beta = max(eta, 1 - 1/n^2)
+    levels = []
+    etas = set()
+    solve = partitioner.image_exponents
+    extract = partitioner.extract_equal_cell
+
+    def recording(ch, A, eta):
+        levels.append((A.n, eta))
+        return solve(ch, A, eta)
+
+    def extracting(ch, dist, A, delta_n, delta, eta):
+        etas.add(eta)
+        result, step = extract(ch, dist, A, delta_n, delta, eta)
+        assert step.branch == "shallow"
+        return result, step
+
+    monkeypatch.setattr(partitioner, "image_exponents", recording)
+    monkeypatch.setattr(partitioner, "extract_equal_cell", extracting)
+    assert run_case(name, tmp_path) == _expected()[name]
+    assert levels and etas
+    betas = {(n, max(eta, 1.0 - 1.0 / n ** 2)) for n, _ in levels for eta in etas}
+    assert not betas & set(levels)

@@ -15,8 +15,10 @@ from dmckit.partitioner import (build_equal_image_partition,
                                 entropy_perturbation_bound, extract_equal_cell,
                                 extract_main, refine_quasi_to_image)
 from dmckit.spectrum import PartitioningIndex
-from dmckit.verify import (random_channel, random_dist_on, random_subset,
-                           rng_from_seed)
+from dmckit.verify import (random_channel, random_dist_on, random_eta,
+                           random_subset, rng_from_seed)
+
+import kernel_oracles as old
 
 
 def first_bit_index(A):
@@ -213,8 +215,9 @@ def test_extract_main_exponents_match_a_fresh_solve():
 
 
 def test_extraction_solves_each_level_once(monkeypatch):
-    # when the result is the refined set and eta is one of the two levels
-    # solved on it, the step reads those exponents instead of solving again
+    # a shallow step whose result is the refined set solves it once, at eta;
+    # reading the continuity gap then solves the other of its two levels
+    # (eta is one of them here), so no level is solved twice
     ch = bsc(0.1)
     A = SequenceSet.full_space(2, 2)
     d = SequenceDist.uniform_on(A)
@@ -230,11 +233,51 @@ def test_extraction_solves_each_level_once(monkeypatch):
 
         monkeypatch.setattr(partitioner, "image_exponents", counting)
         result, step = extract_equal_cell(ch, d, A, 0.3, 0.5, eta)
-        monkeypatch.undo()
         assert result is step.refined and step.branch == "shallow"
+        assert calls == [(result.ids.tobytes(), eta)]
+        tau = step.continuity_gap
+        assert step.branch_threshold == 4.19 + tau / 0.3
+        monkeypatch.undo()
         assert len(calls) == len(set(calls)) == 2
+        beta = max(eta, 1.0 - 1.0 / A.n ** 2)
+        assert {level for _, level in calls} == {beta, lo_level}
+        assert tau == max(0.0, solve(ch, result, beta)[1]
+                          - solve(ch, result, lo_level)[0])
         assert (step.image_exponent_lower, step.image_exponent_upper,
                 step.image_exact) == solve(ch, result, eta)
+
+
+def test_extraction_matches_the_eager_gap():
+    # the step solves tau only when a heavy bin past 4 needs the branch test,
+    # or when its gap is read; the eager extraction solved it up front.
+    # Both must agree on the result, the branch, the drop bin, the
+    # exponents, and the gap and threshold bits once read.  A noiseless BSC
+    # has tau = 0 (every minimum image of A' is |A'|), so a heavy bin of 5
+    # already goes deep there
+    rng = rng_from_seed(20)
+    heavy = 0
+    deep_bins = set()
+    for trial in range(200):
+        n = int(rng.integers(3, 8))
+        ch = bsc(0.0 if trial % 3 == 0 else float(rng.uniform(0.01, 0.45)))
+        delta_n = (0.02, 0.05, 0.1, 0.2)[trial % 4]
+        A = random_subset(rng, n, 2)
+        d = random_dist_on(rng, A)
+        eta = random_eta(rng)
+        want = old.extract_equal_cell_eager(ch, d, A, delta_n, 0.5, eta)
+        result, step = extract_equal_cell(ch, d, A, delta_n, 0.5, eta)
+        assert result.ids_list() == want["result"].ids_list()
+        assert (step.branch, step.drop_bin) == (want["branch"], want["drop_bin"])
+        assert (step.image_exponent_lower, step.image_exponent_upper,
+                step.image_exact) == want["exponents"]
+        assert step.continuity_gap == want["continuity_gap"]
+        assert step.branch_threshold == want["branch_threshold"]
+        heavy += step.heavy_bin > 4
+        if step.branch != "shallow":
+            assert step.branch == "deep-light-tail"
+            deep_bins.add(step.heavy_bin)
+    assert heavy > 100
+    assert min(deep_bins) == 5 and len(deep_bins) > 10
 
 
 # ---------------------------------------------------------------------------

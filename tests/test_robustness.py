@@ -91,6 +91,14 @@ MALFORMED = {
     "set-n-negative": (IMAGE_B4, {"set_b4.json": {"n": -1, "alphabet_size": 2,
                                                   "ids": [0]}}),
     "message-cell-id-text": (PARTITION_N6, {"msg6a.json": (["cells", 0, 0], "q")}),
+    # a message file's space must be the distribution's
+    "message-n-mismatch": (PARTITION_N6, {"msg6a.json": (["n"], 7)}),
+    "message-n-text": (PARTITION_N6, {"msg6a.json": (["n"], "x")}),
+    "message-n-fraction": (PARTITION_N6, {"msg6a.json": (["n"], 6.5)}),
+    "message-alphabet-size-mismatch": (PARTITION_N6,
+                                       {"msg6a.json": (["alphabet_size"], 99)}),
+    "message-alphabet-size-text": (PARTITION_N6,
+                                   {"msg6a.json": (["alphabet_size"], "2")}),
     "dist-prob-text": (SPECTRUM_N6_RUN, {"dist6.json": (["entries", 0, 1], "p")}),
     "dist-n-zero-spectrum": (SPECTRUM_N6_RUN, {"dist6.json": _tiny_dist(0)}),
     "dist-n-negative-spectrum": (SPECTRUM_N6_RUN, {"dist6.json": _tiny_dist(-1)}),
