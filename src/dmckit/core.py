@@ -5,11 +5,23 @@ into integers in [0, b^n).  Everything is immutable and every operation is a
 pure function; reductions go through numpy's pairwise summation so results do
 not depend on thread count.
 
-Public constructors validate their input.  Sets and distributions derived
-from already valid ones (a mask or slice of sorted ids, an intersection or
-difference, a support, a conditioning, an output marginal) go through the
-private `_trusted` constructors, which skip the copy, sort and checks the
-derivation already guarantees.
+Public constructors validate their input.  Sets, distributions and
+partitioning indices derived from already valid ones go through the private
+`_trusted` constructors, which skip the copy, sort and checks the derivation
+already guarantees:
+
+- a mask or slice of sorted ids, including an intersection or difference
+  (one `searchsorted` of the second set's ids in the first's);
+- a support, a conditioning and an output marginal;
+- a sorted concatenation of disjoint sets, or sorted distinct picks (image
+  witnesses, spectrum bins and their unions);
+- partition cells grouped by per-word label codes: every
+  `spectrum.PartitioningIndex` carries one code per ground word, in cell
+  order, so a restriction, a product or a message-ratio slicing is one
+  stable sort of codes, not one intersection per pair of cells.
+
+A conditioning on a set that holds the whole support with mass exactly 1.0
+returns the distribution itself, since x / 1.0 == x.
 
 Row requests go through `_product_rows`.  Inside a `_row_store` scope, the
 rows of the scope's ground set are built once per channel, and a request
@@ -215,13 +227,14 @@ class SequenceSet:
 
     def intersect(self, other: "SequenceSet") -> "SequenceSet":
         self._check_compatible(other)
-        return SequenceSet._trusted(
-            self.n, self.base, np.intersect1d(self.ids, other.ids, assume_unique=True))
+        return SequenceSet._trusted(self.n, self.base,
+                                    self.ids[_positions(self.ids, other.ids)])
 
     def difference(self, other: "SequenceSet") -> "SequenceSet":
         self._check_compatible(other)
-        return SequenceSet._trusted(
-            self.n, self.base, np.setdiff1d(self.ids, other.ids, assume_unique=True))
+        keep = np.ones(self.size, dtype=bool)
+        keep[_positions(self.ids, other.ids)] = False
+        return SequenceSet._trusted(self.n, self.base, self.ids[keep])
 
     def is_subset_of(self, other: "SequenceSet") -> bool:
         self._check_compatible(other)
@@ -330,6 +343,8 @@ class SequenceDist:
         mass = float(np.sum(probs))
         if mass <= 0.0:
             raise ConditioningError("conditioning on a zero-probability set")
+        if mass == 1.0 and at.size == self.ids.size:
+            return self  # the same support, and x / 1.0 == x
         probs /= mass
         keep = probs > 0.0  # a quotient may underflow
         return SequenceDist._trusted(self.n, self.base, self.ids[at[keep]], probs[keep])

@@ -30,9 +30,6 @@ from .reports import BoundReport
 #: Largest number of output columns the exact solver will search.
 EXACT_SOLVER_CAP = 24
 
-#: Non-strict threshold slack for ">= eta" comparisons: the comparison grid.
-ETA_TOL = GRID
-
 #: Output columns the exact solver's subset-sum table spans (2**15 floats).
 #: A 2**16-float table (with its rank table) added 0.4 MB to the peak RSS of
 #: a run of 16-column solves and was no faster end to end than two passes
@@ -97,7 +94,7 @@ def _cut(desc: np.ndarray, eta: float) -> np.ndarray:
     are the same left-to-right float additions as a loop over the entries.
     """
     np.cumsum(desc, axis=-1, out=desc)
-    return np.minimum((desc < eta - ETA_TOL).sum(axis=-1) + 1, desc.shape[-1])
+    return np.minimum((desc < eta - GRID).sum(axis=-1) + 1, desc.shape[-1])
 
 
 def _singleton_sizes(rows: np.ndarray, eta: float) -> np.ndarray:
@@ -126,7 +123,7 @@ def _greedy_cover(rows: np.ndarray, eta: float) -> list[int]:
     pick with ties to the smallest id, and a maximum <= 0 means the row has
     no mass left.
     """
-    threshold = eta - ETA_TOL
+    threshold = eta - GRID
     mass = np.zeros(rows.shape[0])
     deficits = np.empty_like(mass)
     chosen: list[int] = []
@@ -179,7 +176,7 @@ def min_image_exact(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
             f"output space {n_cols} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
             "use min_image_bracket")
     rows = output_rows(ch, A)
-    threshold = eta - ETA_TOL
+    threshold = eta - GRID
     low = min(n_cols, _TABLE_BITS)
     rank = _rank_table(low)
     mass = np.empty(1 << low)
@@ -208,7 +205,8 @@ def min_image_exact(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
                 best = cover
     if best is None:
         raise DomainError("eta unreachable for some row")
-    witness = SequenceSet.from_ids(A.n, ch.output.size, best)
+    # the low columns ascending, then the high ones: sorted and distinct
+    witness = SequenceSet._trusted(A.n, ch.output.size, np.array(best, dtype=np.int64))
     return ImageBracket(lower=len(best), upper=len(best), upper_witness=witness,
                         exact=True, method="subset-sum-table")
 
@@ -256,7 +254,9 @@ def min_image_bracket(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
     singleton_lb, mixture = _lower_bounds(rows, eta)
     quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
     upper_cols = _greedy_cover(rows, eta)
-    witness = SequenceSet.from_ids(A.n, ch.output.size, upper_cols)
+    # a picked column is never picked again
+    witness = SequenceSet._trusted(A.n, ch.output.size,
+                                   np.sort(np.array(upper_cols, dtype=np.int64)))
     lower = max(singleton_lb, quasi_lb)
     return ImageBracket(lower=lower, upper=len(upper_cols), upper_witness=witness,
                         exact=lower == len(upper_cols),
@@ -306,7 +306,7 @@ def hamming_blowup(B: SequenceSet, radius: int) -> SequenceSet:
 def image_exponent_gap(ch: Channel, A: SequenceSet, alpha: float,
                        beta: float) -> GapReport:
     """Measured continuity gap (1/n)[log2 g(A,beta) - log2 g(A,alpha)]."""
-    if not 0.0 < alpha < beta < 1.0 + ETA_TOL:
+    if not 0.0 < alpha < beta < 1.0 + GRID:
         raise DomainError("need 0 < alpha < beta <= 1")
     ga = min_image_exact(ch, A, alpha)
     gb = min_image_exact(ch, A, beta)

@@ -23,8 +23,9 @@ from .errors import (CapacityError, DomainError, InvariantError,
 from .images import image_exponents, min_quasi_image
 from .reports import SLACK, BoundReport
 from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
-                       build_spectrum_partition, floor_on_grid, product_index,
-                       restrict_index, uniformity)
+                       _runs, _uniformity_at, build_spectrum_partition,
+                       floor_on_grid, product_index, restrict_index,
+                       uniformity)
 
 
 # ---------------------------------------------------------------------------
@@ -134,50 +135,65 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
         warnings.filterwarnings("ignore", "delta >= 1", UserWarning)
         sp = build_spectrum_partition(dist, slice_width, 2.0 * delta)
     K = sp.K
-
-    cells: dict = {}
-    message_bins_by_slice: dict = {}
-    remainder_ids = [sp.bins[K].ids]
-
     labels = message_index.labels()
-    for k in range(K):
-        bin_k = sp.bins[k]
-        if bin_k.size == 0:
+    # one run per (density bin, message) pair, in that order, its words in
+    # id order; pair_of is each word's run
+    pair_order, pair_keys, pair_bounds, pair_of = _runs(
+        sp._bin_of * len(labels) + message_index._codes)
+    runs_of: dict = {}  # density bin -> {message position: run}
+    for run, key in enumerate(pair_keys):
+        k, c = divmod(key, len(labels))
+        runs_of.setdefault(k, {})[c] = run
+
+    # every message of a nonempty slice k < K falls in one ratio bin; a
+    # message absent from the slice, and the tail, go to the remainder (K)
+    ratio_of = np.full(len(pair_keys), K)
+    message_bins_by_slice: dict = {}
+    cell_runs: dict = {}  # (k, l) -> (message, run) of each message of the cell
+    for k, found in runs_of.items():
+        if k >= K:
             continue
         ratio_bins: dict = {}
-        for m in labels:
-            inter = bin_k.intersect(message_index.cell(m))
-            if inter.size == 0:
-                ratio_bins.setdefault(K, []).append((m, inter))
-                continue
-            share = inter.size / bin_k.size
-            t = -math.log2(share) / ratio_width
-            l = min(max(floor_on_grid(t), 0), K)
-            ratio_bins.setdefault(l, []).append((m, inter))
-        message_bins_by_slice[k] = {l: tuple(m for m, _ in pairs)
-                                    for l, pairs in sorted(ratio_bins.items())}
-        for l, pairs in sorted(ratio_bins.items()):
-            merged = SequenceSet(n, dist.base,
-                                 np.concatenate([inter.ids for _, inter in pairs]))
-            if merged.size == 0:
-                continue
-            if l >= K:
-                remainder_ids.append(merged.ids)
-                continue
-            msg_mass = {m: dist.mass_of(inter) for m, inter in pairs}
-            total = sum(msg_mass.values())
-            shares = [msg_mass[m] / total for m, _ in pairs]
-            m_rep = UniformityReport(gamma=max(shares) / min(shares),
-                                     max_atom=max(shares), min_atom=min(shares))
-            cells[(k, l)] = SliceCell(
-                density_bin=k, ratio_bin=l, members=merged,
-                messages=tuple(m for m, _ in pairs),
-                x_uniformity=uniformity(dist, merged),
-                m_uniformity=m_rep,
-                x_bound=2.0 ** (2.0 * ratio_width),
-                m_bound=2.0 ** (6.0 * ratio_width))
+        for c, m in enumerate(labels):
+            run = found.get(c)
+            l = K
+            if run is not None:
+                share = (pair_bounds[run + 1] - pair_bounds[run]) / sp.bins[k].size
+                t = -math.log2(share) / ratio_width
+                l = min(max(floor_on_grid(t), 0), K)
+                ratio_of[run] = l
+                if l < K:
+                    cell_runs.setdefault((k, l), []).append((m, run))
+            ratio_bins.setdefault(l, []).append(m)
+        message_bins_by_slice[k] = {l: tuple(ms) for l, ms in sorted(ratio_bins.items())}
 
-    remainder = SequenceSet(n, dist.base, np.concatenate(remainder_ids))
+    # one stable sort of the regular words by (k, l) gives every cell's
+    # positions, cells in ascending (k, l) order, positions ascending
+    ratio = ratio_of[pair_of]
+    regular = np.flatnonzero(ratio < K)
+    cell_order, cell_keys, cell_bounds, _ = _runs(sp._bin_of[regular] * K + ratio[regular])
+    by_cell = regular[cell_order]
+    cells: dict = {}
+    for key, lo, hi in zip(cell_keys, cell_bounds, cell_bounds[1:]):
+        k, l = divmod(key, K)
+        merged = SequenceSet._trusted(n, dist.base, ground.ids[by_cell[lo:hi]])
+        pairs = cell_runs[(k, l)]
+        # each message's mass adds its probabilities in id order
+        msg_mass = [float(np.sum(dist.probs[pair_order[pair_bounds[r]:pair_bounds[r + 1]]]))
+                    for _, r in pairs]
+        total = sum(msg_mass)
+        shares = [mass / total for mass in msg_mass]
+        m_rep = UniformityReport(gamma=max(shares) / min(shares),
+                                 max_atom=max(shares), min_atom=min(shares))
+        cells[(k, l)] = SliceCell(
+            density_bin=k, ratio_bin=l, members=merged,
+            messages=tuple(m for m, _ in pairs),
+            x_uniformity=_uniformity_at(dist, by_cell[lo:hi]),
+            m_uniformity=m_rep,
+            x_bound=2.0 ** (2.0 * ratio_width),
+            m_bound=2.0 ** (6.0 * ratio_width))
+
+    remainder = SequenceSet._trusted(n, dist.base, ground.ids[ratio >= K])
     return UniformizingPartition(
         n=n, delta=delta, rho=rho, slice_width=slice_width,
         ratio_width=ratio_width, K=K, cells=cells, remainder=remainder,
@@ -244,6 +260,12 @@ def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
 # ---------------------------------------------------------------------------
 # dominant-bin extraction
 # ---------------------------------------------------------------------------
+
+def _union(bins) -> SequenceSet:
+    """The union of disjoint spectrum bins of one space, ids sorted."""
+    ids = np.sort(np.concatenate([b.ids for b in bins]))
+    return SequenceSet._trusted(bins[0].n, bins[0].base, ids)
+
 
 def _branch_threshold(tau: float, delta_n: float) -> float:
     """The deep-drop threshold 4.19 + tau/delta_n.  With tau >= 0 and
@@ -319,9 +341,7 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     heavy = int(heavy_candidates[0]) if heavy_candidates.size else int(np.argmax(masses))
     prefix_mass = float(masses[: heavy + 1].sum())
 
-    witness = SequenceSet(out.n, out.base,
-                          np.concatenate([b.ids for b in sp.bins[:heavy + 1]]))
-    ref = _refine_against_witness(ch, cond, A, prefix_mass, witness)
+    ref = _refine_against_witness(ch, cond, A, prefix_mass, _union(sp.bins[:heavy + 1]))
     a_prime = ref.refined
 
     beta = max(eta, 1.0 - 1.0 / n ** 2)  # below 1, since eta < 1
@@ -344,11 +364,10 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     c_threshold = _branch_threshold(gap(), delta_n) if heavy > 4 else math.inf
     if heavy > c_threshold:
         drop_bin = int(math.floor(heavy - c_threshold))
-        tilde = SequenceSet(out.n, out.base,
-                            np.concatenate([b.ids for b in sp.bins[:drop_bin + 1]]))
         tilde_mass = float(masses[: drop_bin + 1].sum())
         if tilde_mass > 1.0 / n:
-            ref2 = _refine_against_witness(ch, cond, A, tilde_mass, tilde)
+            ref2 = _refine_against_witness(ch, cond, A, tilde_mass,
+                                           _union(sp.bins[:drop_bin + 1]))
             dropped = ref2.refined
             diff = a_prime.difference(dropped)
             if diff.size:
@@ -360,7 +379,8 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
             branch = "deep-light-tail"
 
     cond_res = cond.conditioned_on(result)
-    h_rate = output_dist(ch, cond_res).entropy() / n
+    # conditioning on the whole support returns `cond`, whose marginal is `out`
+    h_rate = (out if cond_res is cond else output_dist(ch, cond_res)).entropy() / n
     img_lo, img_hi, exact = (exponents(eta) if result is a_prime
                              else image_exponents(ch, result, eta))
     step = ExtractionStep(
@@ -698,20 +718,20 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                         unit[S][at] = u
                         point[S][at] = lattice
 
-            # one cell per distinct lattice point over all subsets, ascending
-            points, which = np.unique(np.hstack([point[S] for S in subsets]),
-                                      axis=0, return_inverse=True)
+            # one cell per distinct lattice point over all subsets, in
+            # ascending order; `inside` holds a cell's positions, ascending
+            order, points, bounds, _ = _runs(np.hstack([point[S] for S in subsets]))
             kept: dict = {}
             placed = np.zeros(residual.size, dtype=bool)
-            for c, row in enumerate(points.tolist()):
-                inside = which == c
+            for row, lo, hi in zip(points, bounds, bounds[1:]):
+                inside = order[lo:hi]
                 cell = SequenceSet._trusted(n, dist.base, residual.ids[inside])
                 cell_mass = cond.mass_of(cell)
                 if cell_mass >= threshold or len(points) == 1:
                     v = tuple(tuple(row[k:k + len(dims)])
                               for k in range(0, len(row), len(dims)))
                     kept[v] = (inside, cell, cell_mass)
-                    placed |= inside
+                    placed[inside] = True
             if not kept:
                 # cannot happen: fewer than v_space**2 cells means one passes
                 raise InvariantError("no lattice cell met the mass threshold")

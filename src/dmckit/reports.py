@@ -79,6 +79,27 @@ def json_text(obj) -> str:
     return _json(obj, "")
 
 
+def _quote(text: str) -> str:
+    out = text.replace("\\", "\\\\").replace('"', '\\"')
+    out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
+    return f'"{out}"'
+
+
+#: The writers of plain ints, floats and strings, which the items of a list
+#: or dict take directly; bools, numpy scalars and containers are other
+#: types and go through `_json`.
+_PLAIN = {int: str, float: _format_float, str: _quote}
+
+
+def _texts(items, pad: str) -> list[str]:
+    """The JSON text of each item, its nested lines indented past `pad`."""
+    out = []
+    for item in items:
+        write = _PLAIN.get(type(item))
+        out.append(write(item) if write else _json(item, pad))
+    return out
+
+
 def _json(obj, end_pad: str) -> str:
     """`obj` as JSON, its nested lines indented one space past `end_pad`."""
     if obj is None:
@@ -90,22 +111,19 @@ def _json(obj, end_pad: str) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
-        return f'"{out}"'
+        return _quote(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     pad = end_pad + " "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [pad + _json(v, pad) for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + end_pad + "]"
+        return "[\n" + pad + (",\n" + pad).join(_texts(obj, pad)) + "\n" + end_pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [pad + _json(str(key), pad) + ": " + _json(value, pad)
-                 for key, value in obj.items()]
+        parts = [pad + _quote(str(key)) + ": " + text
+                 for key, text in zip(obj, _texts(obj.values(), pad))]
         return "{\n" + ",\n".join(parts) + "\n" + end_pad + "}"
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 

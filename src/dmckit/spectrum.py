@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GRID, SequenceDist, SequenceSet, aexp, check_budget, snap
-from .errors import (DimensionMismatchError, DomainError, ValidationError)
+from .core import (GRID, SequenceDist, SequenceSet, _positions, aexp,
+                   check_budget, snap)
+from .errors import (ConditioningError, DimensionMismatchError, DomainError,
+                     ValidationError)
 from .reports import SLACK, BoundReport
 
 
@@ -51,9 +53,23 @@ class UniformityReport:
 
 
 def uniformity(dist: SequenceDist, A: SequenceSet) -> UniformityReport:
-    cond = dist.conditioned_on(A)
-    mx = float(np.max(cond.probs))
-    mn = float(np.min(cond.probs))
+    if (dist.n, dist.base) != (A.n, A.base):
+        raise DimensionMismatchError("set lives in a different space")
+    return _uniformity_at(dist, _positions(dist.ids, A.ids))
+
+
+def _uniformity_at(dist: SequenceDist, at: np.ndarray) -> UniformityReport:
+    """`uniformity` on the support words at the ascending positions `at`:
+    the extremes of the atoms of `dist.conditioned_on`, divided by the mass
+    as it divides them, without building that distribution."""
+    probs = dist.probs[at]
+    mass = float(np.sum(probs))
+    if mass <= 0.0:
+        raise ConditioningError("conditioning on a zero-probability set")
+    probs /= mass
+    probs = probs[probs > 0.0]  # a quotient may underflow
+    mx = float(np.max(probs))
+    mn = float(np.min(probs))
     return UniformityReport(gamma=mx / mn, max_atom=mx, min_atom=mn)
 
 
@@ -78,6 +94,7 @@ class SpectrumPartition:
 
     bins[k] holds the sequences with density in [k*delta_n, (k+1)*delta_n)
     for k < K, and bins[K] the tail; empty bins are kept so indices align.
+    `_bin_of` holds the bin of each support word, in support order.
     """
 
     n: int
@@ -87,6 +104,7 @@ class SpectrumPartition:
     K: int
     bins: tuple[SequenceSet, ...]
     bin_mass: tuple[float, ...]
+    _bin_of: np.ndarray = field(repr=False, compare=False)
 
     def nonempty(self):
         return [(k, b) for k, b in enumerate(self.bins) if b.size > 0]
@@ -127,6 +145,7 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
     # math.log2, not np.log2: the two differ in the last bit on some inputs
     densities = np.array([-math.log2(p) / n for p in dist.probs.tolist()])
     labels = bin_indices(densities, delta_n, K)
+    labels.flags.writeable = False
     # bincount adds each bin's masses in support order, from 0.0
     masses = np.bincount(labels, weights=dist.probs, minlength=K + 1)
     # a stable sort keeps each bin's ids ascending; the empty bins, most of
@@ -137,7 +156,8 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
     bins = tuple(SequenceSet._trusted(n, dist.base, by_bin[lo:hi]) if hi > lo else empty
                  for lo, hi in zip([0] + ends[:-1], ends))
     return SpectrumPartition(n=n, base=dist.base, delta_n=delta_n, delta=delta,
-                             K=K, bins=bins, bin_mass=tuple(masses.tolist()))
+                             K=K, bins=bins, bin_mass=tuple(masses.tolist()),
+                             _bin_of=labels)
 
 
 def verify_bin_size_bounds(sp: SpectrumPartition) -> BoundReport:
@@ -177,7 +197,11 @@ def verify_bin_conditional_uniformity(sp: SpectrumPartition,
 
 
 class PartitioningIndex:
-    """A labeled partition of a ground set into nonempty disjoint cells."""
+    """A labeled partition of a ground set into nonempty disjoint cells.
+
+    `_codes` holds, for each word of the ground in id order, the position of
+    its cell in `cells`.
+    """
 
     def __init__(self, ground: SequenceSet, cells: dict):
         total = 0
@@ -194,12 +218,29 @@ class PartitioningIndex:
         if not clean:
             raise ValidationError("partition has no nonempty cells")
         merged = np.concatenate(seen)
-        if np.unique(merged).size != merged.size:
+        order = np.argsort(merged, kind="stable")
+        ranked = merged[order]
+        if (ranked[1:] == ranked[:-1]).any():
             raise ValidationError("partition cells are not disjoint")
-        if total != ground.size or not np.array_equal(np.sort(merged), ground.ids):
+        if total != ground.size or not np.array_equal(ranked, ground.ids):
             raise ValidationError("partition cells do not cover the ground set")
+        codes = np.repeat(np.arange(len(seen)), [ids.size for ids in seen])[order]
+        codes.flags.writeable = False
         self.ground = ground
         self.cells = clean
+        self._codes = codes
+
+    @classmethod
+    def _trusted(cls, ground: SequenceSet, cells: dict,
+                 codes: np.ndarray) -> "PartitioningIndex":
+        """An index on nonempty, disjoint cells that cover `ground`, with
+        each ground word's cell position: no check."""
+        out = object.__new__(cls)
+        codes.flags.writeable = False
+        out.ground = ground
+        out.cells = cells
+        out._codes = codes
+        return out
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -231,18 +272,43 @@ class PartitioningIndex:
         return cls(ground, {label: ground})
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, list, list[int], np.ndarray]:
+    """Runs of equal keys under one stable sort, a key being one integer per
+    position or one row of integers compared in lexicographic order: (the
+    positions in key order, ties in position order; each run's key,
+    ascending; the run bounds in that order, one more than the runs; each
+    position's run)."""
+    rows = keys[:, None] if keys.ndim == 1 else keys
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=head[1:])
+    run_of = np.empty(len(rows), dtype=np.intp)
+    run_of[order] = np.cumsum(head) - 1
+    starts = np.flatnonzero(head)
+    return order, keys[order[starts]].tolist(), starts.tolist() + [len(rows)], run_of
+
+
+def _grouped(ground: SequenceSet, keys: np.ndarray, label_of) -> PartitioningIndex:
+    """The index whose cells gather the words of a nonempty `ground` by
+    integer key (one per word, in id order), in ascending key order, the
+    cell of key k labelled `label_of(k)`; each cell's ids stay ascending."""
+    order, cell_keys, bounds, codes = _runs(keys)
+    by_key = ground.ids[order]
+    cells = {label_of(key): SequenceSet._trusted(ground.n, ground.base, by_key[lo:hi])
+             for key, lo, hi in zip(cell_keys, bounds, bounds[1:])}
+    return PartitioningIndex._trusted(ground, cells, codes)
+
+
 def restrict_index(pi: PartitioningIndex, A_sub: SequenceSet) -> PartitioningIndex:
     """Restriction to a nonempty subset: cells A' intersect A_{M=m}, empties dropped."""
     if A_sub.size == 0:
         raise DomainError("cannot restrict to an empty set")
-    if not A_sub.is_subset_of(pi.ground):
+    A_sub._check_compatible(pi.ground)
+    at = _positions(pi.ground.ids, A_sub.ids)
+    if at.size != A_sub.size:
         raise DimensionMismatchError("restriction set is not inside the ground set")
-    cells = {}
-    for label, cell in pi.cells.items():
-        inter = cell.intersect(A_sub)
-        if inter.size:
-            cells[label] = inter
-    return PartitioningIndex(A_sub, cells)
+    return _grouped(A_sub, pi._codes[at], pi.labels().__getitem__)
 
 
 def product_index(pi1: PartitioningIndex, pi2: PartitioningIndex) -> PartitioningIndex:
@@ -250,10 +316,7 @@ def product_index(pi1: PartitioningIndex, pi2: PartitioningIndex) -> Partitionin
     if not np.array_equal(pi1.ground.ids, pi2.ground.ids) or \
             (pi1.ground.n, pi1.ground.base) != (pi2.ground.n, pi2.ground.base):
         raise DimensionMismatchError("indices partition different ground sets")
-    cells = {}
-    for l1, c1 in pi1.cells.items():
-        for l2, c2 in pi2.cells.items():
-            inter = c1.intersect(c2)
-            if inter.size:
-                cells[(l1, l2)] = inter
-    return PartitioningIndex(pi1.ground, cells)
+    labels1, labels2 = pi1.labels(), pi2.labels()
+    width = len(labels2)
+    return _grouped(pi1.ground, pi1._codes * width + pi2._codes,
+                    lambda key: (labels1[key // width], labels2[key % width]))

@@ -4,8 +4,11 @@ subset-sum table of `min_image_exact` replaced, and the per-pick and
 per-word paths that the in-place greedy, the blocked bracket mixture and the
 array spectrum binning replaced, and the secrecy envelope's `np.where`
 entropy, meshgrid local grid and two-product, one-corner-at-a-time
-envelope, and the dominant-bin extraction that solved its continuity gap up
-front, kept as test oracles.
+envelope, the dominant-bin extraction that solved its continuity gap up
+front, the set intersections and differences, index restrictions and
+products, message-ratio slicing, uniformity ratios and lattice-cell
+grouping that the label-code paths replaced, and the item-by-item JSON
+writer, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
@@ -13,14 +16,19 @@ tolerance.
 """
 
 import math
+import warnings
 
 import numpy as np
 
-from dmckit.core import SequenceDist, SequenceSet, aexp, snap
-from dmckit.errors import DomainError
-from dmckit.images import ETA_TOL, image_exponents
-from dmckit.partitioner import GRID, _refine_against_witness
-from dmckit.spectrum import build_spectrum_partition
+from dmckit.core import GRID, SequenceDist, SequenceSet, aexp, snap
+from dmckit.errors import (DimensionMismatchError, DomainError,
+                           ValidationError)
+from dmckit.images import image_exponents
+from dmckit.partitioner import (SliceCell, UniformizingPartition,
+                                _refine_against_witness)
+from dmckit.reports import _format_float
+from dmckit.spectrum import (PartitioningIndex, UniformityReport,
+                             build_spectrum_partition, floor_on_grid)
 from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
                             TANGENT_POINTS, TANGENT_TOL, _lattice, _plogp,
                             _row_sums, _widest_facet)
@@ -64,7 +72,7 @@ def greedy_cover(rows: np.ndarray, eta: float) -> list[int]:
     available = np.ones(n_cols, dtype=bool)
     chosen: list[int] = []
     while True:
-        deficits = eta - ETA_TOL - mass
+        deficits = eta - GRID - mass
         worst = int(np.argmax(deficits))
         if deficits[worst] <= 0.0:
             return chosen
@@ -90,7 +98,7 @@ def greedy_cover_argmax(rows: np.ndarray, eta: float) -> list[int]:
     """Greedy eta-image with an availability mask and one `np.where` copy
     of the served row per pick; leaves `rows` unchanged."""
     n_rows, n_cols = rows.shape
-    threshold = eta - ETA_TOL
+    threshold = eta - GRID
     mass = np.zeros(n_rows)
     available = np.ones(n_cols, dtype=bool)
     chosen: list[int] = []
@@ -146,7 +154,7 @@ def min_quasi_image(ch, input_dist, A: SequenceSet, eta: float):
     for idx in order:
         chosen.append(int(out.ids[idx]))
         cum += float(out.probs[idx])
-        if cum >= eta - ETA_TOL:
+        if cum >= eta - GRID:
             break
     return len(chosen), sorted(chosen), cum
 
@@ -159,7 +167,7 @@ def singleton_image_size(ch, n: int, seq_id: int, eta: float) -> int:
     for idx in order:
         cum += float(row[idx])
         count += 1
-        if cum >= eta - ETA_TOL:
+        if cum >= eta - GRID:
             return count
     return count
 
@@ -186,7 +194,7 @@ def min_image_branch_and_bound(rows: np.ndarray, eta: float) -> tuple[int, list[
         """Minimum number of further columns any completion needs."""
         need = 0
         for i in range(rows.shape[0]):
-            deficit = eta - ETA_TOL - mass[i]
+            deficit = eta - GRID - mass[i]
             if deficit <= 0.0:
                 continue
             cum = 0.0
@@ -207,7 +215,7 @@ def min_image_branch_and_bound(rows: np.ndarray, eta: float) -> tuple[int, list[
 
     def search(mass, available, chosen_count):
         nonlocal best_size
-        deficits = eta - ETA_TOL - mass
+        deficits = eta - GRID - mass
         worst = int(np.argmax(deficits))
         if deficits[worst] <= 0.0:
             best_size = min(best_size, chosen_count)
@@ -228,7 +236,7 @@ def min_image_branch_and_bound(rows: np.ndarray, eta: float) -> tuple[int, list[
 
     def lex_min(start, mass, chosen):
         """Lexicographically least feasible column set of size <= best_size."""
-        deficits = eta - ETA_TOL - mass
+        deficits = eta - GRID - mass
         if float(np.max(deficits)) <= 0.0:
             return chosen
         if len(chosen) >= best_size:
@@ -354,3 +362,160 @@ def extract_equal_cell_eager(ch, dist: SequenceDist, A: SequenceSet,
             "drop_bin": drop_bin, "continuity_gap": tau,
             "branch_threshold": c_threshold,
             "exponents": image_exponents(ch, result, eta)}
+
+
+def intersect(A: SequenceSet, B: SequenceSet) -> SequenceSet:
+    """A intersect B by `np.intersect1d`, through the validating constructor."""
+    if (A.n, A.base) != (B.n, B.base):
+        raise DimensionMismatchError("sequence sets live in different spaces")
+    return SequenceSet(A.n, A.base, np.intersect1d(A.ids, B.ids, assume_unique=True))
+
+
+def difference(A: SequenceSet, B: SequenceSet) -> SequenceSet:
+    """A minus B by `np.setdiff1d`, through the validating constructor."""
+    if (A.n, A.base) != (B.n, B.base):
+        raise DimensionMismatchError("sequence sets live in different spaces")
+    return SequenceSet(A.n, A.base, np.setdiff1d(A.ids, B.ids, assume_unique=True))
+
+
+def uniformity(dist: SequenceDist, A: SequenceSet) -> UniformityReport:
+    """Max/min atom ratio read off the conditional distribution itself."""
+    cond = dist.conditioned_on(A)
+    mx = float(np.max(cond.probs))
+    mn = float(np.min(cond.probs))
+    return UniformityReport(gamma=mx / mn, max_atom=mx, min_atom=mn)
+
+
+def restrict_index(pi: PartitioningIndex, A_sub: SequenceSet) -> PartitioningIndex:
+    """One intersection per cell, then the validating constructor."""
+    if A_sub.size == 0:
+        raise DomainError("cannot restrict to an empty set")
+    if not A_sub.is_subset_of(pi.ground):
+        raise DimensionMismatchError("restriction set is not inside the ground set")
+    cells = {}
+    for label, cell in pi.cells.items():
+        inter = intersect(cell, A_sub)
+        if inter.size:
+            cells[label] = inter
+    return PartitioningIndex(A_sub, cells)
+
+
+def product_index(pi1: PartitioningIndex, pi2: PartitioningIndex) -> PartitioningIndex:
+    """One intersection per pair of cells, then the validating constructor."""
+    if not np.array_equal(pi1.ground.ids, pi2.ground.ids) or \
+            (pi1.ground.n, pi1.ground.base) != (pi2.ground.n, pi2.ground.base):
+        raise DimensionMismatchError("indices partition different ground sets")
+    cells = {}
+    for l1, c1 in pi1.cells.items():
+        for l2, c2 in pi2.cells.items():
+            inter = intersect(c1, c2)
+            if inter.size:
+                cells[(l1, l2)] = inter
+    return PartitioningIndex(pi1.ground, cells)
+
+
+def build_uniformizing_partition(dist: SequenceDist, message_index: PartitioningIndex,
+                                 delta: float, rho: int = 0) -> UniformizingPartition:
+    """Message-ratio slicing with one intersection per (density bin,
+    message) pair and each cell merged by the validating constructor."""
+    n = dist.n
+    slice_width = 1.0 / n ** min(rho + 2, 1100)
+    ratio_width = 1.0 / n ** (rho + 1)
+    ground = dist.support()
+    if not np.array_equal(ground.ids, message_index.ground.ids):
+        message_index = restrict_index(message_index, ground)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "delta >= 1", UserWarning)
+        sp = build_spectrum_partition(dist, slice_width, 2.0 * delta)
+    K = sp.K
+
+    cells: dict = {}
+    message_bins_by_slice: dict = {}
+    remainder_ids = [sp.bins[K].ids]
+
+    labels = message_index.labels()
+    for k in range(K):
+        bin_k = sp.bins[k]
+        if bin_k.size == 0:
+            continue
+        ratio_bins: dict = {}
+        for m in labels:
+            inter = intersect(bin_k, message_index.cell(m))
+            if inter.size == 0:
+                ratio_bins.setdefault(K, []).append((m, inter))
+                continue
+            share = inter.size / bin_k.size
+            t = -math.log2(share) / ratio_width
+            l = min(max(floor_on_grid(t), 0), K)
+            ratio_bins.setdefault(l, []).append((m, inter))
+        message_bins_by_slice[k] = {l: tuple(m for m, _ in pairs)
+                                    for l, pairs in sorted(ratio_bins.items())}
+        for l, pairs in sorted(ratio_bins.items()):
+            merged = SequenceSet(n, dist.base,
+                                 np.concatenate([inter.ids for _, inter in pairs]))
+            if merged.size == 0:
+                continue
+            if l >= K:
+                remainder_ids.append(merged.ids)
+                continue
+            msg_mass = {m: dist.mass_of(inter) for m, inter in pairs}
+            total = sum(msg_mass.values())
+            shares = [msg_mass[m] / total for m, _ in pairs]
+            m_rep = UniformityReport(gamma=max(shares) / min(shares),
+                                     max_atom=max(shares), min_atom=min(shares))
+            cells[(k, l)] = SliceCell(
+                density_bin=k, ratio_bin=l, members=merged,
+                messages=tuple(m for m, _ in pairs),
+                x_uniformity=uniformity(dist, merged),
+                m_uniformity=m_rep,
+                x_bound=2.0 ** (2.0 * ratio_width),
+                m_bound=2.0 ** (6.0 * ratio_width))
+
+    remainder = SequenceSet(n, dist.base, np.concatenate(remainder_ids))
+    return UniformizingPartition(
+        n=n, delta=delta, rho=rho, slice_width=slice_width,
+        ratio_width=ratio_width, K=K, cells=cells, remainder=remainder,
+        remainder_mass=dist.mass_of(remainder) if remainder.size else 0.0,
+        spectrum=sp, message_bins_by_slice=message_bins_by_slice, ground=ground)
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[list, np.ndarray]:
+    """(the distinct keys or key rows, ascending; each position's index in
+    them) by `np.unique`, as the equal-image partition found its lattice
+    cells."""
+    if keys.ndim == 1:
+        distinct, which = np.unique(keys, return_inverse=True)
+    else:
+        distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    return distinct.tolist(), which.reshape(-1)
+
+
+def json_text(obj, end_pad: str = "") -> str:
+    """The report writer with one recursive call per list item."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
+        return f'"{out}"'
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    pad = end_pad + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [pad + json_text(v, pad) for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + end_pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [pad + json_text(str(key), pad) + ": " + json_text(value, pad)
+                 for key, value in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + end_pad + "}"
+    raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")

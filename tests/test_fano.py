@@ -315,7 +315,7 @@ def test_strong_fano_avg_needs_n_at_least_two():
 @pytest.mark.parametrize("alpha_n", [0.0, -0.5, 1e-13, 1.5])
 def test_strong_fano_avg_alpha_n_outside_range(alpha_n):
     # both messages on codeword 3 and message 1 is never decoded: its pairs
-    # have success 0, so an alpha_n at or below ETA_TOL would let them into
+    # have success 0, so an alpha_n at or below GRID would let them into
     # a split whose alpha is 0
     ms = MessageSpace.uniform([2])
     table = np.zeros((4, 2))

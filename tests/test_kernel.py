@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 import kernel_oracles as old
 from dmckit import core
-from dmckit.core import (_BLOCK, Alphabet, Channel, Sequence, SequenceDist,
-                         SequenceSet, _product_rows, _row_store, _stored, bsc,
-                         output_dist, output_rows)
+from dmckit.core import (_BLOCK, GRID, Alphabet, Channel, Sequence,
+                         SequenceDist, SequenceSet, _product_rows, _row_store,
+                         _stored, bsc, output_dist, output_rows)
 from dmckit.errors import DomainError, ToolkitError
-from dmckit.images import (_TABLE_BITS, EXACT_SOLVER_CAP, ETA_TOL,
-                           _greedy_cover, _lower_bounds, _singleton_sizes,
-                           min_image_bracket, min_image_exact, min_quasi_image,
+from dmckit.images import (_TABLE_BITS, EXACT_SOLVER_CAP, _greedy_cover,
+                           _lower_bounds, _singleton_sizes, min_image_bracket,
+                           min_image_exact, min_quasi_image,
                            singleton_image_size)
 from dmckit.partitioner import extract_equal_cell
 
@@ -163,7 +163,7 @@ def test_bracket_over_several_row_blocks():
 
 def test_unreachable_eta_raises_like_the_argmax_greedy():
     # rows summing to 1 - 9e-13 pass the channel check, but their cube falls
-    # below eta - ETA_TOL at eta = 1
+    # below eta - GRID at eta = 1
     short = 1.0 - 9e-13
     ch = Channel(Alphabet(2), Alphabet(2), [[0.75, short - 0.75], [0.25, short - 0.25]])
     A = SequenceSet.from_ids(3, 2, [0, 5, 6])
@@ -457,12 +457,12 @@ def brute_min_image(rows, eta, descending=False):
     for size in range(1, rows.shape[1] + 1):
         for cols in combinations(range(rows.shape[1]), size):
             order = cols[::-1] if descending else cols
-            if all(sum(row[j] for j in order) >= eta - ETA_TOL for row in rows.tolist()):
+            if all(sum(row[j] for j in order) >= eta - GRID for row in rows.tolist()):
                 return size, list(cols)
 
 
 def test_min_image_exact_sums_columns_in_ascending_order():
-    # eta - ETA_TOL is set to a mass that the ascending sum reaches and the
+    # eta - GRID is set to a mass that the ascending sum reaches and the
     # descending sum misses by an ulp, where the two orders give different
     # images; behind _TABLE_BITS null outputs, every column is past the table
     rng = np.random.default_rng(23)
@@ -473,12 +473,12 @@ def test_min_image_exact_sums_columns_in_ascending_order():
         up = sum(ch.matrix[0, j] for j in cols)
         if up <= sum(ch.matrix[0, j] for j in reversed(cols)):
             continue
-        eta = up + ETA_TOL
-        while eta - ETA_TOL > up:
+        eta = up + GRID
+        while eta - GRID > up:
             eta = np.nextafter(eta, 0.0)
-        while eta - ETA_TOL < up:
+        while eta - GRID < up:
             eta = np.nextafter(eta, 1.0)
-        if eta - ETA_TOL != up or eta > 1.0:
+        if eta - GRID != up or eta > 1.0:
             continue
         want = brute_min_image(ch.matrix, eta)
         if want == brute_min_image(ch.matrix, eta, descending=True):

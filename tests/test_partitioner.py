@@ -19,6 +19,7 @@ from dmckit.verify import (random_channel, random_dist_on, random_eta,
                            random_subset, rng_from_seed)
 
 import kernel_oracles as old
+from test_trusted import assert_same_set
 
 
 def first_bit_index(A):
@@ -83,6 +84,68 @@ def test_slices_random_structural():
         assert up.message_partition_ok(M.labels())
         for cell in up.cells.values():
             assert cell.x_ok and cell.m_ok
+
+
+def same_float(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+def assert_same_uniformizing(got, want):
+    """Field for field, floats and ids bit for bit."""
+    for name in ("n", "delta", "rho", "slice_width", "ratio_width", "K",
+                 "remainder_mass"):
+        assert same_float(getattr(got, name), getattr(want, name)), name
+    assert_same_set(got.ground, want.ground)
+    assert_same_set(got.remainder, want.remainder)
+    assert list(got.message_bins_by_slice.items()) == \
+        list(want.message_bins_by_slice.items())
+    for k, bins in want.message_bins_by_slice.items():
+        assert list(got.message_bins_by_slice[k]) == list(bins)
+    assert list(got.cells) == list(want.cells)
+    for key, cell in want.cells.items():
+        mine = got.cells[key]
+        assert (mine.density_bin, mine.ratio_bin, mine.messages) == \
+            (cell.density_bin, cell.ratio_bin, cell.messages)
+        assert_same_set(mine.members, cell.members)
+        for rep in ("x_uniformity", "m_uniformity"):
+            for field in ("gamma", "max_atom", "min_atom"):
+                assert same_float(getattr(getattr(mine, rep), field),
+                                  getattr(getattr(cell, rep), field))
+        assert same_float(mine.x_bound, cell.x_bound)
+        assert same_float(mine.m_bound, cell.m_bound)
+
+
+def test_slices_match_cellwise_intersections():
+    rng = rng_from_seed(307)
+    cases = {"absent message": 0, "one word": 0, "other ground": 0, "remainder": 0}
+    for trial in range(90):
+        base = 3 if trial % 4 == 3 else 2
+        n = int(rng.integers(2, 8 if base == 2 else 5))
+        outer = random_subset(rng, n, base)
+        size = 1 if trial % 9 == 0 else int(rng.integers(1, outer.size + 1))
+        A = SequenceSet(n, base, rng.choice(outer.ids, size=size, replace=False))
+        if trial % 3:
+            dist = random_dist_on(rng, A)
+        else:  # atoms near three levels: many words per density bin and message
+            w = rng.choice([0.3, 1.0, 1.7], size=A.size) * rng.uniform(1.0, 1.05, A.size)
+            dist = SequenceDist(n, base, A.ids, w / w.sum())
+        count = int(rng.integers(1, 5))
+        labels = {int(s): ("m", int(rng.integers(0, count))) for s in outer.ids}
+        # the message index lives on a superset of the support half the time
+        M = PartitioningIndex.from_labeling(outer if trial % 2 else A, labels.__getitem__)
+        delta = float(rng.choice([0.25, 0.5, 1.0, math.log2(base)]))
+        rho = int(rng.integers(0, 2))
+        got = build_uniformizing_partition(dist, M, delta=delta, rho=rho)
+        want = old.build_uniformizing_partition(dist, M, delta=delta, rho=rho)
+        assert_same_uniformizing(got, want)
+        present = {labels[s] for s in A.ids_list()}
+        cases["absent message"] += any(
+            {labels[s] for s in want.spectrum.bins[k].ids_list()} != present
+            for k in want.message_bins_by_slice)
+        cases["one word"] += A.size == 1
+        cases["other ground"] += M.ground.size > A.size
+        cases["remainder"] += want.remainder.size > 0
+    assert all(cases.values()), cases
 
 
 # ---------------------------------------------------------------------------

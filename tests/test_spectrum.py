@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 import kernel_oracles as old
 from dmckit.core import SequenceDist, SequenceSet, info_density
-from dmckit.errors import DomainError, ValidationError
-from dmckit.spectrum import (PartitioningIndex, bin_indices,
+from dmckit.errors import (ConditioningError, DimensionMismatchError,
+                           DomainError, ValidationError)
+from dmckit.spectrum import (PartitioningIndex, _runs, bin_indices,
                              build_spectrum_partition, product_index,
                              restrict_index, uniformity,
                              verify_bin_conditional_uniformity,
                              verify_bin_size_bounds,
                              verify_uniform_entropy_bounds)
 from dmckit.verify import random_dist_on, random_subset, rng_from_seed
+from test_trusted import assert_same_index, assert_same_set
 
 
 def three_atom():
@@ -228,3 +230,112 @@ def test_product_index_algebra_random():
         for (a, b), cell in prod.cells.items():
             expect = m1.cell(a).intersect(m2.cell(b))
             assert cell.ids_list() == expect.ids_list()
+
+
+# ---------------------------------------------------------------------------
+# label-code restriction and product against one intersection per cell pair
+# ---------------------------------------------------------------------------
+
+def random_index(rng, ground: SequenceSet, count: int) -> PartitioningIndex:
+    labels = {int(s): f"m{int(rng.integers(0, count))}" for s in ground.ids}
+    return PartitioningIndex.from_labeling(ground, labels.__getitem__)
+
+
+def test_set_algebra_matches_intersect1d():
+    rng = rng_from_seed(211)
+    empty = SequenceSet.from_ids(4, 2, [])
+    for trial in range(80):
+        n, base = (4, 2) if trial % 2 else (3, 3)
+        A = random_subset(rng, n, base)
+        B = random_subset(rng, n, base, max_size=int(rng.integers(1, 6)))
+        for x, y in ((A, B), (B, A), (A, A)):
+            assert_same_set(x.intersect(y), old.intersect(x, y))
+            assert_same_set(x.difference(y), old.difference(x, y))
+        if (n, base) == (4, 2):
+            for x, y in ((A, empty), (empty, A), (empty, empty)):
+                assert_same_set(x.intersect(y), old.intersect(x, y))
+                assert_same_set(x.difference(y), old.difference(x, y))
+
+
+def test_restrict_and_product_match_cellwise_intersections():
+    rng = rng_from_seed(223)
+    cases = {"one-word ground": 0, "other ground": 0, "three indices": 0}
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        ground = random_subset(rng, n, 2)
+        pis = [random_index(rng, ground, int(rng.integers(1, 5))) for _ in range(3)]
+        # a subset of the ground (sometimes one word, sometimes all of it)
+        # is the restriction path; the ground itself keeps every cell
+        size = 1 if trial % 5 == 0 else int(rng.integers(1, ground.size + 1))
+        sub = SequenceSet(n, 2, rng.choice(ground.ids, size=size, replace=False))
+        cases["one-word ground"] += sub.size == 1
+        cases["other ground"] += sub.size < ground.size
+        for pi in pis:
+            assert_same_index(restrict_index(pi, sub), old.restrict_index(pi, sub))
+            assert_same_index(restrict_index(pi, ground), old.restrict_index(pi, ground))
+        got = product_index(product_index(pis[0], pis[1]), pis[2])
+        want = old.product_index(old.product_index(pis[0], pis[1]), pis[2])
+        assert_same_index(got, want)
+        cases["three indices"] += len(got) > max(len(pi) for pi in pis)
+        small = [restrict_index(pi, sub) for pi in pis]
+        assert_same_index(product_index(small[1], small[0]),
+                          old.product_index(small[1], small[0]))
+    assert all(cases.values()), cases
+
+
+def test_uniformity_matches_the_conditional_law():
+    rng = rng_from_seed(233)
+    for trial in range(120):
+        n = int(rng.integers(1, 7))
+        d = random_dist_on(rng, random_subset(rng, n, 2))
+        A = random_subset(rng, n, 2) if trial % 3 else d.support()
+        if trial % 5 == 0:
+            A = SequenceSet(n, 2, d.ids[:1])
+        if not np.isin(A.ids, d.ids).any():
+            with pytest.raises(ConditioningError):
+                uniformity(d, A)
+            continue
+        got, want = uniformity(d, A), old.uniformity(d, A)
+        for field in ("gamma", "max_atom", "min_atom"):
+            assert getattr(got, field).hex() == getattr(want, field).hex()
+    with pytest.raises(DimensionMismatchError):
+        uniformity(d, SequenceSet.from_ids(n + 1, 2, [0]))
+
+
+def test_runs_match_unique():
+    rng = rng_from_seed(229)
+    for trial in range(200):
+        size = int(rng.integers(0, 12))
+        shape = (size,) if trial % 2 else (size, int(rng.integers(1, 7)))
+        keys = rng.integers(0, int(rng.integers(1, 4)), size=shape).astype(np.int64)
+        order, distinct, bounds, run_of = _runs(keys)
+        want, which = old.distinct_rows(keys)
+        assert distinct == want
+        assert run_of.tolist() == which.tolist()
+        assert bounds == [0] + np.cumsum(np.bincount(which, minlength=len(want))).tolist()
+        for run in range(len(want)):
+            # each run's positions ascending
+            assert order[bounds[run]:bounds[run + 1]].tolist() == \
+                np.flatnonzero(which == run).tolist()
+
+
+def test_restriction_keeps_its_errors():
+    rng = rng_from_seed(227)
+    ground = SequenceSet.from_ids(3, 2, [1, 2, 5, 6])
+    pi = random_index(rng, ground, 2)
+    with pytest.raises(DomainError):
+        restrict_index(pi, SequenceSet.from_ids(3, 2, []))
+    with pytest.raises(DimensionMismatchError):
+        restrict_index(pi, SequenceSet.from_ids(3, 2, [1, 3]))
+    with pytest.raises(DimensionMismatchError):
+        restrict_index(pi, SequenceSet.from_ids(4, 2, [1]))
+    with pytest.raises(DimensionMismatchError):
+        product_index(pi, restrict_index(pi, SequenceSet.from_ids(3, 2, [1, 2])))
+    # the public constructor still refuses overlapping or short covers
+    cells = {"a": SequenceSet.from_ids(3, 2, [1, 2]), "b": SequenceSet.from_ids(3, 2, [2, 5, 6])}
+    with pytest.raises(ValidationError, match="not disjoint"):
+        PartitioningIndex(ground, cells)
+    with pytest.raises(ValidationError, match="do not cover"):
+        PartitioningIndex(ground, {"a": SequenceSet.from_ids(3, 2, [1, 2, 5])})
+    with pytest.raises(ValidationError, match="do not cover"):
+        PartitioningIndex(ground, {"a": SequenceSet.from_ids(3, 2, [1, 2, 5, 7])})

@@ -1,6 +1,7 @@
-"""Sets and distributions derived without re-validation (`_trusted`) equal
-what the validating constructors build from the same ids, field for field,
-and the private constructors are called only from the sites listed here.
+"""Sets, distributions and partitioning indices derived without
+re-validation (`_trusted`) equal what the validating constructors build from
+the same ids, field for field, and the private constructors are called only
+from the sites listed here.
 """
 
 import ast
@@ -14,16 +15,21 @@ import dmckit
 import kernel_oracles as old
 from dmckit.core import SequenceDist, SequenceSet, output_dist
 from dmckit.errors import ConditioningError
-from dmckit.spectrum import build_spectrum_partition
-from dmckit.verify import random_channel, random_dist_on, random_subset
+from dmckit.images import EXACT_SOLVER_CAP, min_image_bracket, min_image_exact
+from dmckit.partitioner import _union, build_uniformizing_partition
+from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
+                             product_index, restrict_index)
+from dmckit.verify import (random_channel, random_dist_on, random_eta,
+                           random_subset)
 
 PACKAGE = os.path.dirname(dmckit.__file__)
 
 #: (module, function) -> number of `_trusted` calls in it.  Each builds from
-#: ids that are a mask or slice of an already sorted id array, an
-#: `assume_unique` intersection or difference, a support, a conditioning, a
-#: dense marginal or a stable sort by bin.  Loaders and public constructors
-#: validate, so none of them may appear here.
+#: ids that are a mask or slice of an already sorted id array (an
+#: intersection or difference finds one set's ids in the other's), a support, a
+#: conditioning, a dense marginal, a stable sort by bin or by label code, or
+#: a sort of distinct picks or of disjoint bins.  Loaders and public
+#: constructors validate, so none of them may appear here.
 TRUSTED_SITES = {
     ("core.py", "SequenceSet.intersect"): 1,
     ("core.py", "SequenceSet.difference"): 1,
@@ -31,7 +37,12 @@ TRUSTED_SITES = {
     ("core.py", "SequenceDist.conditioned_on"): 1,
     ("core.py", "output_dist"): 1,
     ("spectrum.py", "build_spectrum_partition"): 2,
+    ("spectrum.py", "_grouped"): 2,
+    ("images.py", "min_image_exact"): 1,
+    ("images.py", "min_image_bracket"): 1,
+    ("partitioner.py", "build_uniformizing_partition"): 2,
     ("partitioner.py", "_refine_against_witness"): 1,
+    ("partitioner.py", "_union"): 1,
     ("partitioner.py", "build_equal_image_partition"): 3,
 }
 VALIDATING = {"from_json_obj", "from_ids", "from_dense", "__post_init__"}
@@ -81,6 +92,17 @@ def assert_same_set(got: SequenceSet, want: SequenceSet):
     assert not got.ids.flags.writeable
 
 
+def assert_same_index(got: PartitioningIndex, want: PartitioningIndex):
+    """Same ground, labels in the same order, cells and codes bit for bit."""
+    assert_same_set(got.ground, want.ground)
+    assert list(got.cells) == list(want.cells)
+    for label, cell in want.cells.items():
+        assert_same_set(got.cells[label], cell)
+    assert got._codes.dtype == want._codes.dtype == np.intp
+    assert got._codes.tobytes() == want._codes.tobytes()
+    assert not got._codes.flags.writeable
+
+
 def assert_same_dist(got: SequenceDist, want: SequenceDist):
     assert_same_set(got.support(), want.support())
     assert got.probs.dtype == want.probs.dtype == np.float64
@@ -113,3 +135,58 @@ def test_derived_objects_equal_validated_ones():
         ch = random_channel(rng, base, int(rng.integers(1, 4)))
         # from_dense validates the marginal built word by word
         assert_same_dist(output_dist(ch, d), old.output_dist(ch, d))
+
+        # unions of disjoint bins and image witnesses: sorted distinct ids
+        bins = sp.bins[:int(rng.integers(1, len(sp.bins) + 1))]
+        assert_same_set(_union(bins), SequenceSet.from_ids(
+            n, base, [i for b in bins for i in b.ids_list()]))
+        eta = random_eta(rng)
+        solvers = [min_image_bracket]
+        if ch.output.size ** n <= EXACT_SOLVER_CAP:
+            solvers.append(min_image_exact)
+        for solve in solvers:
+            witness = solve(ch, A, eta).upper_witness
+            assert_same_set(witness, SequenceSet.from_ids(
+                n, ch.output.size, witness.ids_list()))
+
+        # label-code indices equal the validated index on the same cells
+        pi = PartitioningIndex.from_labeling(A, lambda s: s % 3)
+        pi2 = PartitioningIndex.from_labeling(A, lambda s: s // 2 % 2)
+        sub = A.intersect(B) if A.intersect(B).size else A
+        for got in (restrict_index(pi, sub), product_index(pi, pi2),
+                    product_index(restrict_index(pi2, sub), restrict_index(pi, sub))):
+            assert_same_index(got, PartitioningIndex(got.ground, {
+                label: SequenceSet.from_ids(n, base, cell.ids_list())
+                for label, cell in got.cells.items()}))
+        if n >= 2:
+            up = build_uniformizing_partition(d, pi, delta=0.5)
+            for cell in up.cells.values():
+                assert_same_set(cell.members, SequenceSet.from_ids(
+                    n, base, cell.members.ids_list()))
+            assert_same_set(up.remainder, SequenceSet.from_ids(
+                n, base, up.remainder.ids_list()))
+
+
+def test_conditioning_returns_the_law_only_on_its_support_at_mass_one():
+    ids = np.array([1, 4, 6, 7])
+    for probs in ([0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1]):
+        d = SequenceDist(3, 2, ids, np.array(probs))
+        mass = float(np.sum(d.probs))
+        for A in (d.support(), SequenceSet.from_ids(3, 2, [0, 1, 4, 5, 6, 7])):
+            got = d.conditioned_on(A)
+            assert (got is d) == (mass == 1.0)
+            assert_same_dist(got, SequenceDist(3, 2, d.ids, d.probs / mass))
+    # one ulp below 1.0 still divides
+    d = SequenceDist(2, 2, np.array([0, 3]), np.array([0.5, 0.5 - 2.0 ** -53]))
+    assert float(np.sum(d.probs)) == 1.0 - 2.0 ** -53
+    got = d.conditioned_on(d.support())
+    assert got is not d
+    assert_same_dist(got, SequenceDist(2, 2, d.ids, d.probs / (1.0 - 2.0 ** -53)))
+    # mass 1.0 on a set that misses a word of the support (its atom is lost
+    # in the sum) is a different law
+    d = SequenceDist(2, 2, np.array([0, 1, 3]), np.array([0.5, 0.5, 1e-20]))
+    part = SequenceSet.from_ids(2, 2, [0, 1])
+    assert float(np.sum(d.probs[:2])) == 1.0
+    got = d.conditioned_on(part)
+    assert got is not d
+    assert_same_dist(got, SequenceDist(2, 2, d.ids[:2], d.probs[:2]))
