@@ -280,11 +280,14 @@ def build_decoding_sets(pairs, decoder: Decoder, channel: Channel, n: int,
     if alpha <= 0.0:
         raise PreconditionError("alpha must be positive (max error < 1)")
     out_space = channel.output.size ** n
+    if decoder.table.shape[0] > out_space:
+        raise ValidationError("decoder table has more rows than |Y|^n")
     tilde: dict = {}
     for m_S in decoder.m_values:
+        # np.nonzero gives output ids ascending, as int64, below |Y|^n
         ids = np.nonzero(decoder.table[:, decoder.column(m_S)]
                          >= alpha / 2.0 - GRID)[0]
-        tilde[m_S] = SequenceSet(n, channel.output.size, ids)
+        tilde[m_S] = SequenceSet._trusted(n, channel.output.size, ids)
 
     sets: dict = {}
     certificates = BoundReport("decoding-set-image-certificates")
@@ -301,8 +304,9 @@ def build_decoding_sets(pairs, decoder: Decoder, channel: Channel, n: int,
                 empty_flagged.append((m_S, label))
                 continue
             counts[c_set.ids] += 1
-            rows = output_rows(channel, SequenceSet.from_ids(n, channel.input.size,
-                                                             members))
+            # distinct codewords of the cell, whose space min_image checked
+            rows = output_rows(channel, SequenceSet._trusted(
+                n, channel.input.size, np.array(sorted(members), dtype=np.int64)))
             min_mass = float(rows[:, c_set.ids].sum(axis=1).min())
             certificates.add(f"{label}:{m_S}", alpha / 4.0, min_mass,
                              min_mass >= alpha / 4.0 - GRID,

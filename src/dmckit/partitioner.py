@@ -23,9 +23,9 @@ from .errors import (CapacityError, DomainError, InvariantError,
 from .images import image_exponents, min_quasi_image
 from .reports import SLACK, BoundReport
 from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
-                       _runs, _uniformity_at, build_spectrum_partition,
-                       floor_on_grid, product_index, restrict_index,
-                       uniformity)
+                       _check_delta, _codes_at, _runs, _uniformity_at,
+                       build_spectrum_partition, floor_on_grid, product_index,
+                       restrict_index, uniformity)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +428,16 @@ def _mu(channels: list[Channel], delta: float) -> float:
                      for ch in channels)
 
 
+def _channel_record(i: int, h_rate: float, exps: tuple) -> dict:
+    """Channel i's output entropy rate on an extracted set against the set's
+    image exponents (lower, upper, exact)."""
+    lo, hi, exact = exps
+    return {"channel": i, "entropy_rate": h_rate,
+            "image_exponent_lower": lo, "image_exponent_upper": hi,
+            "image_exact": exact,
+            "two_sided_gap": max(abs(h_rate - lo), abs(h_rate - hi))}
+
+
 def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
                  eta: float, delta: float = 0.5
                  ) -> tuple[SequenceSet, ExtractionTrace]:
@@ -450,16 +460,10 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
     cond = dist.conditioned_on(current)
     for i, (ch, step) in enumerate(zip(channels, steps)):
         # step results are nested: equal sizes mean the step solved `current`
-        lo, hi, exact = ((step.image_exponent_lower, step.image_exponent_upper,
-                          step.image_exact) if step.result.size == current.size
-                         else image_exponents(ch, current, eta))
-        h_rate = output_dist(ch, cond).entropy() / n
-        per_channel.append({
-            "channel": i, "entropy_rate": h_rate,
-            "image_exponent_lower": lo, "image_exponent_upper": hi,
-            "image_exact": exact,
-            "two_sided_gap": max(abs(h_rate - lo), abs(h_rate - hi)),
-        })
+        exps = ((step.image_exponent_lower, step.image_exponent_upper,
+                 step.image_exact) if step.result.size == current.size
+                else image_exponents(ch, current, eta))
+        per_channel.append(_channel_record(i, output_dist(ch, cond).entropy() / n, exps))
     trace = ExtractionTrace(steps=steps, initial=A, result=current,
                             ratio=current.size / A.size,
                             ratio_floor=_mu(channels, delta) / n,
@@ -469,19 +473,61 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
 
 @dataclass
 class CellRecord:
-    """Measured per-cell quantities of the image-entropy-matched partition."""
+    """Measured per-cell quantities of the image-entropy-matched partition;
+    a cell that no extraction built (`_word_record`) has no trace."""
 
     members: SequenceSet
     set_exponent: float
     x_entropy_rate: float
     channel_records: list[dict]
-    trace: ExtractionTrace
+    trace: ExtractionTrace | None
 
     @property
     def slack(self) -> float:
         gaps = [self.set_exponent - self.x_entropy_rate]
         gaps += [rec["two_sided_gap"] for rec in self.channel_records]
         return max(gaps)
+
+
+def _epsilon(records: dict) -> float:
+    """The largest slack of a partition's cell records, floored at 0."""
+    return max(max(rec.slack for rec in records.values()), 0.0)
+
+
+def _measure(channels: list[Channel], cond: SequenceDist, A: SequenceSet,
+             eta: float) -> tuple[list[float], list[tuple]]:
+    """Per channel, the output entropy rate of `cond`, a law on A, and A's
+    image exponents (lower, upper, exact) at eta."""
+    return ([output_dist(ch, cond).entropy() / A.n for ch in channels],
+            [image_exponents(ch, A, eta) for ch in channels])
+
+
+def _rates(rec: CellRecord) -> tuple[list[float], list[tuple]]:
+    """A cell record's `_measure`: its per-channel output entropy rates and
+    image exponents."""
+    return ([c["entropy_rate"] for c in rec.channel_records],
+            [(c["image_exponent_lower"], c["image_exponent_upper"], c["image_exact"])
+             for c in rec.channel_records])
+
+
+def _word_record(channels: list[Channel], dist: SequenceDist, word: SequenceSet,
+                 eta: float) -> CellRecord:
+    """The one cell of `build_image_entropy_partition` on a one-word set.
+
+    Every extraction step refines the word against a prefix of the density
+    bins of its own output row, which carries that prefix's whole mass, so
+    every step keeps the word: the cell is the word, measured under `dist`
+    given the word, as `extract_main` measures its final set.  The spectra
+    and continuity gaps that only steer the steps are not built, and the
+    arguments are not checked.
+    """
+    cond = dist.conditioned_on(word)
+    h_rates, exps = _measure(channels, cond, word, eta)
+    return CellRecord(members=word, set_exponent=aexp(1, word.n),
+                      x_entropy_rate=cond.entropy() / word.n,
+                      channel_records=[_channel_record(i, h, e) for i, (h, e)
+                                       in enumerate(zip(h_rates, exps))],
+                      trace=None)
 
 
 @dataclass
@@ -541,10 +587,9 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
         residual = residual.difference(cell)
     cap = math.floor(2.0 * math.log(2.0) * (1.0 + math.log2(dist.base)) * n * n
                      / _mu(channels, delta)) + 1
-    eps = max(rec.slack for rec in records.values())
     return ImageEntropyPartition(index=PartitioningIndex(A, cells),
                                  records=records, cell_cap=cap, gamma=gamma,
-                                 eta=eta, epsilon_measured=max(eps, 0.0))
+                                 eta=eta, epsilon_measured=_epsilon(records))
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +631,67 @@ class MessageRecord:
     gap_entropy_vs_tilde: float | None
     gap_two_sided: float | None
     omega: tuple
+
+
+def _message_record(entries: list, cell_mass: float, n: int, n_channels: int,
+                    sqrt_eps: float, delta_n: float) -> MessageRecord:
+    """The four properties measured on one cell for one message subset.
+
+    `entries` holds, per message m with words in the cell, in label order:
+    m, the mass of its words in the cell, their per-channel output entropy
+    rates and image exponents, (u, count, |u|) for each inner cell u of m
+    with count > 0 words in the cell, in unit order, and m's word count in
+    the cell.  A unit with at least sqrt(epsilon_n) of its words in the cell
+    joins omega; m is in hat when one of its units does, and in tilde when
+    those units hold at least 1 - delta_n of m's words in the cell.
+    """
+    msg_mass = []
+    h_y_given = [0.0] * n_channels
+    img_exp: dict = {}
+    omega = []
+    tilde = []
+    hat = []
+    for m, mass, h_rates, exps, units, size in entries:
+        img_exp[m] = exps
+        msg_mass.append(mass)
+        p_m = mass / cell_mass
+        for kk, h in enumerate(h_rates):
+            h_y_given[kk] += p_m * h
+        # shares of m's inner cells that fall in this cell
+        share_sum = 0.0
+        for u, count, unit_size in units:
+            if count / unit_size >= sqrt_eps:
+                omega.append((m, u))
+                share_sum += count / size
+        if share_sum > 0.0:
+            hat.append(m)
+            if share_sum >= 1.0 - delta_n:
+                tilde.append(m)
+    gap1 = -math.inf
+    for exps in img_exp.values():
+        for kk in range(n_channels):
+            gap1 = max(gap1, exps[kk][1] - h_y_given[kk])
+
+    aexp_m = aexp(len(img_exp), n)
+    aexp_t = aexp(len(tilde), n) if tilde else None
+    h_m = entropy_bits([mass / cell_mass for mass in msg_mass]) / n
+    gap2 = abs(aexp_m - aexp_t) if aexp_t is not None else None
+    gap3 = abs(h_m - aexp_t) if aexp_t is not None else None
+    gap4 = None
+    if tilde:
+        gap4 = 0.0
+        for m in tilde:
+            for kk in range(n_channels):
+                lo, hi, _ = img_exp[m][kk]
+                gap4 = max(gap4, abs(h_y_given[kk] - lo), abs(h_y_given[kk] - hi))
+    return MessageRecord(
+        messages=tuple(img_exp), messages_tilde=tuple(tilde),
+        messages_hat=tuple(hat), message_image_exponents=img_exp,
+        h_y_given_m=h_y_given, h_m_rate=h_m,
+        aexp_messages=aexp_m, aexp_tilde=aexp_t,
+        gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
+        gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
+        omega=tuple(omega))
 
 
 @dataclass
@@ -630,6 +736,11 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     residual, and the iteration repeats until every sequence is placed.  The
     sqrt(epsilon_n) share threshold uses the maximum measured slack of the
     inner partitions, floored at 1/n^2.
+
+    A one-word message cell is its own inner partition (`_word_record`), so
+    a one-word A is one cell placed in one iteration, built here directly:
+    its lattice point and every subset's record come from the word's own
+    row, as the iteration would compute them.
     """
     J = len(messages)
     if J > 3:
@@ -655,6 +766,35 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                                   + math.log2(max(gamma, 1.0)))
                                  / math.log2(max(v_space, 2))))
     iteration_cap = max(cap, gamma_cap)
+    fields = dict(subsets=subsets, delta_n=delta_n, eta=eta, lattice_dims=dims,
+                  iteration_cap=iteration_cap, lattice_size=v_space)
+
+    if A.size == 1:
+        cond = dist.conditioned_on(A)
+        labels = [mi.labels()[_codes_at(mi, A)[0]] for mi in messages]
+        # the arguments the extraction chain would check
+        if not channels:
+            raise DomainError("need at least one channel")
+        if not 0.0 < eta < 1.0:
+            raise DomainError("eta must lie in (0, 1)")
+        _check_delta(delta)
+        rec = _word_record(channels, cond, A, eta)
+        h_rates, exps = _rates(rec)
+        point = tuple(_lattice_coord(r, delta_n, d)
+                      for r, d in zip([rec.x_entropy_rate] + h_rates, dims))
+        eps = max(1.0 / n ** 2, _epsilon({1: rec}))
+        mass = cond.mass_of(A)
+        per_subset: dict = {}
+        for S in subsets:
+            m = labels[S[0]] if S else ()
+            for j in S[1:]:  # nested as product_index nests labels
+                m = (m, labels[j])
+            per_subset[S] = _message_record([(m, mass, h_rates, exps, [(1, 1, 1)], 1)],
+                                            mass, n, len(channels), math.sqrt(eps),
+                                            delta_n)
+        label = (1, (point,) * len(subsets))
+        return _finished(A, {label: A}, {label: {"mass": mass, "subsets": per_subset,
+                                                 "epsilon_n": eps}}, 1, fields)
 
     residual = A
     iteration = 0
@@ -694,25 +834,28 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                 for i, (m, cell_m) in enumerate(idx.cells.items()):
                     key = cell_m.ids.tobytes()
                     if key not in built:
-                        part = build_image_entropy_partition(channels, cond, cell_m,
-                                                             eta, delta)
+                        if cell_m.size == 1:
+                            records = {1: _word_record(channels, cond, cell_m, eta)}
+                        else:
+                            records = build_image_entropy_partition(
+                                channels, cond, cell_m, eta, delta).records
+                        sizes = {}
                         placed_units = {}
-                        for u, rec in part.records.items():
+                        for u, rec in records.items():
                             # the record holds the x and output entropy rates of
                             # `cond` given u, the lattice point's coordinates,
                             # and u's image exponents
-                            h_rates = [c["entropy_rate"] for c in rec.channel_records]
-                            measured[rec.members.ids.tobytes()] = (h_rates, [
-                                (c["image_exponent_lower"], c["image_exponent_upper"],
-                                 c["image_exact"]) for c in rec.channel_records])
+                            h_rates, exps = _rates(rec)
+                            measured[rec.members.ids.tobytes()] = (h_rates, exps)
+                            sizes[u] = rec.members.size
                             placed_units[u] = (
                                 np.searchsorted(residual.ids, rec.members.ids),
                                 [_lattice_coord(r, delta_n, d) for r, d in
                                  zip([rec.x_entropy_rate] + h_rates, dims)])
-                        built[key] = (part, placed_units)
-                    part, placed_units = built[key]
-                    inner[S].append((m, part.records))
-                    eps = max(eps, part.epsilon_measured)
+                        built[key] = (_epsilon(records), sizes, placed_units)
+                    part_eps, sizes, placed_units = built[key]
+                    inner[S].append((m, sizes))
+                    eps = max(eps, part_eps)
                     for u, (at, lattice) in placed_units.items():
                         code[S][at] = i
                         unit[S][at] = u
@@ -740,76 +883,39 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             for v, (inside, cell, cell_mass) in kept.items():
                 label = (iteration, v)
                 cells[label] = cell
-                per_subset: dict = {}
+                per_subset = {}
                 for S in subsets:
                     codes = code[S][inside]
                     units = unit[S][inside]
-                    msg_mass = []
-                    h_y_given = [0.0 for _ in channels]
-                    img_exp: dict = {}
-                    omega = []
-                    tilde = []
-                    hat = []
+                    entries = []
                     for i in np.unique(codes).tolist():
-                        m, records = inner[S][i]
+                        m, sizes = inner[S][i]
                         of_m = codes == i
                         inter = SequenceSet._trusted(n, dist.base, cell.ids[of_m])
                         key = inter.ids.tobytes()
                         if key not in measured:
-                            cond_m = cond.conditioned_on(inter)
-                            measured[key] = (
-                                [output_dist(ch, cond_m).entropy() / n
-                                 for ch in channels],
-                                [image_exponents(ch, inter, eta) for ch in channels])
+                            measured[key] = _measure(channels, cond.conditioned_on(inter),
+                                                     inter, eta)
                         h_rates, exps = measured[key]
-                        mass = cond.mass_of(inter)
-                        img_exp[m] = exps
-                        msg_mass.append(mass)
-                        p_m = mass / cell_mass
-                        for kk, h in enumerate(h_rates):
-                            h_y_given[kk] += p_m * h
-                        # shares of m's inner cells that fall in this cell
-                        share_sum = 0.0
-                        for u, count in enumerate(np.bincount(units[of_m]).tolist()):
-                            if count and count / records[u].members.size >= sqrt_eps:
-                                omega.append((m, u))
-                                share_sum += count / inter.size
-                        if share_sum > 0.0:
-                            hat.append(m)
-                            if share_sum >= 1.0 - delta_n:
-                                tilde.append(m)
-                    gap1 = -math.inf
-                    for exps in img_exp.values():
-                        for kk in range(len(channels)):
-                            gap1 = max(gap1, exps[kk][1] - h_y_given[kk])
-
-                    aexp_m = aexp(len(img_exp), n)
-                    aexp_t = aexp(len(tilde), n) if tilde else None
-                    h_m = entropy_bits([mass / cell_mass for mass in msg_mass]) / n
-                    gap2 = abs(aexp_m - aexp_t) if aexp_t is not None else None
-                    gap3 = abs(h_m - aexp_t) if aexp_t is not None else None
-                    gap4 = None
-                    if tilde:
-                        gap4 = 0.0
-                        for m in tilde:
-                            for kk in range(len(channels)):
-                                lo, hi, _ = img_exp[m][kk]
-                                gap4 = max(gap4,
-                                           abs(h_y_given[kk] - lo),
-                                           abs(h_y_given[kk] - hi))
-                    per_subset[S] = MessageRecord(
-                        messages=tuple(img_exp), messages_tilde=tuple(tilde),
-                        messages_hat=tuple(hat), message_image_exponents=img_exp,
-                        h_y_given_m=h_y_given, h_m_rate=h_m,
-                        aexp_messages=aexp_m, aexp_tilde=aexp_t,
-                        gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
-                        gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
-                        omega=tuple(omega))
+                        counts = np.bincount(units[of_m]).tolist()
+                        entries.append((m, cond.mass_of(inter), h_rates, exps,
+                                        [(u, count, sizes[u])
+                                         for u, count in enumerate(counts) if count],
+                                        inter.size))
+                    per_subset[S] = _message_record(entries, cell_mass, n, len(channels),
+                                                    sqrt_eps, delta_n)
                 cell_records[label] = {"mass": cell_mass, "subsets": per_subset,
                                        "epsilon_n": eps}
 
             residual = SequenceSet._trusted(n, dist.base, residual.ids[~placed])
+    return _finished(A, cells, cell_records, iteration, fields)
 
+
+def _finished(A: SequenceSet, cells: dict, cell_records: dict, iterations: int,
+              fields: dict) -> EqualImagePartition:
+    """The equal-image partition of A into `cells`, with the per-property
+    maxima of the gaps measured in `cell_records` and their largest
+    epsilon_n."""
     lam = {"image_vs_entropy": 0.0, "tilde_vs_all": 0.0,
            "entropy_vs_tilde": 0.0, "two_sided": 0.0}
     for rec in cell_records.values():
@@ -824,10 +930,9 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
 
     eps_all = max(rec["epsilon_n"] for rec in cell_records.values())
     return EqualImagePartition(
-        index=PartitioningIndex(A, cells), subsets=subsets, delta_n=delta_n,
-        eta=eta, epsilon_n=eps_all, lattice_dims=dims,
-        cell_records=cell_records, lambda_measured=lam, iterations=iteration,
-        iteration_cap=iteration_cap, lattice_size=v_space)
+        index=PartitioningIndex(A, cells), epsilon_n=eps_all,
+        cell_records=cell_records, lambda_measured=lam, iterations=iterations,
+        **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,16 @@ class SpectrumPartition:
         }
 
 
+def _check_delta(delta: float) -> None:
+    """A slicing's excess `delta` is positive and finite; from 1 on it lies
+    outside the defining range, and the caller's caller is warned."""
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
+    if delta >= 1.0:
+        warnings.warn("delta >= 1 is outside the defining range; proceeding",
+                      stacklevel=3)
+
+
 def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
                              space_aexp: float | None = None) -> SpectrumPartition:
     """Slice the support of `dist` into density bins of width delta_n.
@@ -129,11 +139,7 @@ def build_spectrum_partition(dist: SequenceDist, delta_n: float, delta: float,
     """
     if not 0.0 < delta_n < 1.0:
         raise DomainError("delta_n must lie in (0, 1)")
-    if not 0.0 < delta < math.inf:
-        raise DomainError("delta must be positive and finite")
-    if delta >= 1.0:
-        warnings.warn("delta >= 1 is outside the defining range; proceeding",
-                      stacklevel=2)
+    _check_delta(delta)
     n = dist.n
     a = aexp(dist.ids.size, n) if space_aexp is None else float(space_aexp)
     span = (delta + a) / delta_n
@@ -300,15 +306,21 @@ def _grouped(ground: SequenceSet, keys: np.ndarray, label_of) -> PartitioningInd
     return PartitioningIndex._trusted(ground, cells, codes)
 
 
-def restrict_index(pi: PartitioningIndex, A_sub: SequenceSet) -> PartitioningIndex:
-    """Restriction to a nonempty subset: cells A' intersect A_{M=m}, empties dropped."""
+def _codes_at(pi: PartitioningIndex, A_sub: SequenceSet) -> np.ndarray:
+    """The cell position in `pi` of each word of a nonempty subset of its
+    ground, in id order."""
     if A_sub.size == 0:
         raise DomainError("cannot restrict to an empty set")
     A_sub._check_compatible(pi.ground)
     at = _positions(pi.ground.ids, A_sub.ids)
     if at.size != A_sub.size:
         raise DimensionMismatchError("restriction set is not inside the ground set")
-    return _grouped(A_sub, pi._codes[at], pi.labels().__getitem__)
+    return pi._codes[at]
+
+
+def restrict_index(pi: PartitioningIndex, A_sub: SequenceSet) -> PartitioningIndex:
+    """Restriction to a nonempty subset: cells A' intersect A_{M=m}, empties dropped."""
+    return _grouped(A_sub, _codes_at(pi, A_sub), pi.labels().__getitem__)
 
 
 def product_index(pi1: PartitioningIndex, pi2: PartitioningIndex) -> PartitioningIndex:

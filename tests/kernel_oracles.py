@@ -7,8 +7,9 @@ entropy, meshgrid local grid and two-product, one-corner-at-a-time
 envelope, the dominant-bin extraction that solved its continuity gap up
 front, the set intersections and differences, index restrictions and
 products, message-ratio slicing, uniformity ratios and lattice-cell
-grouping that the label-code paths replaced, and the item-by-item JSON
-writer, kept as test oracles.
+grouping that the label-code paths replaced, the item-by-item JSON
+writer, and the equal-image partition that ran its lattice iteration and
+extraction chain on one-word sets, kept as test oracles.
 
 Each function reproduces the old code path operation for operation, so the
 fast paths must match it bit for bit (`np.array_equal`), not within a
@@ -20,12 +21,15 @@ import warnings
 
 import numpy as np
 
-from dmckit.core import GRID, SequenceDist, SequenceSet, aexp, snap
-from dmckit.errors import (DimensionMismatchError, DomainError,
-                           ValidationError)
+from dmckit import core, partitioner, spectrum
+from dmckit.core import (GRID, Channel, SequenceDist, SequenceSet, aexp,
+                         entropy_bits, snap)
+from dmckit.errors import (CapacityError, DimensionMismatchError, DomainError,
+                           InvariantError, ValidationError)
 from dmckit.images import image_exponents
-from dmckit.partitioner import (SliceCell, UniformizingPartition,
-                                _refine_against_witness)
+from dmckit.partitioner import (EqualImagePartition, MessageRecord, SliceCell,
+                                UniformizingPartition, _lattice_coord,
+                                _refine_against_witness, _subsets_of)
 from dmckit.reports import _format_float
 from dmckit.spectrum import (PartitioningIndex, UniformityReport,
                              build_spectrum_partition, floor_on_grid)
@@ -519,3 +523,220 @@ def json_text(obj, end_pad: str = "") -> str:
                  for key, value in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + end_pad + "}"
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
+                                A: SequenceSet,
+                                messages: list[PartitioningIndex],
+                                eta: float, delta_n: float | None = None,
+                                delta: float = 0.5) -> EqualImagePartition:
+    """The equal-image-size partition by lattice iteration on every A, a
+    one-word A and one-word message cells included: the oracle of the
+    closed-form one-word cells.
+
+    For every message subset S, each message's share of the residual is
+    exhausted by an image-entropy-matched partition, and each word is
+    labelled with its message, its inner cell and that cell's entropy-lattice
+    point.  The cells are the distinct lattice points over all subsets, in
+    ascending order; cells below the mass threshold 1/|V|^2 return to the
+    residual, and the iteration repeats until every sequence is placed.  The
+    sqrt(epsilon_n) share threshold uses the maximum measured slack of the
+    inner partitions, floored at 1/n^2.
+    """
+    J = len(messages)
+    if J > 3:
+        raise CapacityError("at most 3 simultaneous message indices supported")
+    n = A.n
+    if delta_n is None:
+        delta_n = 1.0 / math.ceil(math.sqrt(n))
+    elif not 0.0 < delta_n < 1.0:
+        raise DomainError("delta_n must lie in (0, 1)")
+    subsets = _subsets_of(range(J))
+    try:
+        dims = tuple(math.ceil(math.log2(size) / delta_n) for size in
+                     [dist.base] + [ch.output.size for ch in channels])
+        v_space = math.prod(d + 1 for d in dims) ** len(subsets)
+        threshold = 1.0 / v_space ** 2
+    except OverflowError:
+        raise CapacityError(f"delta_n = {delta_n:g} makes the entropy lattice "
+                            "too large to represent; increase delta_n") from None
+
+    gamma = spectrum.uniformity(dist, A).gamma
+    cap = max(1, math.ceil(2.0 * n * math.log2(dist.base))) if dist.base > 1 else 1
+    gamma_cap = max(1, math.ceil((n * math.log2(max(dist.base, 2))
+                                  + math.log2(max(gamma, 1.0)))
+                                 / math.log2(max(v_space, 2))))
+    iteration_cap = max(cap, gamma_cap)
+
+    residual = A
+    iteration = 0
+    cells: dict = {}
+    cell_records: dict = {}
+    # every row below is a row of A: build each channel's once
+    with core._row_store(channels, A):
+        while residual.size:
+            iteration += 1
+            if iteration > max(iteration_cap, A.size) + 1:
+                raise InvariantError("lattice exhaustion exceeded every iteration cap")
+            cond = dist.conditioned_on(residual)
+            single = [spectrum.restrict_index(mi, residual) for mi in messages]
+            # per subset S, aligned with residual.ids: each word's message (its
+            # position in inner[S]), its inner cell u and that cell's lattice point
+            inner: dict = {}
+            code: dict = {}
+            unit: dict = {}
+            point: dict = {}
+            eps = 1.0 / n ** 2
+            # one inner partition per distinct message cell: every other input of
+            # build_image_entropy_partition is fixed within the iteration, so
+            # subsets that yield the same cell share its partition and placements
+            built: dict = {}
+            # set ids -> per-channel output entropy rates and image exponents
+            # of that set under `cond`, seeded from every inner record below,
+            # so a message set equal to a record's members is not solved again
+            measured: dict = {}
+            for S in subsets:
+                idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
+                for j in S[1:]:
+                    idx = spectrum.product_index(idx, single[j])
+                inner[S] = []
+                code[S] = np.empty(residual.size, dtype=np.intp)
+                unit[S] = np.empty(residual.size, dtype=np.intp)
+                point[S] = np.empty((residual.size, len(dims)), dtype=np.int64)
+                for i, (m, cell_m) in enumerate(idx.cells.items()):
+                    key = cell_m.ids.tobytes()
+                    if key not in built:
+                        part = partitioner.build_image_entropy_partition(channels, cond, cell_m,
+                                                             eta, delta)
+                        placed_units = {}
+                        for u, rec in part.records.items():
+                            # the record holds the x and output entropy rates of
+                            # `cond` given u, the lattice point's coordinates,
+                            # and u's image exponents
+                            h_rates = [c["entropy_rate"] for c in rec.channel_records]
+                            measured[rec.members.ids.tobytes()] = (h_rates, [
+                                (c["image_exponent_lower"], c["image_exponent_upper"],
+                                 c["image_exact"]) for c in rec.channel_records])
+                            placed_units[u] = (
+                                np.searchsorted(residual.ids, rec.members.ids),
+                                [_lattice_coord(r, delta_n, d) for r, d in
+                                 zip([rec.x_entropy_rate] + h_rates, dims)])
+                        built[key] = (part, placed_units)
+                    part, placed_units = built[key]
+                    inner[S].append((m, part.records))
+                    eps = max(eps, part.epsilon_measured)
+                    for u, (at, lattice) in placed_units.items():
+                        code[S][at] = i
+                        unit[S][at] = u
+                        point[S][at] = lattice
+
+            # one cell per distinct lattice point over all subsets, in
+            # ascending order; `inside` holds a cell's positions, ascending
+            order, points, bounds, _ = spectrum._runs(np.hstack([point[S] for S in subsets]))
+            kept: dict = {}
+            placed = np.zeros(residual.size, dtype=bool)
+            for row, lo, hi in zip(points, bounds, bounds[1:]):
+                inside = order[lo:hi]
+                cell = SequenceSet._trusted(n, dist.base, residual.ids[inside])
+                cell_mass = cond.mass_of(cell)
+                if cell_mass >= threshold or len(points) == 1:
+                    v = tuple(tuple(row[k:k + len(dims)])
+                              for k in range(0, len(row), len(dims)))
+                    kept[v] = (inside, cell, cell_mass)
+                    placed[inside] = True
+            if not kept:
+                # cannot happen: fewer than v_space**2 cells means one passes
+                raise InvariantError("no lattice cell met the mass threshold")
+
+            sqrt_eps = math.sqrt(eps)
+            for v, (inside, cell, cell_mass) in kept.items():
+                label = (iteration, v)
+                cells[label] = cell
+                per_subset: dict = {}
+                for S in subsets:
+                    codes = code[S][inside]
+                    units = unit[S][inside]
+                    msg_mass = []
+                    h_y_given = [0.0 for _ in channels]
+                    img_exp: dict = {}
+                    omega = []
+                    tilde = []
+                    hat = []
+                    for i in np.unique(codes).tolist():
+                        m, records = inner[S][i]
+                        of_m = codes == i
+                        inter = SequenceSet._trusted(n, dist.base, cell.ids[of_m])
+                        key = inter.ids.tobytes()
+                        if key not in measured:
+                            cond_m = cond.conditioned_on(inter)
+                            measured[key] = (
+                                [core.output_dist(ch, cond_m).entropy() / n
+                                 for ch in channels],
+                                [image_exponents(ch, inter, eta) for ch in channels])
+                        h_rates, exps = measured[key]
+                        mass = cond.mass_of(inter)
+                        img_exp[m] = exps
+                        msg_mass.append(mass)
+                        p_m = mass / cell_mass
+                        for kk, h in enumerate(h_rates):
+                            h_y_given[kk] += p_m * h
+                        # shares of m's inner cells that fall in this cell
+                        share_sum = 0.0
+                        for u, count in enumerate(np.bincount(units[of_m]).tolist()):
+                            if count and count / records[u].members.size >= sqrt_eps:
+                                omega.append((m, u))
+                                share_sum += count / inter.size
+                        if share_sum > 0.0:
+                            hat.append(m)
+                            if share_sum >= 1.0 - delta_n:
+                                tilde.append(m)
+                    gap1 = -math.inf
+                    for exps in img_exp.values():
+                        for kk in range(len(channels)):
+                            gap1 = max(gap1, exps[kk][1] - h_y_given[kk])
+
+                    aexp_m = aexp(len(img_exp), n)
+                    aexp_t = aexp(len(tilde), n) if tilde else None
+                    h_m = entropy_bits([mass / cell_mass for mass in msg_mass]) / n
+                    gap2 = abs(aexp_m - aexp_t) if aexp_t is not None else None
+                    gap3 = abs(h_m - aexp_t) if aexp_t is not None else None
+                    gap4 = None
+                    if tilde:
+                        gap4 = 0.0
+                        for m in tilde:
+                            for kk in range(len(channels)):
+                                lo, hi, _ = img_exp[m][kk]
+                                gap4 = max(gap4,
+                                           abs(h_y_given[kk] - lo),
+                                           abs(h_y_given[kk] - hi))
+                    per_subset[S] = MessageRecord(
+                        messages=tuple(img_exp), messages_tilde=tuple(tilde),
+                        messages_hat=tuple(hat), message_image_exponents=img_exp,
+                        h_y_given_m=h_y_given, h_m_rate=h_m,
+                        aexp_messages=aexp_m, aexp_tilde=aexp_t,
+                        gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
+                        gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
+                        omega=tuple(omega))
+                cell_records[label] = {"mass": cell_mass, "subsets": per_subset,
+                                       "epsilon_n": eps}
+
+            residual = SequenceSet._trusted(n, dist.base, residual.ids[~placed])
+
+    lam = {"image_vs_entropy": 0.0, "tilde_vs_all": 0.0,
+           "entropy_vs_tilde": 0.0, "two_sided": 0.0}
+    for rec in cell_records.values():
+        for mrec in rec["subsets"].values():
+            lam["image_vs_entropy"] = max(lam["image_vs_entropy"],
+                                          mrec.gap_image_vs_entropy)
+            for key, val in (("tilde_vs_all", mrec.gap_tilde_vs_all),
+                             ("entropy_vs_tilde", mrec.gap_entropy_vs_tilde),
+                             ("two_sided", mrec.gap_two_sided)):
+                if val is not None:
+                    lam[key] = max(lam[key], val)
+
+    eps_all = max(rec["epsilon_n"] for rec in cell_records.values())
+    return EqualImagePartition(
+        index=PartitioningIndex(A, cells), subsets=subsets, delta_n=delta_n,
+        eta=eta, epsilon_n=eps_all, lattice_dims=dims,
+        cell_records=cell_records, lambda_measured=lam, iterations=iteration,
+        iteration_cap=iteration_cap, lattice_size=v_space)

@@ -115,6 +115,17 @@ def test_decoding_sets_empty_flagged():
     assert ((1,), "all") in ds.empty_flagged
 
 
+def test_decoding_sets_refuse_a_table_past_the_output_space():
+    # a decoder row is an output word: a fifth row has no word at n = 2
+    ch = bsc(0.1)
+    ms = MessageSpace.uniform([2])
+    dec = Decoder(S=(0,), m_values=((0,), (1,)), table=np.array([[0.9, 0.1]] * 5))
+    code = deterministic_code(ms, 2, 2, {(0,): 0, (1,): 3}, [dec])
+    with pytest.raises(ValidationError):
+        build_decoding_sets(code.pairs(), dec, ch, 2, 0.5,
+                            {"all": SequenceSet.from_ids(2, 2, [0, 3])})
+
+
 def test_sphere_packing_identity_equality():
     code, ch = identity_code()
     rep = sphere_packing_check(code, ch, mu=0.3, eps=0.0)

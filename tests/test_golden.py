@@ -139,7 +139,7 @@ def test_default_runs_write_nothing_to_stderr(name, tmp_path):
 
 
 #: the layers that read exponents solved below them instead of solving again
-READERS = ("extract_main", "build_equal_image_partition", "_add_cells")
+READERS = ("extract_main", "build_equal_image_partition", "_add_cells", "_measure")
 
 
 @pytest.mark.parametrize("name", sorted(n for n in CASES
@@ -202,6 +202,25 @@ def test_golden_runs_solve_each_image_once(name, tmp_path, monkeypatch):
         assert step.continuity_gap >= 0.0
     assert repeats == []
     assert fano_callers <= {"build_decoding_sets"}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("fano-")))
+def test_golden_fano_runs_extract_from_no_one_word_set(name, tmp_path, monkeypatch):
+    # a one-word set is its own cell, measured from its own row: no
+    # extraction chain and no image-entropy partition runs on it
+    one_word = []
+
+    def recording(build):
+        def wrapper(channels, dist, A, *args):
+            if A.size == 1:
+                one_word.append((build.__name__, A.ids_list()))
+            return build(channels, dist, A, *args)
+        return wrapper
+
+    for layer in ("extract_main", "build_image_entropy_partition"):
+        monkeypatch.setattr(partitioner, layer, recording(getattr(partitioner, layer)))
+    assert run_case(name, tmp_path) == _expected()[name]
+    assert one_word == []
 
 
 @pytest.mark.parametrize("name", ["partition-bsc-n7", "partition-two-messages-n6"])

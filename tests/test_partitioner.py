@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmckit import core, partitioner
-from dmckit.core import SequenceDist, SequenceSet, bsc, identity_channel
-from dmckit.errors import CapacityError, DomainError
+from dmckit.core import (Alphabet, Channel, SequenceDist, SequenceSet, bsc,
+                         identity_channel)
+from dmckit.errors import CapacityError, DomainError, ToolkitError
 from dmckit.images import image_exponents, min_image_exact
 from dmckit.partitioner import (build_equal_image_partition,
                                 build_image_entropy_partition,
@@ -19,7 +22,7 @@ from dmckit.verify import (random_channel, random_dist_on, random_eta,
                            random_subset, rng_from_seed)
 
 import kernel_oracles as old
-from test_trusted import assert_same_set
+from test_trusted import assert_same_index, assert_same_set
 
 
 def first_bit_index(A):
@@ -530,6 +533,9 @@ def test_equal_image_partition_builds_each_cell_once(monkeypatch):
                                      [first_bit_index(d.support())], eta=0.5)
     assert eq.iterations == 2
     assert calls and len(set(calls)) == len(calls)
+    # a one-word cell is measured without a build: every build is on two
+    # or more words, and a one-word A makes none
+    assert all(len(cell) >= 2 * 8 for _, _, cell in calls)
     rng = rng_from_seed(23)
     for _ in range(4):
         calls.clear()
@@ -538,7 +544,9 @@ def test_equal_image_partition_builds_each_cell_once(monkeypatch):
         M1 = PartitioningIndex.from_labeling(A, lambda s: s % 2)
         M2 = PartitioningIndex.from_labeling(A, lambda s: (s >> 1) % 2)
         build_equal_image_partition([bsc(0.1), bsc(0.2)], d, A, [M1, M2], eta=0.5)
-        assert calls and len(set(calls)) == len(calls)
+        assert len(set(calls)) == len(calls)
+        assert all(len(cell) >= 2 * 8 for _, _, cell in calls)
+        assert bool(calls) == (A.size >= 2)
 
 
 def test_equal_image_partition_builds_each_row_once(monkeypatch):
@@ -596,6 +604,171 @@ def test_image_entropy_partition_is_pure():
             assert (rec.set_exponent, rec.x_entropy_rate) == (
                 other.set_exponent, other.x_entropy_rate)
             assert rec.channel_records == other.channel_records
+
+
+# ---------------------------------------------------------------------------
+# one-word cells against the lattice iteration
+# ---------------------------------------------------------------------------
+
+def assert_identical(got, want):
+    """Equal values of the same types, floats bit for bit (-0.0 and nan
+    included), containers and dict keys in the same order."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    elif isinstance(want, dict):
+        assert_identical(list(got), list(want))
+        for key in want:
+            assert_identical(got[key], want[key])
+    elif isinstance(want, SequenceSet):
+        assert_same_set(got, want)
+    elif isinstance(want, PartitioningIndex):
+        assert_same_index(got, want)
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_identical(getattr(got, f.name), getattr(want, f.name))
+    else:
+        assert got == want
+
+
+def assert_same_partition(channels, dist, A, messages, eta, delta_n=None):
+    """The equal-image partition, or its error, is the lattice iteration's."""
+    try:
+        want = old.build_equal_image_partition(channels, dist, A, messages, eta,
+                                               delta_n=delta_n)
+    except ToolkitError as exc:
+        with pytest.raises(type(exc)) as got:
+            build_equal_image_partition(channels, dist, A, messages, eta, delta_n=delta_n)
+        assert str(got.value) == str(exc)
+        return None
+    got = build_equal_image_partition(channels, dist, A, messages, eta, delta_n=delta_n)
+    assert_identical(got, want)
+    return got
+
+
+def _channel(rng, nx: int, ny: int, kind: str) -> Channel:
+    """Random rows: near-uniform ("wide"), with exact zeros, or neither."""
+    m = rng.uniform(0.9, 1.1, size=(nx, ny)) if kind == "wide" else \
+        rng.uniform(0.05, 1.0, size=(nx, ny))
+    if kind == "zeros":
+        kill = rng.uniform(size=(nx, ny)) < 0.4
+        kill[np.arange(nx), rng.integers(0, ny, size=nx)] = False
+        m[kill] = 0.0
+    return Channel(Alphabet(nx), Alphabet(ny), m / m.sum(axis=1, keepdims=True),
+                   name=f"{kind}{nx}x{ny}")
+
+
+def _law_around(rng, n: int, base: int, x: int, others: int, tiny: bool) -> SequenceDist:
+    """A law on x and up to `others` more words; x's mass near 1e-300 if
+    `tiny` and another word takes the rest."""
+    rest = sorted(set(rng.integers(base ** n, size=others).tolist()) - {x})
+    w = rng.uniform(0.1, 1.0, len(rest) + 1)
+    w /= w.sum()
+    if tiny and rest:
+        w = np.concatenate([[1e-300 * rng.uniform(0.5, 2.0)], w[1:] / w[1:].sum()])
+    return SequenceDist(n, base, np.array([x] + rest), w)
+
+
+@st.composite
+def one_word_instances(draw):
+    """(channels, law, one-word A, message indices, eta, delta_n): n = 1..7,
+    |X| in {2, 3}; one or two channels with 2 to 4 outputs whose rows are
+    random, near-uniform or partly zero; 0-3 message indices on grounds
+    around the word with labels of several types; the word's mass random
+    or near 1e-300."""
+    base = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    channels = [_channel(rng, base, draw(st.sampled_from((2, 3, 4))),
+                         draw(st.sampled_from(("random", "zeros", "wide"))))
+                for _ in range(draw(st.integers(1, 2)))]
+    x = int(rng.integers(base ** n))
+    dist = _law_around(rng, n, base, x, draw(st.integers(0, 3)), draw(st.booleans()))
+    A = SequenceSet.from_ids(n, base, [x])
+    pool = (0, 1, 2, "a", (0, 1))
+    messages = []
+    for _ in range(draw(st.integers(0, 3))):
+        ground = SequenceSet.from_ids(n, base, [x] + rng.integers(base ** n, size=3).tolist())
+        label = {s: pool[int(rng.integers(len(pool)))] for s in ground.ids_list()}
+        messages.append(PartitioningIndex.from_labeling(ground, label.__getitem__))
+    eta = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.floats(1e-3, 0.999), st.sampled_from((1e-3, 0.5, 0.999))))
+    delta_n = draw(st.one_of(st.none(), st.floats(0.05, 0.95)))
+    return channels, dist, A, messages, eta, delta_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_word_instances())
+def test_one_word_partition_is_the_lattice_iterations(inst):
+    assert_same_partition(*inst)
+
+
+def test_one_word_partition_edges():
+    # the exact solver (|Y|^n <= 24) and the bracket, a word of mass near
+    # 1e-300, and a wide channel at small eta: its slack pushes sqrt(eps)
+    # past 1, so no unit reaches the share threshold and omega, hat and
+    # tilde are empty
+    rng = rng_from_seed(37)
+    A = SequenceSet.from_ids(3, 2, [5])
+    index = PartitioningIndex.from_labeling(SequenceSet.from_ids(3, 2, [1, 5]),
+                                            lambda s: s % 3)
+    for chs in ([bsc(0.1)], [bsc(0.1), _channel(rng, 2, 3, "zeros")]):
+        for n in (2, 6):  # 4 and 64 columns on the first channel
+            word = SequenceSet.from_ids(n, 2, [1])
+            dist = SequenceDist(n, 2, np.array([1, 2]), np.array([1e-300, 1.0]))
+            got = assert_same_partition(chs, dist, word,
+                                        [PartitioningIndex.trivial(word)], 0.5)
+            (rec,) = got.cell_records.values()
+            assert rec["mass"] == 1.0
+    uniform4 = Channel(Alphabet(2), Alphabet(4), np.full((2, 4), 0.25), name="uniform4")
+    got = assert_same_partition([uniform4], _law_around(rng, 3, 2, 5, 2, False), A,
+                                [index, index], 0.01)
+    assert got.epsilon_n > 1.0
+    (rec,) = got.cell_records.values()
+    for mrec in rec["subsets"].values():
+        assert mrec.omega == mrec.messages_hat == mrec.messages_tilde == ()
+        assert mrec.gap_two_sided is None
+
+
+def test_one_word_units_equal_their_image_entropy_partition(monkeypatch):
+    # inside a multi-word A, a one-word message cell's unit is the one
+    # record build_image_entropy_partition makes on that word, and the
+    # partition is the lattice iteration's
+    calls = []
+    word_record = partitioner._word_record
+
+    def recording(channels, dist, word, eta):
+        calls.append((channels, dist, word, eta, word_record(channels, dist, word, eta)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(partitioner, "_word_record", recording)
+    rng = rng_from_seed(31)
+    instances = 0
+    words = 0
+    while instances < 6:
+        A = random_subset(rng, 3, 2)
+        if A.size < 2:
+            continue
+        instances += 1
+        d = random_dist_on(rng, A)
+        chs = [random_channel(rng, 2, 2), random_channel(rng, 2, 3)]
+        M1 = PartitioningIndex.from_labeling(A, lambda s: s % 2)
+        M2 = PartitioningIndex.from_labeling(A, lambda s: (s >> 1) % 2)
+        calls.clear()
+        assert_same_partition(chs, d, A, [M1, M2], random_eta(rng))
+        words += len(calls)
+        for channels, dist, word, eta, rec in calls:
+            assert word.size == 1
+            part = build_image_entropy_partition(channels, dist, word, eta)
+            assert list(part.records) == [1]
+            for name in ("members", "set_exponent", "x_entropy_rate", "channel_records"):
+                assert_identical(getattr(rec, name), getattr(part.records[1], name))
+            assert_identical(partitioner._epsilon({1: rec}), part.epsilon_measured)
+    assert words
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ import pytest
 import dmckit
 from dmckit import core, partitioner
 from dmckit.cli import main
+from dmckit.core import Alphabet, Channel, SequenceDist, SequenceSet, bsc
+from dmckit.errors import ConditioningError, DimensionMismatchError, DomainError
+from dmckit.spectrum import PartitioningIndex
+
+import kernel_oracles
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -130,6 +135,54 @@ def test_malformed_file_exits_2(name, tmp_path, capsys):
         argv = [str(edited) if a == source else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_one_word_partition_keeps_the_chain_errors():
+    # a one-word A runs no lattice iteration, yet each bad argument raises
+    # what the iteration raises, type and message
+    ch = bsc(0.1)
+    d = SequenceDist(3, 2, np.array([5, 6]), np.array([0.5, 0.5]))
+    A = SequenceSet.from_ids(3, 2, [5])
+    M = PartitioningIndex.trivial(A)
+    zero = SequenceSet.from_ids(3, 2, [0])
+    ternary_input = Channel(Alphabet(3), Alphabet(2), np.full((3, 2), 0.5))
+    cases = [
+        (DomainError, [ch], A, [M], {"eta": 1.0}),
+        (DomainError, [ch], A, [M], {"eta": 0.0}),
+        (DomainError, [], A, [M], {"eta": 0.5}),
+        (DomainError, [ch], A, [M], {"eta": 0.5, "delta": 0.0}),
+        (DomainError, [ch], A, [M], {"eta": 0.5, "delta_n": 1.0}),
+        # the word outside a message index's ground, or in another space
+        (DimensionMismatchError, [ch], A,
+         [M, PartitioningIndex.trivial(SequenceSet.from_ids(3, 2, [6]))], {"eta": 0.5}),
+        (DimensionMismatchError, [ch], A,
+         [PartitioningIndex.trivial(SequenceSet.from_ids(4, 2, [5]))], {"eta": 0.5}),
+        (DimensionMismatchError, [ternary_input], A, [M], {"eta": 0.5}),
+        (ConditioningError, [ch], zero, [PartitioningIndex.trivial(zero)], {"eta": 0.5}),
+    ]
+    for error, channels, word, messages, kwargs in cases:
+        with pytest.raises(error) as want:
+            kernel_oracles.build_equal_image_partition(channels, d, word, messages, **kwargs)
+        with pytest.raises(error) as got:
+            partitioner.build_equal_image_partition(channels, d, word, messages, **kwargs)
+        assert str(got.value) == str(want.value)
+    # and warns where the iteration's spectrum slicing warns
+    for build in (kernel_oracles.build_equal_image_partition,
+                  partitioner.build_equal_image_partition):
+        with pytest.warns(UserWarning, match="delta >= 1"):
+            build([ch], d, A, [M], 0.5, delta=1.5)
+
+
+@pytest.mark.parametrize("eta, code", [("1.0", 2), ("0.5", 0)])
+def test_one_word_partition_exit_codes(eta, code, tmp_path):
+    (tmp_path / "dist.json").write_text(json.dumps(
+        {"n": 3, "alphabet_size": 2, "entries": [[5, 1.0]]}), encoding="utf-8")
+    (tmp_path / "msg.json").write_text(json.dumps(
+        {"n": 3, "alphabet_size": 2, "cells": [[5]]}), encoding="utf-8")
+    argv = golden(["partition", "--channel", "bsc01.json"]) + [
+        "--dist", str(tmp_path / "dist.json"), "--messages", str(tmp_path / "msg.json"),
+        "--eta", eta, "--out", str(tmp_path / "report.json")]
+    assert main(argv) == code
 
 
 def test_single_message_lattice_at_1e_9_still_reports(tmp_path):

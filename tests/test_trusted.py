@@ -14,7 +14,9 @@ import pytest
 import dmckit
 import kernel_oracles as old
 from dmckit.core import SequenceDist, SequenceSet, output_dist
+from dmckit import fano
 from dmckit.errors import ConditioningError
+from dmckit.fano import Decoder, build_decoding_sets
 from dmckit.images import EXACT_SOLVER_CAP, min_image_bracket, min_image_exact
 from dmckit.partitioner import _union, build_uniformizing_partition
 from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
@@ -27,8 +29,9 @@ PACKAGE = os.path.dirname(dmckit.__file__)
 #: (module, function) -> number of `_trusted` calls in it.  Each builds from
 #: ids that are a mask or slice of an already sorted id array (an
 #: intersection or difference finds one set's ids in the other's), a support, a
-#: conditioning, a dense marginal, a stable sort by bin or by label code, or
-#: a sort of distinct picks or of disjoint bins.  Loaders and public
+#: conditioning, a dense marginal, a stable sort by bin or by label code, a
+#: sort of distinct picks, of disjoint bins or of a cell's codewords, or the
+#: nonzero positions of a decoder column.  Loaders and public
 #: constructors validate, so none of them may appear here.
 TRUSTED_SITES = {
     ("core.py", "SequenceSet.intersect"): 1,
@@ -44,6 +47,7 @@ TRUSTED_SITES = {
     ("partitioner.py", "_refine_against_witness"): 1,
     ("partitioner.py", "_union"): 1,
     ("partitioner.py", "build_equal_image_partition"): 3,
+    ("fano.py", "build_decoding_sets"): 2,
 }
 VALIDATING = {"from_json_obj", "from_ids", "from_dense", "__post_init__"}
 
@@ -110,7 +114,17 @@ def assert_same_dist(got: SequenceDist, want: SequenceDist):
     assert not got.probs.flags.writeable
 
 
-def test_derived_objects_equal_validated_ones():
+def test_derived_objects_equal_validated_ones(monkeypatch):
+    made = []  # the sets build_decoding_sets derives
+
+    class Recording(SequenceSet):
+        @classmethod
+        def _trusted(cls, n, base, ids):
+            made.append(SequenceSet._trusted(n, base, ids))
+            return made[-1]
+
+    monkeypatch.setattr(fano, "SequenceSet", Recording)
+    codeword_sets = 0
     rng = np.random.default_rng(47)
     for trial in range(60):
         base = 2 if trial % 3 else 3
@@ -165,6 +179,24 @@ def test_derived_objects_equal_validated_ones():
                     n, base, cell.members.ids_list()))
             assert_same_set(up.remainder, SequenceSet.from_ids(
                 n, base, up.remainder.ids_list()))
+
+        # decoding sets: each message's codewords in a cell, and the outputs
+        # a random decoder sends to a message with probability alpha/2 or more
+        k = int(rng.integers(1, 4))
+        table = rng.uniform(0.0, 1.0, size=(ch.output.size ** n, k)) ** 3
+        table /= table.sum(axis=1, keepdims=True)
+        dec = Decoder(S=(0,), m_values=tuple((m,) for m in range(k)), table=table)
+        pairs = [((int(rng.integers(k)),), int(x), 1.0 / A.size) for x in A.ids]
+        cells = {"low": SequenceSet(n, base, A.ids[:A.size // 2]),
+                 "high": SequenceSet(n, base, A.ids[A.size // 2:])}
+        made.clear()
+        build_decoding_sets(pairs, dec, ch, n, float(rng.uniform(0.1, 1.0)),
+                            {c: cell for c, cell in cells.items() if cell.size})
+        assert len(made) >= k  # one per decoder column, then the codeword sets
+        codeword_sets += len(made) - k
+        for got in made:
+            assert_same_set(got, SequenceSet.from_ids(got.n, got.base, got.ids_list()))
+    assert codeword_sets
 
 
 def test_conditioning_returns_the_law_only_on_its_support_at_mass_one():
