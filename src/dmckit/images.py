@@ -63,8 +63,9 @@ class GapReport:
 
 
 def _check_eta(eta: float):
-    if not 0.0 < eta <= 1.0:
-        raise DomainError("eta must lie in (0, 1]")
+    # at eta <= GRID the empty set already reaches eta - GRID on every row
+    if not GRID < eta <= 1.0:
+        raise DomainError(f"eta must lie in ({GRID:g}, 1]")
 
 
 def min_quasi_image(ch: Channel, input_dist: SequenceDist | None,

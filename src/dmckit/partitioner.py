@@ -419,23 +419,18 @@ class ExtractionTrace:
     result: SequenceSet
     ratio: float
     ratio_floor: float
-    per_channel: list[dict]
+    #: the entropy rate of the law given the result and, per channel, its
+    #: output entropy rate and the result's image exponents (lower, upper,
+    #: exact) at eta
+    x_entropy_rate: float
+    h_rates: list[float]
+    exps: list[tuple]
 
 
 def _mu(channels: list[Channel], delta: float) -> float:
     """mu = prod_k 1/(3*(delta + log2|Y_k|)), the extraction's ratio constant."""
     return math.prod(1.0 / (3.0 * (delta + math.log2(ch.output.size)))
                      for ch in channels)
-
-
-def _channel_record(i: int, h_rate: float, exps: tuple) -> dict:
-    """Channel i's output entropy rate on an extracted set against the set's
-    image exponents (lower, upper, exact)."""
-    lo, hi, exact = exps
-    return {"channel": i, "entropy_rate": h_rate,
-            "image_exponent_lower": lo, "image_exponent_upper": hi,
-            "image_exact": exact,
-            "two_sided_gap": max(abs(h_rate - lo), abs(h_rate - hi))}
 
 
 def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
@@ -456,36 +451,36 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
         width = _width(len(steps), n, len(channels), width, slack)
         current, step = extract_equal_cell(ch, dist, current, width, delta, eta)
         steps.append(step)
-    per_channel = []
     cond = dist.conditioned_on(current)
-    for i, (ch, step) in enumerate(zip(channels, steps)):
+    return current, ExtractionTrace(
+        steps=steps, initial=A, result=current, ratio=current.size / A.size,
+        ratio_floor=_mu(channels, delta) / n, x_entropy_rate=cond.entropy() / n,
+        h_rates=[output_dist(ch, cond).entropy() / n for ch in channels],
         # step results are nested: equal sizes mean the step solved `current`
-        exps = ((step.image_exponent_lower, step.image_exponent_upper,
-                 step.image_exact) if step.result.size == current.size
-                else image_exponents(ch, current, eta))
-        per_channel.append(_channel_record(i, output_dist(ch, cond).entropy() / n, exps))
-    trace = ExtractionTrace(steps=steps, initial=A, result=current,
-                            ratio=current.size / A.size,
-                            ratio_floor=_mu(channels, delta) / n,
-                            per_channel=per_channel)
-    return current, trace
+        exps=[(step.image_exponent_lower, step.image_exponent_upper, step.image_exact)
+              if step.result.size == current.size else image_exponents(ch, current, eta)
+              for ch, step in zip(channels, steps)])
 
 
 @dataclass
 class CellRecord:
-    """Measured per-cell quantities of the image-entropy-matched partition;
-    a cell that no extraction built (`_word_record`) has no trace."""
+    """A measured set: its size exponent, the entropy rate of the law given
+    it and, per channel, its output entropy rate and its image exponents
+    (lower, upper, exact) at eta.  A set that no extraction built
+    (`_measure`) has no trace."""
 
     members: SequenceSet
     set_exponent: float
     x_entropy_rate: float
-    channel_records: list[dict]
+    h_rates: list[float]
+    exps: list[tuple]
     trace: ExtractionTrace | None
 
     @property
     def slack(self) -> float:
         gaps = [self.set_exponent - self.x_entropy_rate]
-        gaps += [rec["two_sided_gap"] for rec in self.channel_records]
+        gaps += [max(abs(h - lo), abs(h - hi))
+                 for h, (lo, hi, _) in zip(self.h_rates, self.exps)]
         return max(gaps)
 
 
@@ -494,39 +489,22 @@ def _epsilon(records: dict) -> float:
     return max(max(rec.slack for rec in records.values()), 0.0)
 
 
-def _measure(channels: list[Channel], cond: SequenceDist, A: SequenceSet,
-             eta: float) -> tuple[list[float], list[tuple]]:
-    """Per channel, the output entropy rate of `cond`, a law on A, and A's
-    image exponents (lower, upper, exact) at eta."""
-    return ([output_dist(ch, cond).entropy() / A.n for ch in channels],
-            [image_exponents(ch, A, eta) for ch in channels])
+def _measure(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
+             eta: float) -> CellRecord:
+    """The record of A under `dist` given A, measured as `extract_main`
+    measures its final set; the arguments are not checked.
 
-
-def _rates(rec: CellRecord) -> tuple[list[float], list[tuple]]:
-    """A cell record's `_measure`: its per-channel output entropy rates and
-    image exponents."""
-    return ([c["entropy_rate"] for c in rec.channel_records],
-            [(c["image_exponent_lower"], c["image_exponent_upper"], c["image_exact"])
-             for c in rec.channel_records])
-
-
-def _word_record(channels: list[Channel], dist: SequenceDist, word: SequenceSet,
-                 eta: float) -> CellRecord:
-    """The one cell of `build_image_entropy_partition` on a one-word set.
-
-    Every extraction step refines the word against a prefix of the density
+    On a one-word set this is the one cell of `build_image_entropy_partition`:
+    every extraction step refines the word against a prefix of the density
     bins of its own output row, which carries that prefix's whole mass, so
-    every step keeps the word: the cell is the word, measured under `dist`
-    given the word, as `extract_main` measures its final set.  The spectra
-    and continuity gaps that only steer the steps are not built, and the
-    arguments are not checked.
+    every step keeps the word.  The spectra and continuity gaps that only
+    steer the steps are not built.
     """
-    cond = dist.conditioned_on(word)
-    h_rates, exps = _measure(channels, cond, word, eta)
-    return CellRecord(members=word, set_exponent=aexp(1, word.n),
-                      x_entropy_rate=cond.entropy() / word.n,
-                      channel_records=[_channel_record(i, h, e) for i, (h, e)
-                                       in enumerate(zip(h_rates, exps))],
+    cond = dist.conditioned_on(A)
+    return CellRecord(members=A, set_exponent=aexp(A.size, A.n),
+                      x_entropy_rate=cond.entropy() / A.n,
+                      h_rates=[output_dist(ch, cond).entropy() / A.n for ch in channels],
+                      exps=[image_exponents(ch, A, eta) for ch in channels],
                       trace=None)
 
 
@@ -576,13 +554,10 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
             continue
         stall = 0
         label = len(cells) + 1
-        cond = dist.conditioned_on(cell)
         records[label] = CellRecord(
-            members=cell,
-            set_exponent=aexp(cell.size, n),
-            x_entropy_rate=cond.entropy() / n,
-            channel_records=trace.per_channel,
-            trace=trace)
+            members=cell, set_exponent=aexp(cell.size, n),
+            x_entropy_rate=trace.x_entropy_rate, h_rates=trace.h_rates,
+            exps=trace.exps, trace=trace)
         cells[label] = cell
         residual = residual.difference(cell)
     cap = math.floor(2.0 * math.log(2.0) * (1.0 + math.log2(dist.base)) * n * n
@@ -604,14 +579,16 @@ def _subsets_of(items) -> tuple:
     return tuple(sorted(subsets, key=lambda s: (len(s), s)))
 
 
-def _lattice_coord(rate: float, delta_n: float, dim: int) -> int:
-    """Nearest lattice index with the half-open [-d/2, d/2) window; the
-    index is stored as int64."""
-    i = min(max(floor_on_grid(rate / delta_n + 0.5), 0), dim)
-    if i > np.iinfo(np.int64).max:
+def _lattice_point(rec: CellRecord, delta_n: float, dims: tuple) -> list[int]:
+    """A record's entropy-lattice point: for its x and then each output
+    entropy rate, the nearest lattice index with the half-open [-d/2, d/2)
+    window, stored as int64."""
+    point = [min(max(floor_on_grid(rate / delta_n + 0.5), 0), dim)
+             for rate, dim in zip([rec.x_entropy_rate] + rec.h_rates, dims)]
+    if max(point) > np.iinfo(np.int64).max:
         raise CapacityError(f"delta_n = {delta_n:g} puts an entropy lattice "
                             "index past int64; increase delta_n")
-    return i
+    return point
 
 
 @dataclass
@@ -737,7 +714,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     sqrt(epsilon_n) share threshold uses the maximum measured slack of the
     inner partitions, floored at 1/n^2.
 
-    A one-word message cell is its own inner partition (`_word_record`), so
+    A one-word message cell is its own inner partition (`_measure`), so
     a one-word A is one cell placed in one iteration, built here directly:
     its lattice point and every subset's record come from the word's own
     row, as the iteration would compute them.
@@ -778,10 +755,8 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         if not 0.0 < eta < 1.0:
             raise DomainError("eta must lie in (0, 1)")
         _check_delta(delta)
-        rec = _word_record(channels, cond, A, eta)
-        h_rates, exps = _rates(rec)
-        point = tuple(_lattice_coord(r, delta_n, d)
-                      for r, d in zip([rec.x_entropy_rate] + h_rates, dims))
+        rec = _measure(channels, cond, A, eta)
+        point = tuple(_lattice_point(rec, delta_n, dims))
         eps = max(1.0 / n ** 2, _epsilon({1: rec}))
         mass = cond.mass_of(A)
         per_subset: dict = {}
@@ -789,12 +764,13 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             m = labels[S[0]] if S else ()
             for j in S[1:]:  # nested as product_index nests labels
                 m = (m, labels[j])
-            per_subset[S] = _message_record([(m, mass, h_rates, exps, [(1, 1, 1)], 1)],
-                                            mass, n, len(channels), math.sqrt(eps),
-                                            delta_n)
+            per_subset[S] = _message_record(
+                [(m, mass, rec.h_rates, rec.exps, [(1, 1, 1)], 1)],
+                mass, n, len(channels), math.sqrt(eps), delta_n)
         label = (1, (point,) * len(subsets))
-        return _finished(A, {label: A}, {label: {"mass": mass, "subsets": per_subset,
-                                                 "epsilon_n": eps}}, 1, fields)
+        index = PartitioningIndex._trusted(A, {label: A}, np.zeros(1, dtype=np.intp))
+        return _finished(index, {label: {"mass": mass, "subsets": per_subset,
+                                         "epsilon_n": eps}}, 1, fields)
 
     residual = A
     iteration = 0
@@ -819,9 +795,9 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
             # build_image_entropy_partition is fixed within the iteration, so
             # subsets that yield the same cell share its partition and placements
             built: dict = {}
-            # set ids -> per-channel output entropy rates and image exponents
-            # of that set under `cond`, seeded from every inner record below,
-            # so a message set equal to a record's members is not solved again
+            # set ids -> that set measured under `cond`, seeded with every
+            # inner record below, so a message set equal to a record's
+            # members is not solved again
             measured: dict = {}
             for S in subsets:
                 idx = single[S[0]] if S else PartitioningIndex.trivial(residual, label=())
@@ -835,23 +811,18 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                     key = cell_m.ids.tobytes()
                     if key not in built:
                         if cell_m.size == 1:
-                            records = {1: _word_record(channels, cond, cell_m, eta)}
+                            records = {1: _measure(channels, cond, cell_m, eta)}
                         else:
                             records = build_image_entropy_partition(
                                 channels, cond, cell_m, eta, delta).records
                         sizes = {}
                         placed_units = {}
                         for u, rec in records.items():
-                            # the record holds the x and output entropy rates of
-                            # `cond` given u, the lattice point's coordinates,
-                            # and u's image exponents
-                            h_rates, exps = _rates(rec)
-                            measured[rec.members.ids.tobytes()] = (h_rates, exps)
+                            measured[rec.members.ids.tobytes()] = rec
                             sizes[u] = rec.members.size
                             placed_units[u] = (
                                 np.searchsorted(residual.ids, rec.members.ids),
-                                [_lattice_coord(r, delta_n, d) for r, d in
-                                 zip([rec.x_entropy_rate] + h_rates, dims)])
+                                _lattice_point(rec, delta_n, dims))
                         built[key] = (_epsilon(records), sizes, placed_units)
                     part_eps, sizes, placed_units = built[key]
                     inner[S].append((m, sizes))
@@ -894,11 +865,10 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                         inter = SequenceSet._trusted(n, dist.base, cell.ids[of_m])
                         key = inter.ids.tobytes()
                         if key not in measured:
-                            measured[key] = _measure(channels, cond.conditioned_on(inter),
-                                                     inter, eta)
-                        h_rates, exps = measured[key]
+                            measured[key] = _measure(channels, cond, inter, eta)
+                        rec = measured[key]
                         counts = np.bincount(units[of_m]).tolist()
-                        entries.append((m, cond.mass_of(inter), h_rates, exps,
+                        entries.append((m, cond.mass_of(inter), rec.h_rates, rec.exps,
                                         [(u, count, sizes[u])
                                          for u, count in enumerate(counts) if count],
                                         inter.size))
@@ -908,14 +878,13 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                                        "epsilon_n": eps}
 
             residual = SequenceSet._trusted(n, dist.base, residual.ids[~placed])
-    return _finished(A, cells, cell_records, iteration, fields)
+    return _finished(PartitioningIndex(A, cells), cell_records, iteration, fields)
 
 
-def _finished(A: SequenceSet, cells: dict, cell_records: dict, iterations: int,
+def _finished(index: PartitioningIndex, cell_records: dict, iterations: int,
               fields: dict) -> EqualImagePartition:
-    """The equal-image partition of A into `cells`, with the per-property
-    maxima of the gaps measured in `cell_records` and their largest
-    epsilon_n."""
+    """The equal-image partition `index`, with the per-property maxima of
+    the gaps measured in `cell_records` and their largest epsilon_n."""
     lam = {"image_vs_entropy": 0.0, "tilde_vs_all": 0.0,
            "entropy_vs_tilde": 0.0, "two_sided": 0.0}
     for rec in cell_records.values():
@@ -930,7 +899,7 @@ def _finished(A: SequenceSet, cells: dict, cell_records: dict, iterations: int,
 
     eps_all = max(rec["epsilon_n"] for rec in cell_records.values())
     return EqualImagePartition(
-        index=PartitioningIndex(A, cells), epsilon_n=eps_all,
+        index=index, epsilon_n=eps_all,
         cell_records=cell_records, lambda_measured=lam, iterations=iterations,
         **fields)
 

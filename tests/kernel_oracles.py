@@ -28,7 +28,7 @@ from dmckit.errors import (CapacityError, DimensionMismatchError, DomainError,
                            InvariantError, ValidationError)
 from dmckit.images import image_exponents
 from dmckit.partitioner import (EqualImagePartition, MessageRecord, SliceCell,
-                                UniformizingPartition, _lattice_coord,
+                                UniformizingPartition, _lattice_point,
                                 _refine_against_witness, _subsets_of)
 from dmckit.reports import _format_float
 from dmckit.spectrum import (PartitioningIndex, UniformityReport,
@@ -613,14 +613,10 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                             # the record holds the x and output entropy rates of
                             # `cond` given u, the lattice point's coordinates,
                             # and u's image exponents
-                            h_rates = [c["entropy_rate"] for c in rec.channel_records]
-                            measured[rec.members.ids.tobytes()] = (h_rates, [
-                                (c["image_exponent_lower"], c["image_exponent_upper"],
-                                 c["image_exact"]) for c in rec.channel_records])
+                            measured[rec.members.ids.tobytes()] = (rec.h_rates, rec.exps)
                             placed_units[u] = (
                                 np.searchsorted(residual.ids, rec.members.ids),
-                                [_lattice_coord(r, delta_n, d) for r, d in
-                                 zip([rec.x_entropy_rate] + h_rates, dims)])
+                                _lattice_point(rec, delta_n, dims))
                         built[key] = (part, placed_units)
                     part, placed_units = built[key]
                     inner[S].append((m, part.records))

@@ -7,6 +7,7 @@ CHANGES.md (for example a last-ulp change from a new summation order); the
 digest itself is never regenerated to make this test pass.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 
 import dmckit
 from dmckit import fano, partitioner
-from dmckit.cli import main
+from dmckit.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -92,6 +93,9 @@ CASES = {
     "wiretap-bound-tern-usize2": [
         "wiretap-bound", "--main", "tern33.json", "--eve", "tern3eve.json",
         "--usize", "2"],
+    # the seeded lemma suite: its trial draws and per-check verdicts
+    "verify-lemmas-seed7-n4": [
+        "verify-lemmas", "--seed", "7", "--trials", "5", "--n", "4"],
 }
 
 
@@ -116,6 +120,12 @@ def _expected() -> dict:
 
 def test_golden_covers_every_case():
     assert sorted(_expected()) == sorted(CASES)
+
+
+def test_golden_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {argv[0] for argv in CASES.values()}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

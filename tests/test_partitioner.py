@@ -222,8 +222,8 @@ def test_extract_main_identity_pair():
     d = SequenceDist.uniform_on(A)
     result, trace = extract_main(chs, d, A, 0.5)
     assert result.ids_list() == A.ids_list()
-    assert all(rec["two_sided_gap"] == pytest.approx(0.0, abs=1e-12)
-               for rec in trace.per_channel)
+    assert all(max(abs(h - lo), abs(h - hi)) == pytest.approx(0.0, abs=1e-12)
+               for h, (lo, hi, _) in zip(trace.h_rates, trace.exps))
     assert trace.ratio >= trace.ratio_floor
 
 
@@ -247,9 +247,10 @@ def test_extract_main_two_channels():
     result, trace = extract_main(chs, d, A, 0.5)
     assert result.size > 0
     assert len(trace.steps) == 2
-    for rec in trace.per_channel:
-        assert rec["image_exact"]
-        assert rec["two_sided_gap"] >= 0.0
+    assert len(trace.h_rates) == len(trace.exps) == 2
+    for h, (lo, hi, exact) in zip(trace.h_rates, trace.exps):
+        assert exact
+        assert max(abs(h - lo), abs(h - hi)) >= 0.0
 
 
 def _extraction_instances():
@@ -272,11 +273,10 @@ def test_extract_main_exponents_match_a_fresh_solve():
     read = set()
     for chs, d, A in _extraction_instances():
         result, trace = extract_main(chs, d, A, 0.4)
-        for ch, step, rec in zip(chs, trace.steps, trace.per_channel):
+        assert len(trace.exps) == len(chs)
+        for ch, step, exps in zip(chs, trace.steps, trace.exps):
             read.add(step.result.size == result.size)
-            lo, hi, exact = image_exponents(ch, result, 0.4)
-            assert (rec["image_exponent_lower"], rec["image_exponent_upper"],
-                    rec["image_exact"]) == (lo, hi, exact)
+            assert exps == image_exponents(ch, result, 0.4)
     assert read == {True, False}
 
 
@@ -603,7 +603,7 @@ def test_image_entropy_partition_is_pure():
             assert rec.members.ids_list() == other.members.ids_list()
             assert (rec.set_exponent, rec.x_entropy_rate) == (
                 other.set_exponent, other.x_entropy_rate)
-            assert rec.channel_records == other.channel_records
+            assert (rec.h_rates, rec.exps) == (other.h_rates, other.exps)
 
 
 # ---------------------------------------------------------------------------
@@ -735,17 +735,19 @@ def test_one_word_partition_edges():
 
 
 def test_one_word_units_equal_their_image_entropy_partition(monkeypatch):
-    # inside a multi-word A, a one-word message cell's unit is the one
-    # record build_image_entropy_partition makes on that word, and the
-    # partition is the lattice iteration's
+    # inside a multi-word A, a one-word message cell's unit, and any other
+    # one-word set measured, is the one record build_image_entropy_partition
+    # makes on that word, and the partition is the lattice iteration's
     calls = []
-    word_record = partitioner._word_record
+    measure = partitioner._measure
 
-    def recording(channels, dist, word, eta):
-        calls.append((channels, dist, word, eta, word_record(channels, dist, word, eta)))
-        return calls[-1][-1]
+    def recording(channels, dist, A, eta):
+        rec = measure(channels, dist, A, eta)
+        if A.size == 1:  # larger sets are message sets measured on a miss
+            calls.append((channels, dist, A, eta, rec))
+        return rec
 
-    monkeypatch.setattr(partitioner, "_word_record", recording)
+    monkeypatch.setattr(partitioner, "_measure", recording)
     rng = rng_from_seed(31)
     instances = 0
     words = 0
@@ -765,7 +767,7 @@ def test_one_word_units_equal_their_image_entropy_partition(monkeypatch):
             assert word.size == 1
             part = build_image_entropy_partition(channels, dist, word, eta)
             assert list(part.records) == [1]
-            for name in ("members", "set_exponent", "x_entropy_rate", "channel_records"):
+            for name in ("members", "set_exponent", "x_entropy_rate", "h_rates", "exps"):
                 assert_identical(getattr(rec, name), getattr(part.records[1], name))
             assert_identical(partitioner._epsilon({1: rec}), part.epsilon_measured)
     assert words

@@ -46,6 +46,7 @@ PARTITION_N5 = ["partition", "--channel", "bsc01.json", "--channel", "bsc02.json
 SPECTRUM_N6 = ["spectrum", "--dist", "dist6.json"]
 FANO_MAX_N4 = ["fano-max", "--code", "code4.json", "--channel", "bsc01.json"]
 WIRETAP_BSC = ["wiretap-bound", "--main", "bsc01.json", "--eve", "bsc02.json"]
+IMAGE_B4_ETA = ["image-size", "--channel", "bsc01.json", "--set", "set_b4.json", "--eta"]
 
 FAST = {
     "spectrum-delta-nan": (SPECTRUM_N6 + ["--delta-n", "0.2", "--delta", "nan"], 2),
@@ -63,6 +64,11 @@ FAST = {
     "partition-rho-400": (PARTITION_N6 + ["--rho", "400"], 3),
     "fano-max-rho-511": (FANO_MAX_N4 + ["--rho", "511"], 3),
     "fano-max-rho-600": (FANO_MAX_N4 + ["--rho", "600"], 3),
+    # eta at or below the comparison grid: the empty set would serve every
+    # row, once reported as size 0, or as a lower bound 1 above upper 0
+    "image-size-eta-1e-13": (IMAGE_B4_ETA + ["1e-13"], 2),
+    "image-size-exact-eta-1e-13": (IMAGE_B4_ETA + ["1e-13", "--exact"], 2),
+    "partition-eta-1e-13": (PARTITION_N6 + ["--eta", "1e-13"], 2),
     # PCG64 refuses a negative seed; no trials once reported all passed
     "verify-lemmas-seed-negative": (["verify-lemmas", "--n", "2", "--seed", "-5"], 2),
     "verify-lemmas-trials-negative": (["verify-lemmas", "--n", "2", "--trials", "-1"], 2),

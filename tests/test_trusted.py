@@ -18,7 +18,8 @@ from dmckit import fano
 from dmckit.errors import ConditioningError
 from dmckit.fano import Decoder, build_decoding_sets
 from dmckit.images import EXACT_SOLVER_CAP, min_image_bracket, min_image_exact
-from dmckit.partitioner import _union, build_uniformizing_partition
+from dmckit.partitioner import (_union, build_equal_image_partition,
+                                build_uniformizing_partition)
 from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
                              product_index, restrict_index)
 from dmckit.verify import (random_channel, random_dist_on, random_eta,
@@ -30,9 +31,9 @@ PACKAGE = os.path.dirname(dmckit.__file__)
 #: ids that are a mask or slice of an already sorted id array (an
 #: intersection or difference finds one set's ids in the other's), a support, a
 #: conditioning, a dense marginal, a stable sort by bin or by label code, a
-#: sort of distinct picks, of disjoint bins or of a cell's codewords, or the
-#: nonzero positions of a decoder column.  Loaders and public
-#: constructors validate, so none of them may appear here.
+#: sort of distinct picks, of disjoint bins or of a cell's codewords, the
+#: nonzero positions of a decoder column, or a one-word set's one cell.
+#: Loaders and public constructors validate, so none of them may appear here.
 TRUSTED_SITES = {
     ("core.py", "SequenceSet.intersect"): 1,
     ("core.py", "SequenceSet.difference"): 1,
@@ -46,7 +47,7 @@ TRUSTED_SITES = {
     ("partitioner.py", "build_uniformizing_partition"): 2,
     ("partitioner.py", "_refine_against_witness"): 1,
     ("partitioner.py", "_union"): 1,
-    ("partitioner.py", "build_equal_image_partition"): 3,
+    ("partitioner.py", "build_equal_image_partition"): 4,
     ("fano.py", "build_decoding_sets"): 2,
 }
 VALIDATING = {"from_json_obj", "from_ids", "from_dense", "__post_init__"}
@@ -179,6 +180,12 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
                     n, base, cell.members.ids_list()))
             assert_same_set(up.remainder, SequenceSet.from_ids(
                 n, base, up.remainder.ids_list()))
+
+        # a one-word set's equal-image partition is one cell, the word
+        word = SequenceSet(n, base, A.ids[:1])
+        got = build_equal_image_partition([ch], d, word, [PartitioningIndex.trivial(word)],
+                                          0.5).index
+        assert_same_index(got, PartitioningIndex(word, dict(got.cells)))
 
         # decoding sets: each message's codewords in a cell, and the outputs
         # a random decoder sends to a message with probability alpha/2 or more
