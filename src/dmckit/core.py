@@ -516,16 +516,23 @@ def output_rows(ch: Channel, A: SequenceSet) -> np.ndarray:
     return _product_rows(ch, A.ids, A.n)
 
 
+def _output_space(ch: Channel, input_dist: SequenceDist) -> int:
+    """|Y|^n, once `ch` is checked to take `input_dist`'s words and its
+    output marginal to fit the budget."""
+    if input_dist.base != ch.input.size:
+        raise DimensionMismatchError("input alphabet does not match the channel")
+    out_space = ch.output.size ** input_dist.n
+    check_budget(8 * out_space, "output marginal |Y|^n")
+    return out_space
+
+
 def output_dist(ch: Channel, input_dist: SequenceDist) -> SequenceDist:
     """Exact output marginal of the product channel applied to `input_dist`.
 
     Adds p(x) * P(. | x) word by word in support order, building the rows in
     blocks of at most 2**13 floats.
     """
-    if input_dist.base != ch.input.size:
-        raise DimensionMismatchError("input alphabet does not match the channel")
-    out_space = ch.output.size ** input_dist.n
-    check_budget(8 * out_space, "output marginal |Y|^n")
+    out_space = _output_space(ch, input_dist)
     acc = np.zeros(out_space)
     step = max(1, _BLOCK // out_space)
     for lo in range(0, input_dist.ids.size, step):

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GRID, SUM_TOL, Channel, SequenceDist, SequenceSet, _row_store, aexp,
-                   check_budget, entropy_bits, mutual_information, output_rows)
+from .core import (GRID, SUM_TOL, Channel, SequenceDist, SequenceSet, _int64_ids,
+                   _row_store, aexp, check_budget, entropy_bits, mutual_information,
+                   output_rows)
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      PreconditionError, ValidationError)
-from .images import (EXACT_SOLVER_CAP, _singleton_sizes, min_image,
-                     min_image_exact)
+from .images import EXACT_SOLVER_CAP, _word_size, min_image, min_image_exact
 from .partitioner import (_subsets_of, build_equal_image_partition,
                           build_uniformizing_partition)
 from .reports import SLACK, BoundReport
@@ -123,6 +123,8 @@ class Code:
     decoders: tuple  # tuple of Decoder
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("blocklength n must be >= 1")
         enc = dict(self.encoder)
         if set(enc) != set(self.messages.support):
             raise ValidationError("encoder must cover exactly the message support")
@@ -165,7 +167,8 @@ def _message_output_joint(channel: Channel, pairs, n: int, base: int,
     """Joint law of (message, output word) of (m, x, weight) pairs, each
     weight divided by `total`; one row per distinct m, ascending."""
     xs = sorted({x for _, x, _ in pairs})
-    rows = output_rows(channel, SequenceSet.from_ids(n, base, xs))
+    # sorted and distinct; n >= 1 is the caller's to check
+    rows = output_rows(channel, SequenceSet._trusted(n, base, _int64_ids(xs, n, base)))
     row_of = dict(zip(xs, rows))
     col = {m: i for i, m in enumerate(sorted({m for m, _, _ in pairs}))}
     joint = np.zeros((len(col), rows.shape[1]))
@@ -180,6 +183,8 @@ def ml_decoder(messages: MessageSpace, encoder, channel: Channel, n: int,
 
     Ties break toward the smallest message tuple.
     """
+    if n < 1:
+        raise ValidationError("blocklength n must be >= 1")
     enc = dict(encoder)
     weighted = [(tuple(m[j] for j in S), x, pm * px)
                 for m, pm in messages.items() for x, px in enc[m]]
@@ -203,7 +208,9 @@ def _success_probs(pairs, decoder: Decoder, channel: Channel, n: int) -> dict:
     of any subset of the pairs equal the ones computed for that subset.
     """
     xs = sorted({x for _, x, _ in pairs})
-    rows = output_rows(channel, SequenceSet.from_ids(n, channel.input.size, xs))
+    # sorted and distinct; n >= 1 is the caller's to check
+    rows = output_rows(channel, SequenceSet._trusted(
+        n, channel.input.size, _int64_ids(xs, n, channel.input.size)))
     row_of = dict(zip(xs, rows))
     return {(m, x): float(row_of[x] @ decoder.table[
                 :, decoder.column(tuple(m[j] for j in decoder.S))])
@@ -345,7 +352,7 @@ def sphere_packing_check(code: Code, channel: Channel, mu: float,
     n = code.n
     A = SequenceSet.from_ids(n, code.base, sorted(set(codeword_of.values())))
     g_outer = min_image_exact(channel, A, mu + eps).lower
-    g_inner = int(_singleton_sizes(output_rows(channel, A), mu).min())
+    g_inner = min(_word_size(row, mu) for row in output_rows(channel, A))
     lhs = aexp(len(code.messages.support), n)
     rhs = aexp(g_outer, n) - aexp(g_inner, n)
     report = BoundReport("sphere-packing-rate-bound",

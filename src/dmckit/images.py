@@ -13,6 +13,14 @@ Beyond the exact solver's cap, `min_image_bracket` builds the row matrix
 once: both lower bounds read it first, a block of rows at a time, and the
 greedy upper bound then masks the columns it picks in that same matrix, so
 no second |A| x |Y|^n array is made.
+
+A one-word set is solved from its own row: its outputs by probability
+descending, cut where their running sum reaches eta (`_word_cut`).  That is
+the greedy's pick sequence on the row, so beyond the cap the bracket is
+exact by construction.  Within the cap it is the exact size unless a running
+sum lies within `_BAND` of eta - GRID, where the table's ascending-order
+sums could decide otherwise; there the table runs on the row instead
+(`_word_cover`).
 """
 
 from __future__ import annotations
@@ -35,6 +43,13 @@ EXACT_SOLVER_CAP = 24
 #: a run of 16-column solves and was no faster end to end than two passes
 #: over this one.
 _TABLE_BITS = 15
+
+#: A one-word exact solve falls back to the subset-sum table when one of its
+#: running sums lies within this distance of eta - GRID.  Two summation orders
+#: of at most EXACT_SOLVER_CAP entries of one row (whose sum is about 1)
+#: differ by under 48 * 2**-53, so outside it every comparison decides as
+#: the table's does.
+_BAND = 64 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -109,10 +124,71 @@ def _singleton_sizes(rows: np.ndarray, eta: float) -> np.ndarray:
 
 
 def singleton_image_size(ch: Channel, x: Sequence, eta: float) -> int:
-    """Minimum image size of a single input word: greedy over its row."""
+    """Minimum image size of a single input word: `min_image`'s size on {x}."""
     _check_eta(eta)
     A = SequenceSet.from_ids(x.n, x.base, [x.value])
-    return int(_singleton_sizes(output_rows(ch, A), eta)[0])
+    return _word_size(output_rows(ch, A)[0], eta)
+
+
+def _word_cut(row: np.ndarray, eta: float, exact: bool) -> tuple[np.ndarray, int] | None:
+    """(the outputs of a one-word set by probability descending, ties to the
+    smallest id; how many of them reach eta), from the word's output row.
+    With `exact`, None when a running sum lies within _BAND of eta - GRID.
+
+    With one row the greedy cover serves that row alone and picks its
+    outputs in this order, so its masses are these running sums, and it
+    stops at this count.  No set of one output fewer sums to more than the
+    running sum before the cut, and the outputs before the cut reach eta,
+    so outside the band the exact solver's size is the same count.
+    """
+    threshold = eta - GRID
+    order = np.argsort(-row, kind="stable")
+    cum = np.cumsum(row[order])
+    if exact and np.any(np.abs(cum - threshold) <= _BAND):
+        return None
+    size = int(np.count_nonzero(cum < threshold)) + 1
+    if size > row.size:
+        raise DomainError("eta unreachable for some row")
+    return order, size
+
+
+def _word_cover(row: np.ndarray, eta: float) -> list[int] | None:
+    """`_table_cover` on the one row `row`, or None when a comparison that
+    decides it lies within _BAND of eta - GRID.
+
+    The witness is the lexicographically least set of the cut's size: each
+    id, ascending, is taken when it and the largest outputs after it still
+    reach eta, so the same band guards each of those comparisons.
+    """
+    cut = _word_cut(row, eta, True)
+    if cut is None:
+        return None
+    order, size = cut
+    threshold = eta - GRID
+    vals = row.tolist()
+    rest = order.tolist()  # the ids after i, by probability descending
+    chosen: list[int] = []
+    mass = 0.0
+    for i, v in enumerate(vals):
+        rest.remove(i)
+        reach = mass + v
+        for j in rest[:size - len(chosen) - 1]:
+            reach += vals[j]
+        if abs(reach - threshold) <= _BAND:
+            return None
+        if reach >= threshold:
+            chosen.append(i)
+            mass += v
+            if len(chosen) == size:
+                return chosen
+    return None  # not reached: the outputs before the cut reach eta
+
+
+def _word_size(row: np.ndarray, eta: float) -> int:
+    """`min_image`'s size on a one-word set whose output row is `row`."""
+    _check_eta(eta)
+    cut = _word_cut(row, eta, row.size <= EXACT_SOLVER_CAP)
+    return len(_table_cover(row[None], eta)) if cut is None else cut[1]
 
 
 def _greedy_cover(rows: np.ndarray, eta: float) -> list[int]:
@@ -156,27 +232,19 @@ def _rank_table(low: int) -> np.ndarray:
     return rank
 
 
-def min_image_exact(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
-    """Exact minimum eta-image size and its lexicographically least witness.
+def _table_cover(rows: np.ndarray, eta: float) -> list[int]:
+    """The smallest set of columns, ascending, whose mass reaches eta on every
+    row, the lexicographically least of that size.
 
     One pass scores every set of output columns by its mass on each row:
     bit k of a table index stands for column k, and
     mass[2**k:2**(k+1)] = mass[:2**k] + row[k] adds the columns in ascending
-    order from 0.0.  The size is the smallest popcount of a set that reaches
-    eta on every row, the witness the least such set in lexicographic order.
-    Past _TABLE_BITS columns the table covers the low columns, and each set of
-    the high columns (in ascending order) adds its columns after the table's,
-    so no table holds more than 2**_TABLE_BITS floats.
+    order from 0.0.  Past _TABLE_BITS columns the table covers the low
+    columns, and each set of the high columns (in ascending order) adds its
+    columns after the table's, so no table holds more than 2**_TABLE_BITS
+    floats.
     """
-    _check_eta(eta)
-    if A.size == 0:
-        raise DomainError("A must be nonempty")
-    n_cols = ch.output.size ** A.n
-    if n_cols > EXACT_SOLVER_CAP:
-        raise CapacityError(
-            f"output space {n_cols} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
-            "use min_image_bracket")
-    rows = output_rows(ch, A)
+    n_cols = rows.shape[1]
     threshold = eta - GRID
     low = min(n_cols, _TABLE_BITS)
     rank = _rank_table(low)
@@ -207,6 +275,29 @@ def min_image_exact(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
     if best is None:
         raise DomainError("eta unreachable for some row")
     # the low columns ascending, then the high ones: sorted and distinct
+    return best
+
+
+def min_image_exact(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
+    """Exact minimum eta-image size and its lexicographically least witness.
+
+    The size is the smallest popcount of a set of output columns that
+    reaches eta on every row (`_table_cover`), the witness the least such set
+    in lexicographic order.  A one-word set is solved from its row
+    (`_word_cover`) unless a comparison lies within _BAND of eta - GRID.
+    """
+    _check_eta(eta)
+    if A.size == 0:
+        raise DomainError("A must be nonempty")
+    n_cols = ch.output.size ** A.n
+    if n_cols > EXACT_SOLVER_CAP:
+        raise CapacityError(
+            f"output space {n_cols} exceeds the exact-solver cap {EXACT_SOLVER_CAP}; "
+            "use min_image_bracket")
+    rows = output_rows(ch, A)
+    best = _word_cover(rows[0], eta) if A.size == 1 else None
+    if best is None:
+        best = _table_cover(rows, eta)
     witness = SequenceSet._trusted(A.n, ch.output.size, np.array(best, dtype=np.int64))
     return ImageBracket(lower=len(best), upper=len(best), upper_witness=witness,
                         exact=True, method="subset-sum-table")
@@ -252,13 +343,18 @@ def min_image_bracket(ch: Channel, A: SequenceSet, eta: float) -> ImageBracket:
     if A.size == 0:
         raise DomainError("A must be nonempty")
     rows = output_rows(ch, A)
-    singleton_lb, mixture = _lower_bounds(rows, eta)
-    quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
-    upper_cols = _greedy_cover(rows, eta)
+    if A.size == 1:
+        # both lower bounds cut the one row where the greedy stops
+        order, lower = _word_cut(rows[0], eta, False)
+        upper_cols = order[:lower]
+    else:
+        singleton_lb, mixture = _lower_bounds(rows, eta)
+        quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
+        upper_cols = _greedy_cover(rows, eta)
+        lower = max(singleton_lb, quasi_lb)
     # a picked column is never picked again
     witness = SequenceSet._trusted(A.n, ch.output.size,
                                    np.sort(np.array(upper_cols, dtype=np.int64)))
-    lower = max(singleton_lb, quasi_lb)
     return ImageBracket(lower=lower, upper=len(upper_cols), upper_witness=witness,
                         exact=lower == len(upper_cols),
                         method="greedy-cover/singleton-quasi-lower")

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GRID, Channel, SequenceDist, SequenceSet, _row_store, aexp,
-                   entropy_bits, output_dist, output_rows)
+from .core import (GRID, Channel, SequenceDist, SequenceSet, _output_space,
+                   _row_store, aexp, entropy_bits, output_dist, output_rows)
 from .errors import (CapacityError, DomainError, InvariantError,
                      ValidationError)
-from .images import image_exponents, min_quasi_image
+from .images import _word_size, image_exponents, min_quasi_image
 from .reports import SLACK, BoundReport
 from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
                        _check_delta, _codes_at, _runs, _uniformity_at,
@@ -498,13 +498,26 @@ def _measure(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
     every extraction step refines the word against a prefix of the density
     bins of its own output row, which carries that prefix's whole mass, so
     every step keeps the word.  The spectra and continuity gaps that only
-    steer the steps are not built.
+    steer the steps are not built.  The law given the word is 1.0 on it, so
+    each channel's output marginal is the word's row (1.0 * row added to
+    zeros): the row is fetched once and read for both the entropy rate and
+    the image size, which `_word_size` cuts from it as `image_exponents`
+    would solve it.
     """
     cond = dist.conditioned_on(A)
-    return CellRecord(members=A, set_exponent=aexp(A.size, A.n),
-                      x_entropy_rate=cond.entropy() / A.n,
-                      h_rates=[output_dist(ch, cond).entropy() / A.n for ch in channels],
-                      exps=[image_exponents(ch, A, eta) for ch in channels],
+    n = A.n
+    if A.size == 1:
+        rows = []
+        for ch in channels:
+            _output_space(ch, cond)  # output_dist's checks and errors
+            rows.append(output_rows(ch, A)[0])
+        h_rates = [entropy_bits(row) / n for row in rows]
+        exps = [(e, e, True) for e in (aexp(_word_size(row, eta), n) for row in rows)]
+    else:
+        h_rates = [output_dist(ch, cond).entropy() / n for ch in channels]
+        exps = [image_exponents(ch, A, eta) for ch in channels]
+    return CellRecord(members=A, set_exponent=aexp(A.size, n),
+                      x_entropy_rate=cond.entropy() / n, h_rates=h_rates, exps=exps,
                       trace=None)
 
 

@@ -149,6 +149,30 @@ def test_sphere_packing_single_message():
     assert rep.items[0].lhs == 0.0
 
 
+def test_sphere_packing_inner_size_is_the_exact_image_size():
+    # eta - GRID is the sum of the three largest outputs taken largest first,
+    # which the exact solver's ascending sums miss by an ulp: the inner
+    # minimum image of the one codeword has all four outputs, as the outer one
+    row = [0.19713572629187534, 0.3779131574750964, 0.3561311867346261,
+           0.06881992949840209]
+    mu = 0.9311800705025979
+    ch = Channel(Alphabet(1), Alphabet(4), [row])
+    code = make_code(ch, 1, [0])
+    rep = sphere_packing_check(code, ch, mu=mu, eps=0.0)
+    assert rep.details["g_inner"] == rep.details["g_outer"] == 4
+
+
+def test_code_blocklength_below_one():
+    # codeword sets are built without re-validation, so the code checks n
+    ch = identity_channel(2)
+    ms = MessageSpace.uniform([1])
+    dec = Decoder(S=(0,), m_values=((0,),), table=np.ones((1, 1)))
+    with pytest.raises(ValidationError, match="blocklength"):
+        max_error(deterministic_code(ms, 0, 2, {(0,): 0}, [dec]), [ch], 0)
+    with pytest.raises(ValidationError, match="blocklength"):
+        ml_decoder(ms, (((0,), ((0, 1.0),)),), ch, 0, (0,))
+
+
 def test_sphere_packing_preconditions():
     code, ch = identity_code()
     with pytest.raises(PreconditionError):

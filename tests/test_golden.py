@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import dmckit
-from dmckit import fano, partitioner
+from dmckit import fano, images, partitioner
 from dmckit.cli import build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -231,6 +231,64 @@ def test_golden_fano_runs_extract_from_no_one_word_set(name, tmp_path, monkeypat
         monkeypatch.setattr(partitioner, layer, recording(getattr(partitioner, layer)))
     assert run_case(name, tmp_path) == _expected()[name]
     assert one_word == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("fano-")))
+def test_golden_fano_runs_cut_one_word_sets_from_their_row(name, tmp_path, monkeypatch):
+    # a one-word set's image is cut from its own row: the subset-sum table
+    # runs on one row only where the cut declined (a comparison in the band),
+    # the greedy cover never runs on one row, and a one-word record reads one
+    # row per channel, with no output marginal and no image solve
+    cuts = []
+    declined = set()
+    searches = []
+    fetches = []
+
+    def declining(cut):
+        def wrapper(row, eta, *args):
+            cuts.append(row.size)
+            out = cut(row, eta, *args)
+            if out is None:
+                declined.add((row.tobytes(), eta))
+            return out
+        return wrapper
+
+    def searching(search):
+        def wrapper(rows, eta):
+            if rows.shape[0] == 1:
+                searches.append((search.__name__, (rows[0].tobytes(), eta) in declined))
+            return search(rows, eta)
+        return wrapper
+
+    def one_word(layer, size_of):
+        def wrapper(*args):
+            if size_of(*args) == 1:
+                fetches.append(layer.__name__)
+            return layer(*args)
+        return wrapper
+
+    def measuring(channels, dist, A, eta):
+        if A.size == 1:
+            fetches.extend(["channel"] * len(channels))
+        return measure(channels, dist, A, eta)
+
+    measure = partitioner._measure
+    monkeypatch.setattr(partitioner, "_measure", measuring)
+    for cut in ("_word_cut", "_word_cover"):
+        monkeypatch.setattr(images, cut, declining(getattr(images, cut)))
+    for search in ("_table_cover", "_greedy_cover"):
+        monkeypatch.setattr(images, search, searching(getattr(images, search)))
+    monkeypatch.setattr(partitioner, "output_rows",
+                        one_word(partitioner.output_rows, lambda ch, A: A.size))
+    monkeypatch.setattr(partitioner, "output_dist",
+                        one_word(partitioner.output_dist, lambda ch, d: d.ids.size))
+    monkeypatch.setattr(partitioner, "image_exponents",
+                        one_word(partitioner.image_exponents, lambda ch, A, eta: A.size))
+    assert run_case(name, tmp_path) == _expected()[name]
+    assert cuts
+    assert all(search == "_table_cover" and band for search, band in searches)
+    assert fetches.count("channel") == fetches.count("output_rows") > 0
+    assert set(fetches) == {"channel", "output_rows"}
 
 
 @pytest.mark.parametrize("name", ["partition-bsc-n7", "partition-two-messages-n6"])

@@ -14,15 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as old
-from dmckit import core
+from dmckit import core, images
 from dmckit.core import (_BLOCK, GRID, Alphabet, Channel, Sequence,
                          SequenceDist, SequenceSet, _product_rows, _row_store,
                          _stored, bsc, output_dist, output_rows)
 from dmckit.errors import DomainError, ToolkitError
-from dmckit.images import (_TABLE_BITS, EXACT_SOLVER_CAP, _greedy_cover,
-                           _lower_bounds, _singleton_sizes, min_image_bracket,
-                           min_image_exact, min_quasi_image,
-                           singleton_image_size)
+from dmckit.images import (_BAND, _TABLE_BITS, EXACT_SOLVER_CAP, _cut,
+                           _greedy_cover, _lower_bounds, _singleton_sizes,
+                           _table_cover, _word_size, min_image,
+                           min_image_bracket, min_image_exact,
+                           min_quasi_image, singleton_image_size)
 from dmckit.partitioner import extract_equal_cell
 
 
@@ -494,3 +495,171 @@ def test_min_image_exact_sums_columns_in_ascending_order():
         if found == 5:
             break
     assert found == 5
+
+
+@st.composite
+def one_word_instances(draw):
+    """(channel, one-word set, eta): |Y| = 2..4, n = 1..7.  The channel is
+    symmetric (a BSC for |Y| = 2, so the word's row is full of ties), random
+    with some exact zeros, or random; its rows may sum to one 9e-13 short,
+    so that eta = 1 is out of reach for n >= 2.  eta is just above GRID,
+    0.5, 1 - alpha/4 (the decoding-set level) or 1.0, or is placed so that
+    eta - GRID lies a few ulps from the mass of a set of outputs."""
+    ny = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from((0.05, 0.1, 0.25)))
+        m = np.full((ny, ny), p / (ny - 1))
+        np.fill_diagonal(m, 1.0 - p)
+    else:
+        m = random_channel(rng, ny, ny).matrix
+    if draw(st.booleans()):
+        m = m * (1.0 - 9e-13) / m.sum(axis=1, keepdims=True)
+    ch = Channel(Alphabet(ny), Alphabet(ny), m)
+    word = SequenceSet.from_ids(n, ny, [int(rng.integers(ny ** n))])
+    kind = draw(st.sampled_from(("grid", "half", "alpha", "one", "band")))
+    if kind == "band":
+        # a few ulps from the table's sum of the k largest outputs or of k
+        # random ones: the first puts a running sum in the band, the second
+        # only a comparison that picks the witness
+        row = output_rows(ch, word)[0]
+        k = min(draw(st.integers(2, 8)), row.size)
+        cols = (np.argsort(-row, kind="stable")[:k] if draw(st.booleans())
+                else rng.choice(row.size, k, replace=False))
+        target = 0.0
+        for j in np.sort(cols):
+            target += float(row[j])
+        shift = draw(st.integers(-2, 2))
+        for _ in range(abs(shift)):
+            target = float(np.nextafter(target, np.sign(shift) * 2.0))
+        eta = target + GRID
+        while eta - GRID > target:
+            eta = float(np.nextafter(eta, 0.0))
+        while eta - GRID < target:
+            eta = float(np.nextafter(eta, 2.0))
+        eta = min(max(eta, float(np.nextafter(GRID, 1.0))), 1.0)
+    else:
+        alpha = draw(st.floats(1e-3, 1.0))
+        eta = {"grid": float(np.nextafter(GRID, 1.0)), "half": 0.5,
+               "alpha": 1.0 - alpha / 4.0, "one": 1.0}[kind]
+    return ch, word, eta
+
+
+def solve(fn):
+    """(size, witness bytes) of a cover, or the toolkit error it raises."""
+    try:
+        cols = fn()
+    except ToolkitError as exc:
+        return f"raises {type(exc).__name__}: {exc}"
+    return len(cols), np.sort(np.array(cols, dtype=np.int64)).tobytes()
+
+
+def bracket_outcome(br) -> tuple:
+    return br.lower, br.upper_witness.ids.tobytes(), br.exact, br.method
+
+
+def count_tables(mp, tables: list):
+    """Record the row count of every subset-sum table the solvers run."""
+    mp.setattr(images, "_table_cover",
+               lambda rows, eta: tables.append(rows.shape[0]) or _table_cover(rows, eta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_word_instances())
+def test_one_word_solves_equal_the_table_and_the_greedy(inst):
+    # a one-word set is cut from its own row; the subset-sum table and the
+    # argmax greedy, run on that row, are the oracles
+    ch, word, eta = inst
+    row = output_rows(ch, word)[0]
+    cum = np.cumsum(np.sort(row)[::-1])
+    in_band = bool(np.any(np.abs(cum - (eta - GRID)) <= _BAND))
+    greedy = solve(lambda: old.greedy_cover_argmax(row[None], eta))
+    # the multi-row bracket's two lower bounds, taken on the one row
+    if isinstance(greedy, tuple):
+        singleton_lb, mixture = _lower_bounds(row[None].copy(), eta)
+        quasi_lb = int(_cut(np.sort(mixture[mixture > 0.0])[::-1], eta))
+        assert max(singleton_lb, quasi_lb) == greedy[0]
+    methods = [(min_image_bracket, greedy, "greedy-cover/singleton-quasi-lower")]
+    if row.size <= EXACT_SOLVER_CAP:
+        table = solve(lambda: _table_cover(row[None], eta))
+        methods.append((min_image_exact, table, "subset-sum-table"))
+        if not in_band:
+            assert table == greedy if isinstance(table, str) else table[0] == greedy[0]
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        count_tables(mp, tables)
+        for solver, want, method in methods:
+            got = outcome(lambda: bracket_outcome(solver(ch, word, eta)))
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got == repr((want[0], want[1], True, method))
+        size = outcome(lambda: _word_size(row, eta))
+        x = Sequence(word.n, word.base, int(word.ids[0]))
+        assert outcome(lambda: singleton_image_size(ch, x, eta)) == size
+    want = methods[-1][1]
+    assert size == (want if isinstance(want, str) else repr(want[0]))
+    # the table runs on the row only where the exact solver falls back
+    assert set(tables) <= {1}
+    if in_band and row.size <= EXACT_SOLVER_CAP:
+        assert tables
+
+
+def test_one_word_solves_near_a_set_mass_equal_the_table():
+    # eta - GRID is set to the ascending-order mass of the k largest outputs
+    # (the table's sum, where the value-order running sum may miss it by an
+    # ulp) or of k random outputs (where a comparison that picks the witness
+    # may); every solve must equal the table's, through the fallback where
+    # a comparison is in the band
+    rng = np.random.default_rng(29)
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        count_tables(mp, tables)
+        for trial in range(800):
+            ny, n = ((2, 3), (2, 4), (4, 2), (3, 2))[trial % 4]
+            ch = random_channel(rng, ny, ny)
+            word = SequenceSet.from_ids(n, ny, [int(rng.integers(ny ** n))])
+            row = output_rows(ch, word)[0]
+            k = int(rng.integers(2, 9))
+            cols = (np.argsort(-row, kind="stable")[:k] if trial % 2
+                    else rng.choice(row.size, k, replace=False))
+            target = 0.0
+            for j in np.sort(cols):
+                target += float(row[j])
+            eta = target + GRID
+            while eta - GRID > target:
+                eta = float(np.nextafter(eta, 0.0))
+            while eta - GRID < target:
+                eta = float(np.nextafter(eta, 2.0))
+            if not GRID < eta <= 1.0:  # k exact zeros, or past 1
+                continue
+            want = _table_cover(row[None], eta)
+            br = min_image_exact(ch, word, eta)
+            assert (br.lower, br.upper_witness.ids_list()) == (len(want), want)
+    assert len(tables) >= 100
+
+
+def test_in_band_row_falls_back_to_the_table():
+    # eta - GRID is the sum of the three largest outputs, taken largest
+    # first; the table adds them in ascending id order and misses by an ulp,
+    # so the minimum image has all four outputs while the value-order cut
+    # (the greedy's) stops at three
+    row = [0.19713572629187534, 0.3779131574750964, 0.3561311867346261,
+           0.06881992949840209]
+    eta = 0.9311800705025979
+    ch = Channel(Alphabet(1), Alphabet(4), [row])
+    word = SequenceSet.from_ids(1, 1, [0])
+    rows = output_rows(ch, word)
+    assert np.sort(rows[0])[::-1][:3].cumsum()[-1] == eta - GRID
+    assert len(old.greedy_cover_argmax(rows, eta)) == 3
+    assert _table_cover(rows, eta) == [0, 1, 2, 3]
+    tables = []
+    with pytest.MonkeyPatch.context() as mp:
+        count_tables(mp, tables)
+        br = min_image_exact(ch, word, eta)
+        assert tables == [1]
+        assert singleton_image_size(ch, Sequence(1, 1, 0), eta) == 4
+        assert tables == [1, 1]
+    assert (br.lower, br.upper, br.upper_witness.ids_list()) == (4, 4, [0, 1, 2, 3])
+    assert min_image(ch, word, eta).upper_witness.ids_list() == [0, 1, 2, 3]

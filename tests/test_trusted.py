@@ -31,8 +31,9 @@ PACKAGE = os.path.dirname(dmckit.__file__)
 #: ids that are a mask or slice of an already sorted id array (an
 #: intersection or difference finds one set's ids in the other's), a support, a
 #: conditioning, a dense marginal, a stable sort by bin or by label code, a
-#: sort of distinct picks, of disjoint bins or of a cell's codewords, the
-#: nonzero positions of a decoder column, or a one-word set's one cell.
+#: sort of distinct picks, of disjoint bins or of a cell's or a code's
+#: codewords, the nonzero positions of a decoder column, or a one-word set's
+#: one cell.
 #: Loaders and public constructors validate, so none of them may appear here.
 TRUSTED_SITES = {
     ("core.py", "SequenceSet.intersect"): 1,
@@ -48,6 +49,8 @@ TRUSTED_SITES = {
     ("partitioner.py", "_refine_against_witness"): 1,
     ("partitioner.py", "_union"): 1,
     ("partitioner.py", "build_equal_image_partition"): 4,
+    ("fano.py", "_message_output_joint"): 1,
+    ("fano.py", "_success_probs"): 1,
     ("fano.py", "build_decoding_sets"): 2,
 }
 VALIDATING = {"from_json_obj", "from_ids", "from_dense", "__post_init__"}
@@ -203,6 +206,14 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
         codeword_sets += len(made) - k
         for got in made:
             assert_same_set(got, SequenceSet.from_ids(got.n, got.base, got.ids_list()))
+        # the distinct codewords whose rows the success and joint-law tables read
+        for read in (lambda: fano._success_probs(pairs, dec, ch, n),
+                     lambda: fano._message_output_joint(ch, pairs, n, base)):
+            made.clear()
+            read()
+            assert len(made) == 1
+            assert_same_set(made[0], SequenceSet.from_ids(
+                n, base, [x for _, x, _ in pairs]))
     assert codeword_sets
 
 
