@@ -4,8 +4,8 @@ converse bounds over discrete memoryless channels."""
 __version__ = "0.1.0"
 
 from .core import (Alphabet, Channel, Sequence, SequenceDist, SequenceSet,
-                   bsc, entropy, identity_channel, info_density,
-                   mutual_information, output_dist, product_prob)
+                   bsc, entropy, identity_channel, mutual_information,
+                   output_dist)
 from .errors import (CapacityError, ConditioningError, DimensionMismatchError,
                      DomainError, InvariantError, PreconditionError,
                      ToolkitError, ValidationError)
@@ -13,10 +13,9 @@ from .fano import (Code, Decoder, FanoReport, MessageSpace, avg_error,
                    build_decoding_sets, classic_fano, deterministic_code,
                    max_error, ml_decoder, sphere_packing_check,
                    strong_fano_avg, strong_fano_max)
-from .images import (GapReport, ImageBracket, QuasiImageResult, hamming_blowup,
-                     image_exponent_gap, min_image, min_image_bracket,
-                     min_image_exact, min_quasi_image, singleton_image_size,
-                     verify_entropy_lower_bound)
+from .images import (ImageBracket, QuasiImageResult, hamming_blowup, min_image,
+                     min_image_bracket, min_image_exact, min_quasi_image,
+                     singleton_image_size)
 from .partitioner import (EqualImagePartition, ExtractionTrace,
                           UniformizingPartition, build_equal_image_partition,
                           build_image_entropy_partition,

@@ -227,13 +227,8 @@ def _cmd_partition(args) -> int:
 def _cmd_fano(args, criterion: str) -> int:
     code = load_code(args.code)
     channels = [load_channel(p) for p in args.channel]
-    kwargs = dict(eta=args.eta, rho=args.rho)
-    if args.delta_n is not None:
-        kwargs["delta_n"] = args.delta_n
-    if criterion == "max":
-        rep = strong_fano_max(code, channels, **kwargs)
-    else:
-        rep = strong_fano_avg(code, channels, **kwargs)
+    build = strong_fano_max if criterion == "max" else strong_fano_avg
+    rep = build(code, channels, eta=args.eta, delta_n=args.delta_n, rho=args.rho)
     _emit(json_text(rep.to_json_obj()), args.out)
     header, rows = rep.csv_rows()
     if args.out:

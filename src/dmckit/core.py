@@ -23,9 +23,8 @@ already guarantees:
 A conditioning on a set that holds the whole support with mass exactly 1.0
 returns the distribution itself, since x / 1.0 == x.
 
-Row requests go through `_product_rows`.  Inside a `_row_store` scope, the
-rows of the scope's ground set are built once per channel, and a request
-for words of that ground is served by copying them out of the store.
+Row requests go through `_product_rows`; README.md, "Row store", says when
+a `_row_store` scope serves them.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -393,17 +391,6 @@ class SequenceDist:
 # operations
 # ---------------------------------------------------------------------------
 
-def product_prob(ch: Channel, x: Sequence, y: Sequence) -> float:
-    """Memoryless product probability of output word y given input word x,
-    multiplied left to right from 1.0 exactly as `output_rows` does."""
-    if x.n != y.n:
-        raise DimensionMismatchError("x and y must share the blocklength")
-    if x.base != ch.input.size or y.base != ch.output.size:
-        raise DimensionMismatchError("sequence alphabets do not match the channel")
-    factors = [float(ch.matrix[dx, dy]) for dx, dy in zip(x.digits(), y.digits())]
-    return float(reduce(lambda a, b: a * b, factors, 1.0))
-
-
 #: Floats in a block of partial rows: `_product_rows` applies letters by
 #: outer products while its rows fit in one, and `output_dist` and the image
 #: bracket work through their rows one block at a time (64 KB).
@@ -542,15 +529,6 @@ def output_dist(ch: Channel, input_dist: SequenceDist) -> SequenceDist:
             acc += row
     ids = np.flatnonzero(acc > 0.0)
     return SequenceDist._trusted(input_dist.n, ch.output.size, ids, acc[ids])
-
-
-def info_density(dist: SequenceDist, x: Sequence | int) -> float:
-    """Per-symbol information density -(1/n) log2 P(x), in bits."""
-    seq_id = x.value if isinstance(x, Sequence) else int(x)
-    p = dist.prob_of(seq_id)
-    if p <= 0.0:
-        raise DomainError("sequence outside the distribution support")
-    return -math.log2(p) / dist.n
 
 
 def entropy(dist) -> float:

@@ -63,13 +63,6 @@ class MessageSpace:
     def items(self):
         return zip(self.support, self.probs)
 
-    def marginal(self, S: tuple[int, ...]) -> dict:
-        out: dict = {}
-        for m, p in self.items():
-            key = tuple(m[j] for j in S)
-            out[key] = out.get(key, 0.0) + p
-        return dict(sorted(out.items()))
-
     @classmethod
     def uniform(cls, sizes) -> "MessageSpace":
         sizes = tuple(int(s) for s in sizes)
@@ -162,16 +155,26 @@ def deterministic_code(messages: MessageSpace, n: int, base: int,
                 decoders=tuple(decoders))
 
 
+def _codeword_rows(channel: Channel, pairs, n: int, base: int) -> dict:
+    """The output row of each distinct codeword x of (m, x, weight) pairs,
+    by x; the codewords are words of length n over an alphabet of `base`.
+
+    A row's bits do not depend on the batch it is built in, so the rows of
+    any subset of the pairs equal the ones built for that subset.
+    """
+    xs = sorted({x for _, x, _ in pairs})
+    # sorted and distinct; n >= 1 is the caller's to check
+    rows = output_rows(channel, SequenceSet._trusted(n, base, _int64_ids(xs, n, base)))
+    return dict(zip(xs, rows))
+
+
 def _message_output_joint(channel: Channel, pairs, n: int, base: int,
                           total: float = 1.0) -> np.ndarray:
     """Joint law of (message, output word) of (m, x, weight) pairs, each
     weight divided by `total`; one row per distinct m, ascending."""
-    xs = sorted({x for _, x, _ in pairs})
-    # sorted and distinct; n >= 1 is the caller's to check
-    rows = output_rows(channel, SequenceSet._trusted(n, base, _int64_ids(xs, n, base)))
-    row_of = dict(zip(xs, rows))
+    row_of = _codeword_rows(channel, pairs, n, base)
     col = {m: i for i, m in enumerate(sorted({m for m, _, _ in pairs}))}
-    joint = np.zeros((len(col), rows.shape[1]))
+    joint = np.zeros((len(col), channel.output.size ** n))
     for m, x, p in pairs:
         joint[col[m]] += (p / total) * row_of[x]
     return joint
@@ -202,16 +205,8 @@ def ml_decoder(messages: MessageSpace, encoder, channel: Channel, n: int,
 # ---------------------------------------------------------------------------
 
 def _success_probs(pairs, decoder: Decoder, channel: Channel, n: int) -> dict:
-    """P(decode = m_S | X = x) per positive-mass pair (m, x).
-
-    A row's bits do not depend on the batch it is built in, so the entries
-    of any subset of the pairs equal the ones computed for that subset.
-    """
-    xs = sorted({x for _, x, _ in pairs})
-    # sorted and distinct; n >= 1 is the caller's to check
-    rows = output_rows(channel, SequenceSet._trusted(
-        n, channel.input.size, _int64_ids(xs, n, channel.input.size)))
-    row_of = dict(zip(xs, rows))
+    """P(decode = m_S | X = x) per positive-mass pair (m, x)."""
+    row_of = _codeword_rows(channel, pairs, n, channel.input.size)
     return {(m, x): float(row_of[x] @ decoder.table[
                 :, decoder.column(tuple(m[j] for j in decoder.S))])
             for m, x, _ in pairs}

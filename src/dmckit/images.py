@@ -1,6 +1,5 @@
 """Minimum quasi-images (exact greedy), minimum images (exact at desk scale,
-bracketed beyond), Hamming blow-ups, and the measured continuity / entropy
-lower-bound reports.
+bracketed beyond) with their per-letter exponents, and Hamming blow-ups.
 
 There is no known closed form for the minimum image size of a non-singleton
 set, so the exact solver below scores every set of output columns: one
@@ -33,7 +32,6 @@ import numpy as np
 from .core import (_BLOCK, GRID, Channel, Sequence, SequenceDist, SequenceSet,
                    aexp, output_dist, output_rows)
 from .errors import CapacityError, DomainError
-from .reports import BoundReport
 
 #: Largest number of output columns the exact solver will search.
 EXACT_SOLVER_CAP = 24
@@ -66,15 +64,6 @@ class ImageBracket:
     upper_witness: SequenceSet
     exact: bool
     method: str
-
-
-@dataclass(frozen=True)
-class GapReport:
-    alpha: float
-    beta: float
-    exponent_alpha: float
-    exponent_beta: float
-    gap: float
 
 
 def _check_eta(eta: float):
@@ -398,40 +387,3 @@ def hamming_blowup(B: SequenceSet, radius: int) -> SequenceSet:
         seen |= new
         frontier = new
     return SequenceSet.from_ids(n, base, seen)
-
-
-def image_exponent_gap(ch: Channel, A: SequenceSet, alpha: float,
-                       beta: float) -> GapReport:
-    """Measured continuity gap (1/n)[log2 g(A,beta) - log2 g(A,alpha)]."""
-    if not 0.0 < alpha < beta < 1.0 + GRID:
-        raise DomainError("need 0 < alpha < beta <= 1")
-    ga = min_image_exact(ch, A, alpha)
-    gb = min_image_exact(ch, A, beta)
-    ea = aexp(ga.lower, A.n)
-    eb = aexp(gb.lower, A.n)
-    return GapReport(alpha=alpha, beta=beta, exponent_alpha=ea, exponent_beta=eb,
-                     gap=max(0.0, eb - ea))
-
-
-def verify_entropy_lower_bound(ch: Channel, input_dist: SequenceDist | None,
-                               A_prime: SequenceSet, eta: float) -> BoundReport:
-    """Measure cexp g(A', eta) against (1/n) H(Y^n | X^n in A').
-
-    Only the measured ordering with its finite-n slack is reported; no
-    asymptotic constant is asserted.
-    """
-    _check_eta(eta)
-    if input_dist is None:
-        input_dist = SequenceDist.uniform_on(A_prime)
-    lo, hi, exact = image_exponents(ch, A_prime, eta)
-    h_rate = output_dist(ch, input_dist.conditioned_on(A_prime)).entropy() / A_prime.n
-    slack = h_rate - lo
-    report = BoundReport("image-exponent-vs-entropy",
-                         details={"image_exponent_lower": lo,
-                                  "image_exponent_upper": hi,
-                                  "exact": exact,
-                                  "entropy_rate": h_rate,
-                                  "slack": slack})
-    report.add("entropy-minus-exponent", h_rate, lo + max(slack, 0.0), True,
-               slack=slack)
-    return report

@@ -414,17 +414,13 @@ def _width(step: int, n: int, n_channels: int,
 
 @dataclass
 class ExtractionTrace:
+    """The steps that extracted a cell from `initial`, the fraction of
+    `initial` the cell keeps and that fraction's floor mu/n."""
+
     steps: list[ExtractionStep]
     initial: SequenceSet
-    result: SequenceSet
     ratio: float
     ratio_floor: float
-    #: the entropy rate of the law given the result and, per channel, its
-    #: output entropy rate and the result's image exponents (lower, upper,
-    #: exact) at eta
-    x_entropy_rate: float
-    h_rates: list[float]
-    exps: list[tuple]
 
 
 def _mu(channels: list[Channel], delta: float) -> float:
@@ -434,10 +430,10 @@ def _mu(channels: list[Channel], delta: float) -> float:
 
 
 def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
-                 eta: float, delta: float = 0.5
-                 ) -> tuple[SequenceSet, ExtractionTrace]:
+                 eta: float, delta: float = 0.5) -> CellRecord:
     """Sequentially extract one subset that matches entropy to image exponent
-    for every channel, step widths from `_width`."""
+    for every channel, step widths from `_width`; the subset's record, its
+    steps as the trace."""
     if not channels:
         raise DomainError("need at least one channel")
     n = A.n
@@ -452,14 +448,16 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
         current, step = extract_equal_cell(ch, dist, current, width, delta, eta)
         steps.append(step)
     cond = dist.conditioned_on(current)
-    return current, ExtractionTrace(
-        steps=steps, initial=A, result=current, ratio=current.size / A.size,
-        ratio_floor=_mu(channels, delta) / n, x_entropy_rate=cond.entropy() / n,
+    return CellRecord(
+        members=current, set_exponent=aexp(current.size, n),
+        x_entropy_rate=cond.entropy() / n,
         h_rates=[output_dist(ch, cond).entropy() / n for ch in channels],
         # step results are nested: equal sizes mean the step solved `current`
         exps=[(step.image_exponent_lower, step.image_exponent_upper, step.image_exact)
               if step.result.size == current.size else image_exponents(ch, current, eta)
-              for ch, step in zip(channels, steps)])
+              for ch, step in zip(channels, steps)],
+        trace=ExtractionTrace(steps=steps, initial=A, ratio=current.size / A.size,
+                              ratio_floor=_mu(channels, delta) / n))
 
 
 @dataclass
@@ -492,17 +490,8 @@ def _epsilon(records: dict) -> float:
 def _measure(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
              eta: float) -> CellRecord:
     """The record of A under `dist` given A, measured as `extract_main`
-    measures its final set; the arguments are not checked.
-
-    On a one-word set this is the one cell of `build_image_entropy_partition`:
-    every extraction step refines the word against a prefix of the density
-    bins of its own output row, which carries that prefix's whole mass, so
-    every step keeps the word.  The spectra and continuity gaps that only
-    steer the steps are not built.  The law given the word is 1.0 on it, so
-    each channel's output marginal is the word's row (1.0 * row added to
-    zeros): the row is fetched once and read for both the entropy rate and
-    the image size, which `_word_size` cuts from it as `image_exponents`
-    would solve it.
+    measures its final set; the arguments are not checked.  A one-word A is
+    read from its own rows (README.md, "The equal-image-size partition").
     """
     cond = dist.conditioned_on(A)
     n = A.n
@@ -554,27 +543,15 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
     n = A.n
     gamma = uniformity(dist, A).gamma
     residual = A
-    cells: dict = {}
     records: dict = {}
-    stall = 0
+    # an extraction conditions on the set it returns, so an empty one raises
     while residual.size:
-        cell, trace = extract_main(channels, dist, residual, eta, delta)
-        if cell.size == 0:
-            stall += 1
-            if stall >= 3:
-                raise InvariantError("extraction failed to shrink the residual "
-                                     "three times in a row")
-            continue
-        stall = 0
-        label = len(cells) + 1
-        records[label] = CellRecord(
-            members=cell, set_exponent=aexp(cell.size, n),
-            x_entropy_rate=trace.x_entropy_rate, h_rates=trace.h_rates,
-            exps=trace.exps, trace=trace)
-        cells[label] = cell
-        residual = residual.difference(cell)
+        rec = extract_main(channels, dist, residual, eta, delta)
+        records[len(records) + 1] = rec
+        residual = residual.difference(rec.members)
     cap = math.floor(2.0 * math.log(2.0) * (1.0 + math.log2(dist.base)) * n * n
                      / _mu(channels, delta)) + 1
+    cells = {label: rec.members for label, rec in records.items()}
     return ImageEntropyPartition(index=PartitioningIndex(A, cells),
                                  records=records, cell_cap=cap, gamma=gamma,
                                  eta=eta, epsilon_measured=_epsilon(records))
@@ -725,12 +702,8 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     ascending order; cells below the mass threshold 1/|V|^2 return to the
     residual, and the iteration repeats until every sequence is placed.  The
     sqrt(epsilon_n) share threshold uses the maximum measured slack of the
-    inner partitions, floored at 1/n^2.
-
-    A one-word message cell is its own inner partition (`_measure`), so
-    a one-word A is one cell placed in one iteration, built here directly:
-    its lattice point and every subset's record come from the word's own
-    row, as the iteration would compute them.
+    inner partitions, floored at 1/n^2.  A one-word A is built directly from
+    its own row (README.md, "The equal-image-size partition").
     """
     J = len(messages)
     if J > 3:

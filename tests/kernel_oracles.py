@@ -1,6 +1,8 @@
-"""The word-by-word product-channel paths that `core._product_rows` and the
-single-build image bracket replaced, the branch-and-bound that the
-subset-sum table of `min_image_exact` replaced, and the per-pick and
+"""The word-by-word product probability and information density that the
+kernel and spectrum tests check against, the word-by-word product-channel
+paths that `core._product_rows` and the single-build image bracket
+replaced, the branch-and-bound that the subset-sum table of
+`min_image_exact` replaced, and the per-pick and
 per-word paths that the in-place greedy, the blocked bracket mixture and the
 array spectrum binning replaced, and the secrecy envelope's `np.where`
 entropy, meshgrid local grid and two-product, one-corner-at-a-time
@@ -18,12 +20,13 @@ tolerance.
 
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 
 from dmckit import core, partitioner, spectrum
-from dmckit.core import (GRID, Channel, SequenceDist, SequenceSet, aexp,
-                         entropy_bits, snap)
+from dmckit.core import (GRID, Channel, Sequence, SequenceDist, SequenceSet,
+                         aexp, entropy_bits, snap)
 from dmckit.errors import (CapacityError, DimensionMismatchError, DomainError,
                            InvariantError, ValidationError)
 from dmckit.images import image_exponents
@@ -67,6 +70,26 @@ def output_dist(ch, input_dist: SequenceDist) -> SequenceDist:
         acc += p * _row_output_vector(
             ch, _digits_of(seq_id, input_dist.n, ch.input.size))
     return SequenceDist.from_dense(input_dist.n, ch.output.size, acc)
+
+
+def product_prob(ch, x: Sequence, y: Sequence) -> float:
+    """Memoryless product probability of output word y given input word x,
+    multiplied left to right from 1.0 exactly as `output_rows` does."""
+    if x.n != y.n:
+        raise DimensionMismatchError("x and y must share the blocklength")
+    if x.base != ch.input.size or y.base != ch.output.size:
+        raise DimensionMismatchError("sequence alphabets do not match the channel")
+    factors = [float(ch.matrix[dx, dy]) for dx, dy in zip(x.digits(), y.digits())]
+    return float(reduce(lambda a, b: a * b, factors, 1.0))
+
+
+def info_density(dist: SequenceDist, x: Sequence | int) -> float:
+    """Per-symbol information density -(1/n) log2 P(x), in bits."""
+    seq_id = x.value if isinstance(x, Sequence) else int(x)
+    p = dist.prob_of(seq_id)
+    if p <= 0.0:
+        raise DomainError("sequence outside the distribution support")
+    return -math.log2(p) / dist.n
 
 
 def greedy_cover(rows: np.ndarray, eta: float) -> list[int]:

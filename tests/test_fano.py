@@ -369,9 +369,6 @@ def test_message_space_validation():
         MessageSpace(sizes=(2,), support=((0,), (0,)), probs=(0.5, 0.5))
     ms = MessageSpace.uniform([2, 3])
     assert len(ms.support) == 6
-    assert ms.marginal((1,)) == {(0,): pytest.approx(1 / 3),
-                                 (1,): pytest.approx(1 / 3),
-                                 (2,): pytest.approx(1 / 3)}
 
 
 def test_append_symbols_checks_the_extended_decoder_table(monkeypatch):

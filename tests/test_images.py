@@ -8,9 +8,8 @@ from dmckit.core import (Alphabet, Channel, Sequence, SequenceDist,
                          SequenceSet, bsc, identity_channel, output_dist,
                          output_rows)
 from dmckit.errors import CapacityError, DomainError
-from dmckit.images import (hamming_blowup, image_exponent_gap,
-                           min_image_bracket, min_image_exact, min_quasi_image,
-                           singleton_image_size, verify_entropy_lower_bound)
+from dmckit.images import (hamming_blowup, min_image_bracket, min_image_exact,
+                           min_quasi_image, singleton_image_size)
 from dmckit.verify import random_channel, random_subset, rng_from_seed
 
 
@@ -189,36 +188,3 @@ def test_blowup_composition_random():
         rhs = hamming_blowup(B, l1 + l2)
         assert np.array_equal(lhs.ids, rhs.ids)
         assert hamming_blowup(B, l1).size >= B.size
-
-
-def test_image_exponent_gap():
-    ch = identity_channel(2)
-    A = SequenceSet.from_ids(2, 2, [0, 1, 3])
-    rep = image_exponent_gap(ch, A, 0.1, 0.9)
-    assert rep.gap == 0.0
-    A2 = SequenceSet.from_ids(2, 2, [0, 3])
-    rep2 = image_exponent_gap(bsc(0.1), A2, 0.1, 0.9)
-    g_lo = min_image_exact(bsc(0.1), A2, 0.1).lower
-    g_hi = min_image_exact(bsc(0.1), A2, 0.9).lower
-    assert rep2.gap == pytest.approx((math.log2(g_hi) - math.log2(g_lo)) / 2)
-    assert rep2.gap >= 0.0
-
-
-def test_entropy_lower_bound_reports():
-    ch = identity_channel(2)
-    A = SequenceSet.from_ids(2, 2, [0, 1, 3])
-    rep = verify_entropy_lower_bound(ch, None, A, 0.5)
-    assert rep.details["slack"] == pytest.approx(0.0, abs=1e-12)
-    # calibrated family: BSC p in [0.05, 0.2], eta in [0.25, 0.95], n <= 3
-    # keeps the measured slack under 0.75 bits/symbol (max observed ~h(0.2))
-    rng = rng_from_seed(59)
-    worst = -1.0
-    for _ in range(100):
-        p = float(rng.uniform(0.05, 0.2))
-        n = int(rng.integers(1, 4))
-        ch = bsc(p)
-        A = random_subset(rng, n, 2)
-        eta = float(rng.uniform(0.25, 0.95))
-        rep = verify_entropy_lower_bound(ch, None, A, eta)
-        worst = max(worst, rep.details["slack"])
-    assert worst <= 0.75

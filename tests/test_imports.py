@@ -1,7 +1,9 @@
 """Every name a `dmckit` module imports is used in that module, every
 import sits at module level, every function reads each of its parameters,
-every module-level private name is read somewhere in the package, no
-function takes a `tol`, and only `core` names the memory budget.
+every module-level private name is read somewhere in the package, every
+public name is read in the package or named in README.md, every function
+the bench tracer wraps exists, no function takes a `tol`, and only `core`
+names the memory budget.
 
 No linter runs on this repository, so these stdlib checks stand in for an
 unused-import rule, a no-local-import rule, an unused-parameter rule, a
@@ -11,13 +13,16 @@ imports are the public API.
 """
 
 import ast
+import importlib.util
 import os
+import re
 
 import pytest
 
 import dmckit
 
 PACKAGE = os.path.dirname(dmckit.__file__)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(name for name in os.listdir(PACKAGE)
                  if name.endswith(".py") and name != "__init__.py")
 ALL_MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
@@ -184,6 +189,63 @@ def test_every_private_name_is_read():
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             sources[module] = fh.read()
     assert unreferenced_privates(sources) == []
+
+
+def unreferenced_exports(init_source: str, sources: dict[str, str],
+                         readme: str) -> list[str]:
+    """Names that `init_source` imports which no statement of `sources`
+    reads and `readme` never names."""
+    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in exported
+            if name not in read and not re.search(rf"\b{name}\b", readme)]
+
+
+def test_checker_flags_an_unreferenced_export():
+    init = "from .a import f, g, h, K\nfrom .b import k as kk\n"
+    sources = {"a.py": "def f():\n    return g()\ndef g():\n    return 1\n"
+                       "def h():\n    pass\nclass K:\n    pass\n",
+               "b.py": "from .a import f\ndef k():\n    return f()\n"}
+    assert unreferenced_exports(init, sources, "call `h` or hh") == ["K", "kk"]
+
+
+def test_every_public_name_is_read_or_documented():
+    # a public name that nothing in the package reads and README.md never
+    # names is a second copy kept only for its own tests
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    with open(os.path.join(PACKAGE, "__init__.py"), encoding="utf-8") as fh:
+        init = fh.read()
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert unreferenced_exports(init, sources, readme) == []
+
+
+def test_every_traced_layer_resolves():
+    # bench/run.py --trace wraps each (module, attribute path) of
+    # bench/spans.py LAYERS; a rename in the package must not leave it dangling
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", os.path.join(ROOT, "bench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, targets in spans.LAYERS.items():
+        for module, path in targets:
+            obj = importlib.import_module(f"dmckit.{module}")
+            for attr in path.split("."):
+                obj = getattr(obj, attr, None)
+            if not callable(obj):
+                missing.append(f"{layer}: {module}.{path}")
+    assert spans.LAYERS and missing == []
 
 
 def tol_parameters(source: str) -> list[str]:

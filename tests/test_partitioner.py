@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dmckit import core, partitioner
 from dmckit.core import (Alphabet, Channel, SequenceDist, SequenceSet, bsc,
                          identity_channel)
-from dmckit.errors import CapacityError, DomainError, ToolkitError
+from dmckit.errors import (CapacityError, ConditioningError, DomainError,
+                           ToolkitError)
 from dmckit.images import image_exponents, min_image_exact
 from dmckit.partitioner import (build_equal_image_partition,
                                 build_image_entropy_partition,
@@ -220,11 +221,11 @@ def test_extract_main_identity_pair():
     chs = [identity_channel(2), identity_channel(2)]
     A = SequenceSet.full_space(2, 2)
     d = SequenceDist.uniform_on(A)
-    result, trace = extract_main(chs, d, A, 0.5)
-    assert result.ids_list() == A.ids_list()
+    rec = extract_main(chs, d, A, 0.5)
+    assert rec.members.ids_list() == A.ids_list()
     assert all(max(abs(h - lo), abs(h - hi)) == pytest.approx(0.0, abs=1e-12)
-               for h, (lo, hi, _) in zip(trace.h_rates, trace.exps))
-    assert trace.ratio >= trace.ratio_floor
+               for h, (lo, hi, _) in zip(rec.h_rates, rec.exps))
+    assert rec.trace.ratio >= rec.trace.ratio_floor
 
 
 def test_extract_main_single_channel_reduces():
@@ -235,20 +236,20 @@ def test_extract_main_single_channel_reduces():
     d = SequenceDist.uniform_on(A)
     width = _width(0, 3, 1, None, None)
     direct, _ = extract_equal_cell(ch, d, A, width, 0.5, 0.5)
-    composed, trace = extract_main([ch], d, A, 0.5)
-    assert composed.ids_list() == direct.ids_list()
-    assert len(trace.steps) == 1
+    composed = extract_main([ch], d, A, 0.5)
+    assert composed.members.ids_list() == direct.ids_list()
+    assert len(composed.trace.steps) == 1
 
 
 def test_extract_main_two_channels():
     chs = [bsc(0.1), bsc(0.2)]
     A = SequenceSet.full_space(2, 2)
     d = SequenceDist.uniform_on(A)
-    result, trace = extract_main(chs, d, A, 0.5)
-    assert result.size > 0
-    assert len(trace.steps) == 2
-    assert len(trace.h_rates) == len(trace.exps) == 2
-    for h, (lo, hi, exact) in zip(trace.h_rates, trace.exps):
+    rec = extract_main(chs, d, A, 0.5)
+    assert rec.members.size > 0
+    assert len(rec.trace.steps) == 2
+    assert len(rec.h_rates) == len(rec.exps) == 2
+    for h, (lo, hi, exact) in zip(rec.h_rates, rec.exps):
         assert exact
         assert max(abs(h - lo), abs(h - hi)) >= 0.0
 
@@ -272,12 +273,40 @@ def test_extract_main_exponents_match_a_fresh_solve():
     # must equal a fresh solve on the result
     read = set()
     for chs, d, A in _extraction_instances():
-        result, trace = extract_main(chs, d, A, 0.4)
-        assert len(trace.exps) == len(chs)
-        for ch, step, exps in zip(chs, trace.steps, trace.exps):
-            read.add(step.result.size == result.size)
-            assert exps == image_exponents(ch, result, 0.4)
+        rec = extract_main(chs, d, A, 0.4)
+        assert len(rec.exps) == len(chs)
+        for ch, step, exps in zip(chs, rec.trace.steps, rec.exps):
+            read.add(step.result.size == rec.members.size)
+            assert exps == image_exponents(ch, rec.members, 0.4)
     assert read == {True, False}
+
+
+def test_an_empty_extraction_raises_at_once(monkeypatch):
+    # an extraction conditions on the set it returns, so a refinement that
+    # keeps no input ends the partition in ConditioningError on the first
+    # extraction, for one channel and for two
+    refine = partitioner._refine_against_witness
+
+    def emptied(ch, dist, A, alpha, witness):
+        ref = refine(ch, dist, A, alpha, witness)
+        return dataclasses.replace(ref, refined=ref.refined.difference(ref.refined))
+
+    extract = partitioner.extract_main
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(partitioner, "_refine_against_witness", emptied)
+    monkeypatch.setattr(partitioner, "extract_main", counting)
+    A = SequenceSet.full_space(3, 2)
+    d = SequenceDist.uniform_on(A)
+    for chs in ([bsc(0.1)], [bsc(0.1), bsc(0.2)]):
+        calls.clear()
+        with pytest.raises(ConditioningError):
+            build_image_entropy_partition(chs, d, A, 0.5)
+        assert len(calls) == 1
 
 
 def test_extraction_solves_each_level_once(monkeypatch):

@@ -49,8 +49,7 @@ TRUSTED_SITES = {
     ("partitioner.py", "_refine_against_witness"): 1,
     ("partitioner.py", "_union"): 1,
     ("partitioner.py", "build_equal_image_partition"): 4,
-    ("fano.py", "_message_output_joint"): 1,
-    ("fano.py", "_success_probs"): 1,
+    ("fano.py", "_codeword_rows"): 1,
     ("fano.py", "build_decoding_sets"): 2,
 }
 VALIDATING = {"from_json_obj", "from_ids", "from_dense", "__post_init__"}
