@@ -236,19 +236,47 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _sums_from_first(terms: np.ndarray) -> np.ndarray:
+    """`_row_sums` of terms none of which is -0.0, started from the first
+    column instead of a zeroed row: 0.0 + t is t for every other t."""
+    if terms.shape[-1] >= 8:
+        return terms.sum(axis=-1)
+    if terms.shape[-1] == 1:
+        return terms[..., 0]
+    total = terms[..., 0] + terms[..., 1]
+    for j in range(2, terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
 def _entropy_gap(wy: np.ndarray, wz: np.ndarray):
     """F(P) = H(P W_Y) - H(P W_Z) of each of two or more laws P along the
     last axis, by one product with [W_Y | W_Z] and one log2.  Equal bit for
     bit to H(p @ wy) - H(p @ wz), each H the negated `_row_sums` of
     `_plogp`: (-a) - (-b) rounds as b - a, and numpy's matrix product gives
-    each entry the same bits whatever the other columns are.  A one-column product goes through
-    a matrix-vector kernel with other bits, so such a channel keeps its own."""
+    each entry the same bits whatever the other columns are.  A one-column
+    product goes through a matrix-vector kernel with other bits, so such a
+    channel keeps its own.
+
+    Where every output q is positive, the mask of `_plogp` keeps every
+    entry, so q log2 q is a plain log2 times q; no such term is -0.0 (it is
+    +0.0 only at q = 1), so its sums start from the first column.  Every
+    output of a law is positive when no channel entry is below |X| times the
+    least normal double, since a law has an entry of about 1/|X| or more;
+    with a smaller entry each call checks its own outputs."""
     ny, nz = wy.shape[1], wz.shape[1]
     w = np.hstack([wy, wz])
+    positive = w.min() >= wy.shape[0] * np.finfo(np.float64).tiny
 
     def f(p: np.ndarray) -> np.ndarray:
-        terms = _plogp(p @ w if min(ny, nz) > 1 else np.hstack([p @ wy, p @ wz]))
-        return _row_sums(terms[..., ny:]) - _row_sums(terms[..., :ny])
+        q = p @ w if min(ny, nz) > 1 else np.hstack([p @ wy, p @ wz])
+        if positive or q.min() > 0.0:
+            terms = np.log2(q)
+            terms *= q
+            sums = _sums_from_first
+        else:
+            terms, sums = _plogp(q), _row_sums
+        return sums(terms[..., ny:]) - sums(terms[..., :ny])
     return f
 
 
@@ -262,19 +290,76 @@ def _lattice(nx: int, steps: int) -> np.ndarray:
     return counts
 
 
+def _run_end(holds, i: int, n: int) -> int:
+    """The first point from i on at which `holds(start, end)`, a boolean per
+    point of [start, end), is False, asked of blocks of 8, 16, 32, ...
+    points; n when it holds throughout."""
+    block = 8
+    while i < n:
+        end = min(i + block, n)
+        ok = holds(i, end)
+        stop = int(ok.argmin())
+        if not ok[stop]:
+            return i + stop
+        i, block = end, 2 * block
+    return n
+
+
+def _lower_chain(fv: np.ndarray) -> list[int]:
+    """Andrew's monotone chain over the points (i, fv[i]): the indices of
+    their lower hull, left to right.  Point x pops the chain's last point b
+    while the triple (a, b, x) of the last two points and x fails
+    (y_b - y_a)(x - a) < (y_x - y_a)(b - a).
+
+    After two points in a row that each popped none, or two that each
+    popped one and left the chain [a, x], the next points are decided a run
+    at a time in numpy blocks (`_run_end`), by the same float expression on
+    the same triples, until one does otherwise; the per-point loop decides
+    that one.  So the chain is the per-point loop's."""
+    ys = fv.tolist()
+    n = len(ys)
+
+    def keeps(s: int, e: int) -> np.ndarray:
+        # triples (j - 2, j - 1, j): x - a = 2 and b - a = 1
+        ya = fv[s - 2:e - 2]
+        return (fv[s - 1:e - 1] - ya) * 2 < fv[s:e] - ya
+
+    def pops(s: int, e: int) -> np.ndarray:
+        # triples (a, j - 1, j) against the chain's first point a
+        a = chain[0]
+        xa = np.arange(s - a, e - a)
+        return ~((fv[s - 1:e - 1] - fv[a]) * xa < (fv[s:e] - fv[a]) * (xa - 1))
+
+    chain = list(range(min(2, n)))
+    i, last = len(chain), -1  # points popped by the point before
+    while i < n:
+        popped = 0
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if (ys[b] - ys[a]) * (i - a) < (ys[i] - ys[a]) * (b - a):
+                break
+            chain.pop()  # on or above the chord from chain[-2] to i
+            popped += 1
+        chain.append(i)
+        i += 1
+        if popped != last:
+            last = popped
+        elif popped == 0:
+            start, i = i, _run_end(keeps, i, n)
+            chain.extend(range(start, i))
+        elif popped == 1 and len(chain) == 2:
+            i = _run_end(pops, i, n)
+            chain[-1] = i - 1
+    return chain
+
+
 def _widest_facet(counts: np.ndarray, fv: np.ndarray):
     """Corners of the lower hull facet of the lifted lattice (counts, F) with
     the largest gap at a lattice point inside it, or None without a gap."""
-    if counts.shape[1] == 2:  # monotone chain over the first count
-        xs, ys = counts[:, 0].tolist(), fv.tolist()
-        chain: list[int] = []
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                if (ys[b] - ys[a]) * (x - xs[a]) < (y - ys[a]) * (xs[b] - xs[a]):
-                    break
-                chain.pop()  # on or above the chord from chain[-2] to i
-            chain.append(i)
+    if counts.shape[1] == 2:  # the first count is the lattice index
+        chain = _lower_chain(fv)
+        if len(chain) == len(fv):
+            return None  # every lattice point is a corner
         facets = np.column_stack([chain[:-1], chain[1:]])
     else:
         # imported here: scipy.spatial costs 0.35 s and 35 MB to import
@@ -327,14 +412,11 @@ def _local_grid(center: np.ndarray, half: float, budget: int):
     k = int(round(budget ** (1.0 / d))) | 1
     offsets = _offsets(half, k)
     if d == 1:  # both columns directly: a row sum of one entry is that entry
-        offsets += center[0]
-        tail = 1.0 - offsets
-        np.maximum(offsets, 0.0, out=offsets)
-        np.maximum(tail, 0.0, out=tail)
-        total = offsets + tail
         laws = np.empty((k, 2))
-        np.divide(offsets, total, out=laws[:, 0])
-        np.divide(tail, total, out=laws[:, 1])
+        np.add(offsets, center[0], out=laws[:, 0])
+        np.subtract(1.0, laws[:, 0], out=laws[:, 1])
+        np.maximum(laws, 0.0, out=laws)
+        laws /= (laws[:, 0] + laws[:, 1])[:, None]
         return laws, 2.0 * half / (k - 1)
     laws = np.empty((k ** d, d + 1))
     # the grid in "ij" meshgrid order: coordinate j varies along axis j

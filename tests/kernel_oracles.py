@@ -5,9 +5,9 @@ replaced, the branch-and-bound that the subset-sum table of
 `min_image_exact` replaced, and the per-pick and
 per-word paths that the in-place greedy, the blocked bracket mixture and the
 array spectrum binning replaced, and the secrecy envelope's `np.where`
-entropy, meshgrid local grid and two-product, one-corner-at-a-time
-envelope, the dominant-bin extraction that solved its continuity gap up
-front, the set intersections and differences, index restrictions and
+entropy, meshgrid local grid, per-point lower chain and two-product,
+one-corner-at-a-time envelope, the dominant-bin extraction that solved its
+continuity gap up front, the set intersections and differences, index restrictions and
 products, message-ratio slicing, uniformity ratios and lattice-cell
 grouping that the label-code paths replaced, the item-by-item JSON
 writer, and the equal-image partition that ran its lattice iteration and
@@ -38,7 +38,7 @@ from dmckit.spectrum import (PartitioningIndex, UniformityReport,
                              build_spectrum_partition, floor_on_grid)
 from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
                             TANGENT_POINTS, TANGENT_TOL, _lattice, _plogp,
-                            _row_sums, _widest_facet)
+                            _row_sums)
 
 
 def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
@@ -307,10 +307,54 @@ def local_grid(center: np.ndarray, half: float, budget: int):
     return laws / laws.sum(axis=1, keepdims=True), 2.0 * half / (k - 1)
 
 
+def lower_chain(xs: list, ys: list) -> list[int]:
+    """Andrew's monotone chain over the points (xs[i], ys[i]), xs
+    ascending, decided one point at a time: the lower hull's indices."""
+    chain: list[int] = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            if (ys[b] - ys[a]) * (x - xs[a]) < (y - ys[a]) * (xs[b] - xs[a]):
+                break
+            chain.pop()  # on or above the chord from chain[-2] to i
+        chain.append(i)
+    return chain
+
+
+def widest_facet(counts: np.ndarray, fv: np.ndarray):
+    """The secrecy envelope's widest lower-hull facet, the binary hull by
+    the per-point chain and every facet's arrays built even when no lattice
+    point lies above the hull."""
+    if counts.shape[1] == 2:
+        chain = lower_chain(counts[:, 0].tolist(), fv.tolist())
+        facets = np.column_stack([chain[:-1], chain[1:]])
+    else:
+        from scipy.spatial import ConvexHull
+
+        lifted = np.column_stack([counts[:, :-1], fv])
+        apex = np.append(lifted[:, :-1].mean(axis=0), fv.max() + counts[0].sum())
+        hull = ConvexHull(np.vstack([lifted, apex]))
+        facets = hull.simplices[hull.equations[:, -2] < -1e-9]
+    above = np.flatnonzero(np.bincount(facets.ravel(), minlength=len(counts)) == 0)
+    span = np.ptp(counts[facets][:, :, :-1], axis=1).max(axis=1)
+    best, widest = 1e-12, None
+    for facet in facets[span > 1] if above.size else ():
+        corners = counts[facet].T
+        if abs(np.linalg.det(corners)) < 0.5:
+            continue
+        weights = np.linalg.inv(corners) @ counts[above].T
+        inside = np.flatnonzero(weights.min(axis=0) >= -1e-9)
+        room = fv[above[inside]] - fv[facet] @ weights[:, inside]
+        if room.size and room.max() > best:
+            best, widest = float(room.max()), facet
+    return widest
+
+
 def envelope_reference(wy: np.ndarray, wz: np.ndarray):
     """The secrecy envelope with two products and two entropy passes per
-    evaluation of F, every peak zoom built from uniform weights by
-    `np.linspace`, and one tangent grid through F per corner."""
+    evaluation of F, the lower hull of the lattice by `widest_facet`, every
+    peak zoom built from uniform weights by `np.linspace`, and one tangent
+    grid through F per corner."""
     nx = wy.shape[0]
     steps = LATTICE_STEPS[nx]
     counts = _lattice(nx, steps)
@@ -318,7 +362,7 @@ def envelope_reference(wy: np.ndarray, wz: np.ndarray):
     def f(p):
         return entropy_rows(p @ wy) - entropy_rows(p @ wz)
 
-    facet = _widest_facet(counts, f(counts / steps))
+    facet = widest_facet(counts, f(counts / steps))
     if facet is None:
         return np.eye(nx)[0], np.eye(nx)
     corners, half = counts[facet] / steps, 2.0 / steps

@@ -83,6 +83,10 @@ CASES = {
     "wiretap-bound-shortfall": [
         "wiretap-bound", "--main", "shortfall_main.json",
         "--eve", "shortfall_eve.json"],
+    # eve better (value 0): F is convex, so every lattice point stays on the
+    # lower chain and no facet has a gap
+    "wiretap-bound-eve-better": [
+        "wiretap-bound", "--main", "bsc02.json", "--eve", "bsc01.json"],
     # nine outputs: the entropy rows are at least 8 wide, so summed pairwise
     "wiretap-bound-wide-y9": [
         "wiretap-bound", "--main", "wide29.json", "--eve", "bsc02.json"],

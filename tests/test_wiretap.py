@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracles as old
@@ -12,8 +12,8 @@ from dmckit.fano import MessageSpace, deterministic_code, ml_decoder
 from dmckit.wiretap import (PEAK_POINTS, TANGENT_POINTS, WiretapInstance,
                             evaluate_wtc_code, secrecy_bound_single_letter,
                             wtc_converse_chain, _entropy_gap, _envelope,
-                            _first_zoom, _lattice, _local_grid, _offsets,
-                            _row_sums, _secrecy_objective)
+                            _first_zoom, _lattice, _local_grid, _lower_chain,
+                            _offsets, _row_sums, _secrecy_objective)
 from secrecy_ascent import (_problem, ascent_secrecy_bound, fd_gradient,
                             fd_gradient_loop, project_rows, project_simplex)
 
@@ -328,6 +328,49 @@ def test_lattice_is_cached_and_read_only():
             counts[0, 0] = 1
 
 
+#: crossovers of the binary pairs whose F the chain test draws: the 625
+#: pairs on this grid hold concave, convex and mixed chains
+CROSSOVERS = (0.05, 0.1, 0.2, 0.3, 0.4)
+
+
+def chain_values(shape, n, rng):
+    """n values of a binary F, or of a shape that makes the lower chain
+    decide near-collinear triples and ties."""
+    if shape in ("pair", "ties"):
+        a, b, c, d = rng.choice(CROSSOVERS, size=4)
+        fv = _entropy_gap(np.array([[1 - a, a], [b, 1 - b]]),
+                          np.array([[1 - c, c], [d, 1 - d]]))(_lattice(2, 1000) / 1000)
+        start = int(rng.integers(0, 1002 - n))
+        fv = fv[start:start + n]
+        return np.round(fv, 1) if shape == "ties" else fv
+    x = np.arange(n, dtype=np.float64)
+    if shape == "affine":  # collinear but for 1-2 ulps either way
+        y = rng.normal() * x + rng.normal()
+        return y + rng.integers(-2, 3, size=n) * np.spacing(y)
+    if shape == "curve":  # a line through 0 in the window, bent by ~1 ulp
+        u, s = x - rng.uniform(0, n), rng.normal()
+        return s * u + rng.choice([-1.0, 1.0]) * abs(s) * 10.0 ** rng.uniform(-18, -15) * u * u
+    if shape == "constant":
+        return np.full(n, rng.normal())
+    if shape == "walk":  # steps of 0.1 round, integer steps tie exactly
+        return np.cumsum(rng.integers(-2, 3, size=n) * rng.choice([1.0, 0.1]))
+    period = int(rng.integers(2, 12))  # sawtooth on a slope
+    return (x % period) * rng.normal() + rng.normal() * x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pair", "ties", "affine", "curve", "constant", "walk",
+                        "sawtooth"]),
+       st.integers(2, 1001), st.integers(0, 2 ** 32 - 1))
+# a keep run (41) and a pop run (121) that end at a triple which another
+# form of the same predicate rounds the other way
+@example(shape="curve", n=1001, seed=41)
+@example(shape="curve", n=1001, seed=121)
+def test_lower_chain_matches_per_point_loop(shape, n, seed):
+    fv = chain_values(shape, n, np.random.default_rng(seed))
+    assert _lower_chain(fv) == old.lower_chain(list(range(n)), fv.tolist())
+
+
 def stochastic_rows(rng, shape, zero_share):
     """Random channel rows over 20 decades with exact zeros, no row empty."""
     rows = spread_values(rng, shape, zero_share)
@@ -365,6 +408,10 @@ def test_envelope_matches_reference_ternary(seed):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 12), st.integers(1, 12),
        st.integers(2, 2001), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+# every channel entry positive: every output positive, plain log2
+@example(nx=2, ny=2, nz=3, rows=1001, zero_share=0.0, seed=1)
+# every row a point mass: exact zero outputs, the masked log2
+@example(nx=2, ny=2, nz=3, rows=1001, zero_share=1.0, seed=1)
 def test_fused_gap_matches_two_products(nx, ny, nz, rows, zero_share, seed):
     rng = np.random.default_rng(seed)
     wy = stochastic_rows(rng, (nx, ny), zero_share)
