@@ -16,14 +16,14 @@ from .fano import (Code, Decoder, FanoReport, MessageSpace, avg_error,
 from .images import (ImageBracket, QuasiImageResult, hamming_blowup, min_image,
                      min_image_bracket, min_image_exact, min_quasi_image,
                      singleton_image_size)
-from .partitioner import (EqualImagePartition, ExtractionTrace,
-                          UniformizingPartition, build_equal_image_partition,
+from .partitioner import (EqualImagePartition, UniformizingPartition,
+                          build_equal_image_partition,
                           build_image_entropy_partition,
                           build_uniformizing_partition,
                           entropy_perturbation_bound, extract_equal_cell,
                           extract_main, refine_quasi_to_image)
 from .reports import BoundItem, BoundReport
-from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
+from .spectrum import (PartitioningIndex, SpectrumPartition,
                        build_spectrum_partition, product_index, restrict_index,
                        uniformity, verify_bin_conditional_uniformity,
                        verify_bin_size_bounds, verify_uniform_entropy_bounds)

@@ -187,8 +187,8 @@ def _cmd_partition(args) -> int:
                 "density_bin": key[0], "ratio_bin": key[1],
                 "members": cell.members.ids_list(),
                 "messages": [str(m) for m in cell.messages],
-                "gamma_x": cell.x_uniformity.gamma,
-                "gamma_m": cell.m_uniformity.gamma,
+                "gamma_x": cell.x_gamma,
+                "gamma_m": cell.m_gamma,
                 "gamma_x_bound": cell.x_bound,
                 "gamma_m_bound": cell.m_bound,
             } for key, cell in sorted(slices.cells.items())],

@@ -151,8 +151,9 @@ class Channel:
             raise ValidationError(
                 f"matrix shape {m.shape} does not match alphabets "
                 f"({self.input.size}, {self.output.size})")
-        # a negative entry, however small, makes products negative
-        if np.any(m < 0.0) or np.any(m > 1.0 + GRID):
+        # a negative entry, however small, makes products negative; NaN
+        # fails every comparison, so each test asks for the good case
+        if not np.all((m >= 0.0) & (m <= 1.0 + GRID)):
             raise ValidationError("channel entries must lie in [0, 1]")
         rows = m.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > GRID):
@@ -288,6 +289,8 @@ class SequenceDist:
         probs = np.asarray(self.probs, dtype=np.float64)
         if ids.shape != probs.shape or ids.ndim != 1:
             raise ValidationError("ids and probs must be aligned 1-d arrays")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("probabilities must be finite")
         order = np.argsort(ids, kind="stable")
         ids, probs = ids[order], probs[order]
         keep = probs > 0.0

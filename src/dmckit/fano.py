@@ -45,7 +45,8 @@ class MessageSpace:
             raise ValidationError("need at least one message index")
         if len(self.support) != len(self.probs) or not self.support:
             raise ValidationError("support and probs must align and be nonempty")
-        if abs(sum(self.probs) - 1.0) > SUM_TOL:
+        # NaN fails every comparison, so each test asks for the good case
+        if not abs(sum(self.probs) - 1.0) <= SUM_TOL:
             raise ValidationError(f"message joint must sum to 1 +/- {SUM_TOL}")
         if any(p <= 0.0 for p in self.probs):
             raise ValidationError("zero-probability messages must be removed")
@@ -83,7 +84,7 @@ class Decoder:
         t = np.ascontiguousarray(np.asarray(self.table, dtype=np.float64))
         if t.ndim != 2 or t.shape[1] != len(self.m_values):
             raise ValidationError("decoder table shape mismatch")
-        if np.any(t < -GRID) or np.any(np.abs(t.sum(axis=1) - 1.0) > SUM_TOL):
+        if not (np.all(t >= -GRID) and np.all(np.abs(t.sum(axis=1) - 1.0) <= SUM_TOL)):
             raise ValidationError("decoder rows must be distributions")
         if tuple(sorted(self.m_values)) != self.m_values:
             raise ValidationError("decoder columns must be sorted m_S tuples")
@@ -122,7 +123,7 @@ class Code:
         if set(enc) != set(self.messages.support):
             raise ValidationError("encoder must cover exactly the message support")
         for m, row in enc.items():
-            if abs(sum(p for _, p in row) - 1.0) > SUM_TOL or \
+            if not abs(sum(p for _, p in row) - 1.0) <= SUM_TOL or \
                     any(p <= 0.0 for _, p in row):
                 raise ValidationError("encoder rows must be positive and sum to 1")
             for x, _ in row:
@@ -248,7 +249,6 @@ def classic_fano(eps: float, card_m: float, n: int) -> float:
 
 @dataclass
 class DecodingSets:
-    alpha: float
     sets: dict
     certificates: BoundReport
     multiplicity: BoundReport
@@ -315,7 +315,7 @@ def build_decoding_sets(pairs, decoder: Decoder, channel: Channel, n: int,
                              slack=min_mass - alpha / 4.0)
         worst = int(counts.max()) if counts.size else 0
         multiplicity.add(f"{label}", worst, cap, worst <= cap)
-    return DecodingSets(alpha=alpha, sets=sets, certificates=certificates,
+    return DecodingSets(sets=sets, certificates=certificates,
                         multiplicity=multiplicity, empty_flagged=empty_flagged)
 
 

@@ -4,7 +4,7 @@ image-entropy-matched partition, and the equal-image-size partition with
 lattice binning.
 
 Asymptotic thresholds ("for sufficiently large n") are never enforced as
-pass/fail here; they are recorded as measured slacks in the traces.
+pass/fail here; they are recorded as measured slacks in the records.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import (CapacityError, DomainError, InvariantError,
                      ValidationError)
 from .images import _word_size, image_exponents, min_quasi_image
 from .reports import SLACK, BoundReport
-from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
-                       _check_delta, _codes_at, _runs, _uniformity_at,
+from .spectrum import (PartitioningIndex, SpectrumPartition, _check_delta,
+                       _codes_at, _runs, _uniformity_at,
                        build_spectrum_partition, floor_on_grid, product_index,
                        restrict_index, uniformity)
 
@@ -34,24 +34,25 @@ from .spectrum import (PartitioningIndex, SpectrumPartition, UniformityReport,
 
 @dataclass
 class SliceCell:
-    """One (density bin, ratio bin) cell with its uniformity diagnostics."""
+    """One (density bin, ratio bin) cell with the uniformity ratios of its
+    words and of its messages, each beside its bound."""
 
     density_bin: int
     ratio_bin: int
     members: SequenceSet
     messages: tuple
-    x_uniformity: UniformityReport
-    m_uniformity: UniformityReport
+    x_gamma: float
+    m_gamma: float
     x_bound: float
     m_bound: float
 
     @property
     def x_ok(self) -> bool:
-        return self.x_uniformity.gamma <= self.x_bound * (1.0 + SLACK)
+        return self.x_gamma <= self.x_bound * (1.0 + SLACK)
 
     @property
     def m_ok(self) -> bool:
-        return self.m_uniformity.gamma <= self.m_bound * (1.0 + SLACK)
+        return self.m_gamma <= self.m_bound * (1.0 + SLACK)
 
 
 @dataclass
@@ -67,7 +68,6 @@ class UniformizingPartition:
     delta: float
     rho: int
     slice_width: float
-    ratio_width: float
     K: int
     cells: dict
     remainder: SequenceSet
@@ -183,20 +183,18 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
                     for _, r in pairs]
         total = sum(msg_mass)
         shares = [mass / total for mass in msg_mass]
-        m_rep = UniformityReport(gamma=max(shares) / min(shares),
-                                 max_atom=max(shares), min_atom=min(shares))
         cells[(k, l)] = SliceCell(
             density_bin=k, ratio_bin=l, members=merged,
             messages=tuple(m for m, _ in pairs),
-            x_uniformity=_uniformity_at(dist, by_cell[lo:hi]),
-            m_uniformity=m_rep,
+            x_gamma=_uniformity_at(dist, by_cell[lo:hi]),
+            m_gamma=max(shares) / min(shares),
             x_bound=2.0 ** (2.0 * ratio_width),
             m_bound=2.0 ** (6.0 * ratio_width))
 
     remainder = SequenceSet._trusted(n, dist.base, ground.ids[ratio >= K])
     return UniformizingPartition(
-        n=n, delta=delta, rho=rho, slice_width=slice_width,
-        ratio_width=ratio_width, K=K, cells=cells, remainder=remainder,
+        n=n, delta=delta, rho=rho, slice_width=slice_width, K=K,
+        cells=cells, remainder=remainder,
         remainder_mass=dist.mass_of(remainder) if remainder.size else 0.0,
         spectrum=sp, message_bins_by_slice=message_bins_by_slice, ground=ground)
 
@@ -211,12 +209,10 @@ class RefinementResult:
 
     refined: SequenceSet
     witness: SequenceSet
-    alpha: float
     threshold: float
     min_row_mass: float
     ratio: float
     ratio_floor: float
-    gamma: float
 
     @property
     def certificate_ok(self) -> bool:
@@ -233,13 +229,11 @@ def _refine_against_witness(ch: Channel, dist: SequenceDist, A: SequenceSet,
     threshold = alpha / A.n
     keep = row_mass >= threshold - GRID
     refined = SequenceSet._trusted(A.n, A.base, A.ids[keep])
-    gamma = uniformity(dist, A).gamma
     return RefinementResult(
-        refined=refined, witness=witness, alpha=alpha, threshold=threshold,
+        refined=refined, witness=witness, threshold=threshold,
         min_row_mass=float(row_mass[keep].min()) if refined.size else float("nan"),
         ratio=refined.size / A.size,
-        ratio_floor=(1.0 / gamma - 1.0 / A.n) * alpha,
-        gamma=gamma)
+        ratio_floor=(1.0 / uniformity(dist, A) - 1.0 / A.n) * alpha)
 
 
 def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
@@ -261,12 +255,6 @@ def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
 # dominant-bin extraction
 # ---------------------------------------------------------------------------
 
-def _union(bins) -> SequenceSet:
-    """The union of disjoint spectrum bins of one space, ids sorted."""
-    ids = np.sort(np.concatenate([b.ids for b in bins]))
-    return SequenceSet._trusted(bins[0].n, bins[0].base, ids)
-
-
 def _branch_threshold(tau: float, delta_n: float) -> float:
     """The deep-drop threshold 4.19 + tau/delta_n.  With tau >= 0 and
     delta_n > 0 it is never below 4.19."""
@@ -282,17 +270,12 @@ class ExtractionStep:
     `branch_threshold` is read, unless the branch test already solved it.
     """
 
-    channel_name: str
     delta_n: float
-    delta: float
-    eta: float
-    K_out: int
     heavy_bin: int
     heavy_prefix_mass: float
     branch: str
     drop_bin: int | None
     refined: SequenceSet
-    dropped: SequenceSet | None
     result: SequenceSet
     ratio: float
     ratio_floor: float
@@ -302,7 +285,6 @@ class ExtractionStep:
     image_exact: bool
     #: measured cexp g(A*, eta) - (1/n) H(Y^n | X^n in A*)
     slack_upper: float
-    refinement: RefinementResult
     _gap: Callable[[], float] = field(repr=False, compare=False)
 
     @property
@@ -341,8 +323,10 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     heavy = int(heavy_candidates[0]) if heavy_candidates.size else int(np.argmax(masses))
     prefix_mass = float(masses[: heavy + 1].sum())
 
-    ref = _refine_against_witness(ch, cond, A, prefix_mass, _union(sp.bins[:heavy + 1]))
-    a_prime = ref.refined
+    # the words of bins 0..heavy, ascending as the support is
+    a_prime = _refine_against_witness(
+        ch, cond, A, prefix_mass,
+        SequenceSet._trusted(n, out.base, out.ids[sp._bin_of <= heavy])).refined
 
     beta = max(eta, 1.0 - 1.0 / n ** 2)  # below 1, since eta < 1
     lo_level = max(min(prefix_mass / n, 1.0), GRID)
@@ -357,7 +341,6 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
         return max(0.0, exponents(beta)[1] - exponents(lo_level)[0])
 
     drop_bin = None
-    dropped = None
     branch = "shallow"
     result = a_prime
     # a heavy bin of at most 4 is shallow whatever tau is
@@ -366,9 +349,9 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
         drop_bin = int(math.floor(heavy - c_threshold))
         tilde_mass = float(masses[: drop_bin + 1].sum())
         if tilde_mass > 1.0 / n:
-            ref2 = _refine_against_witness(ch, cond, A, tilde_mass,
-                                           _union(sp.bins[:drop_bin + 1]))
-            dropped = ref2.refined
+            dropped = _refine_against_witness(
+                ch, cond, A, tilde_mass,
+                SequenceSet._trusted(n, out.base, out.ids[sp._bin_of <= drop_bin])).refined
             diff = a_prime.difference(dropped)
             if diff.size:
                 branch = "deep-drop"
@@ -384,13 +367,12 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
     img_lo, img_hi, exact = (exponents(eta) if result is a_prime
                              else image_exponents(ch, result, eta))
     step = ExtractionStep(
-        channel_name=ch.name, delta_n=delta_n, delta=delta, eta=eta, K_out=K,
-        heavy_bin=heavy, heavy_prefix_mass=prefix_mass, branch=branch,
-        drop_bin=drop_bin, refined=a_prime, dropped=dropped, result=result,
+        delta_n=delta_n, heavy_bin=heavy, heavy_prefix_mass=prefix_mass,
+        branch=branch, drop_bin=drop_bin, refined=a_prime, result=result,
         ratio=result.size / A.size, ratio_floor=1.0 / (2.0 * (K + 1)),
         entropy_rate=h_rate, image_exponent_lower=img_lo,
         image_exponent_upper=img_hi, image_exact=exact,
-        slack_upper=img_hi - h_rate, refinement=ref, _gap=gap)
+        slack_upper=img_hi - h_rate, _gap=gap)
     return result, step
 
 
@@ -412,17 +394,6 @@ def _width(step: int, n: int, n_channels: int,
     return min(max(w, 1e-6), 1.0 - 1e-9)
 
 
-@dataclass
-class ExtractionTrace:
-    """The steps that extracted a cell from `initial`, the fraction of
-    `initial` the cell keeps and that fraction's floor mu/n."""
-
-    steps: list[ExtractionStep]
-    initial: SequenceSet
-    ratio: float
-    ratio_floor: float
-
-
 def _mu(channels: list[Channel], delta: float) -> float:
     """mu = prod_k 1/(3*(delta + log2|Y_k|)), the extraction's ratio constant."""
     return math.prod(1.0 / (3.0 * (delta + math.log2(ch.output.size)))
@@ -432,8 +403,7 @@ def _mu(channels: list[Channel], delta: float) -> float:
 def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
                  eta: float, delta: float = 0.5) -> CellRecord:
     """Sequentially extract one subset that matches entropy to image exponent
-    for every channel, step widths from `_width`; the subset's record, its
-    steps as the trace."""
+    for every channel, step widths from `_width`; the subset's record."""
     if not channels:
         raise DomainError("need at least one channel")
     n = A.n
@@ -455,24 +425,20 @@ def extract_main(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
         # step results are nested: equal sizes mean the step solved `current`
         exps=[(step.image_exponent_lower, step.image_exponent_upper, step.image_exact)
               if step.result.size == current.size else image_exponents(ch, current, eta)
-              for ch, step in zip(channels, steps)],
-        trace=ExtractionTrace(steps=steps, initial=A, ratio=current.size / A.size,
-                              ratio_floor=_mu(channels, delta) / n))
+              for ch, step in zip(channels, steps)])
 
 
 @dataclass
 class CellRecord:
     """A measured set: its size exponent, the entropy rate of the law given
     it and, per channel, its output entropy rate and its image exponents
-    (lower, upper, exact) at eta.  A set that no extraction built
-    (`_measure`) has no trace."""
+    (lower, upper, exact) at eta."""
 
     members: SequenceSet
     set_exponent: float
     x_entropy_rate: float
     h_rates: list[float]
     exps: list[tuple]
-    trace: ExtractionTrace | None
 
     @property
     def slack(self) -> float:
@@ -506,8 +472,7 @@ def _measure(channels: list[Channel], dist: SequenceDist, A: SequenceSet,
         h_rates = [output_dist(ch, cond).entropy() / n for ch in channels]
         exps = [image_exponents(ch, A, eta) for ch in channels]
     return CellRecord(members=A, set_exponent=aexp(A.size, n),
-                      x_entropy_rate=cond.entropy() / n, h_rates=h_rates, exps=exps,
-                      trace=None)
+                      x_entropy_rate=cond.entropy() / n, h_rates=h_rates, exps=exps)
 
 
 @dataclass
@@ -517,7 +482,6 @@ class ImageEntropyPartition:
     index: PartitioningIndex
     records: dict
     cell_cap: int
-    gamma: float
     eta: float
     epsilon_measured: float
 
@@ -541,7 +505,6 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
     explicit cap 2*ln2*(1+log2|X|)*n^2/mu.
     """
     n = A.n
-    gamma = uniformity(dist, A).gamma
     residual = A
     records: dict = {}
     # an extraction conditions on the set it returns, so an empty one raises
@@ -553,8 +516,8 @@ def build_image_entropy_partition(channels: list[Channel], dist: SequenceDist,
                      / _mu(channels, delta)) + 1
     cells = {label: rec.members for label, rec in records.items()}
     return ImageEntropyPartition(index=PartitioningIndex(A, cells),
-                                 records=records, cell_cap=cap, gamma=gamma,
-                                 eta=eta, epsilon_measured=_epsilon(records))
+                                 records=records, cell_cap=cap, eta=eta,
+                                 epsilon_measured=_epsilon(records))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +555,6 @@ class MessageRecord:
     h_y_given_m: list[float]
     h_m_rate: float
     aexp_messages: float
-    aexp_tilde: float | None
     gap_image_vs_entropy: float
     gap_tilde_vs_all: float | None
     gap_entropy_vs_tilde: float | None
@@ -655,7 +617,7 @@ def _message_record(entries: list, cell_mass: float, n: int, n_channels: int,
         messages=tuple(img_exp), messages_tilde=tuple(tilde),
         messages_hat=tuple(hat), message_image_exponents=img_exp,
         h_y_given_m=h_y_given, h_m_rate=h_m,
-        aexp_messages=aexp_m, aexp_tilde=aexp_t,
+        aexp_messages=aexp_m,
         gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
         gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
         omega=tuple(omega))
@@ -675,12 +637,10 @@ class EqualImagePartition:
     delta_n: float
     eta: float
     epsilon_n: float
-    lattice_dims: tuple
     cell_records: dict
     lambda_measured: dict
     iterations: int
     iteration_cap: int
-    lattice_size: int
 
     @property
     def within_cap(self) -> bool:
@@ -723,14 +683,14 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         raise CapacityError(f"delta_n = {delta_n:g} makes the entropy lattice "
                             "too large to represent; increase delta_n") from None
 
-    gamma = uniformity(dist, A).gamma
+    gamma = uniformity(dist, A)
     cap = max(1, math.ceil(2.0 * n * math.log2(dist.base))) if dist.base > 1 else 1
     gamma_cap = max(1, math.ceil((n * math.log2(max(dist.base, 2))
                                   + math.log2(max(gamma, 1.0)))
                                  / math.log2(max(v_space, 2))))
     iteration_cap = max(cap, gamma_cap)
-    fields = dict(subsets=subsets, delta_n=delta_n, eta=eta, lattice_dims=dims,
-                  iteration_cap=iteration_cap, lattice_size=v_space)
+    fields = dict(subsets=subsets, delta_n=delta_n, eta=eta,
+                  iteration_cap=iteration_cap)
 
     if A.size == 1:
         cond = dist.conditioned_on(A)

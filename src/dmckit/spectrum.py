@@ -43,22 +43,14 @@ def bin_indices(densities: np.ndarray, delta_n: float, K: int) -> np.ndarray:
     return np.minimum(k, K)
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    """Max/min conditional atom ratio of a distribution restricted to a set."""
-
-    gamma: float
-    max_atom: float
-    min_atom: float
-
-
-def uniformity(dist: SequenceDist, A: SequenceSet) -> UniformityReport:
+def uniformity(dist: SequenceDist, A: SequenceSet) -> float:
+    """gamma: the max/min conditional atom ratio of `dist` restricted to A."""
     if (dist.n, dist.base) != (A.n, A.base):
         raise DimensionMismatchError("set lives in a different space")
     return _uniformity_at(dist, _positions(dist.ids, A.ids))
 
 
-def _uniformity_at(dist: SequenceDist, at: np.ndarray) -> UniformityReport:
+def _uniformity_at(dist: SequenceDist, at: np.ndarray) -> float:
     """`uniformity` on the support words at the ascending positions `at`:
     the extremes of the atoms of `dist.conditioned_on`, divided by the mass
     as it divides them, without building that distribution."""
@@ -68,22 +60,20 @@ def _uniformity_at(dist: SequenceDist, at: np.ndarray) -> UniformityReport:
         raise ConditioningError("conditioning on a zero-probability set")
     probs /= mass
     probs = probs[probs > 0.0]  # a quotient may underflow
-    mx = float(np.max(probs))
-    mn = float(np.min(probs))
-    return UniformityReport(gamma=mx / mn, max_atom=mx, min_atom=mn)
+    return float(np.max(probs)) / float(np.min(probs))
 
 
 def verify_uniform_entropy_bounds(dist: SequenceDist, A: SequenceSet) -> BoundReport:
     """Check log2|A| - log2(gamma) <= H(X^n | X^n in A) <= log2|A|."""
     cond = dist.conditioned_on(A)
-    rep = uniformity(dist, A)
+    gamma = uniformity(dist, A)
     h = cond.entropy()
     size_bits = math.log2(cond.ids.size)
     report = BoundReport("uniform-entropy-bounds",
-                         details={"gamma": rep.gamma, "entropy": h,
+                         details={"gamma": gamma, "entropy": h,
                                   "log2_size": size_bits})
-    report.add("lower", size_bits - math.log2(rep.gamma), h,
-               size_bits - math.log2(rep.gamma) <= h + SLACK)
+    report.add("lower", size_bits - math.log2(gamma), h,
+               size_bits - math.log2(gamma) <= h + SLACK)
     report.add("upper", h, size_bits, h <= size_bits + SLACK)
     return report
 
@@ -265,13 +255,14 @@ class PartitioningIndex:
 
     @classmethod
     def from_labeling(cls, ground: SequenceSet, label_of) -> "PartitioningIndex":
-        """Build from a total labeling function on the ground set."""
-        buckets: dict = {}
-        for seq_id in ground.ids_list():
-            buckets.setdefault(label_of(seq_id), []).append(seq_id)
-        cells = {label: SequenceSet.from_ids(ground.n, ground.base, ids)
-                 for label, ids in buckets.items()}
-        return cls(ground, cells)
+        """Build from a total labeling function on the ground set, the cells
+        in the order their labels first occur."""
+        if ground.size == 0:
+            raise ValidationError("partition has no nonempty cells")
+        rank: dict = {}  # label -> the order it first occurs in
+        codes = np.array([rank.setdefault(label_of(seq_id), len(rank))
+                          for seq_id in ground.ids_list()], dtype=np.intp)
+        return _grouped(ground, codes, list(rank).__getitem__)
 
     @classmethod
     def trivial(cls, ground: SequenceSet, label=0) -> "PartitioningIndex":

@@ -7,15 +7,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GRID, Channel, aexp, check_budget, mutual_information
 from .errors import (CapacityError, DimensionMismatchError, DomainError,
                      InvariantError, PreconditionError)
-from .fano import (Code, FanoReport, _message_output_joint, avg_error,
-                   strong_fano_avg)
+from .fano import Code, _message_output_joint, avg_error, strong_fano_avg
 from .reports import SLACK, BoundReport
 
 
@@ -68,7 +67,6 @@ class WiretapReport:
     final_bound_theorem: float
     single_letter: float
     identities: BoundReport
-    fano: FanoReport = field(repr=False, default=None)
 
     def to_json_obj(self) -> dict:
         return {
@@ -186,7 +184,7 @@ def wtc_converse_chain(instance: WiretapInstance, code: Code, *,
         leakage_deflation_theorem=deflation_theorem,
         cell_count_term=cell_count_term,
         final_bound_measured=final_measured, final_bound_theorem=final_theorem,
-        single_letter=single, identities=identities, fano=rep)
+        single_letter=single, identities=identities)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +206,6 @@ class SecrecyBoundResult:
     value: float
     p_u: list[float]
     p_x_given_u: list[list[float]]
-    u_size: int
 
 
 def _secrecy_objective(p_u: np.ndarray, p_xgu: np.ndarray,
@@ -532,5 +529,4 @@ def secrecy_bound_single_letter(instance: WiretapInstance,
     p_xgu = np.vstack([p_xgu, np.full((pad, nx), 1.0 / nx)])
     return SecrecyBoundResult(value=max(0.0, value),
                               p_u=[float(v) for v in p_u],
-                              p_x_given_u=[[float(v) for v in row] for row in p_xgu],
-                              u_size=u_size)
+                              p_x_given_u=[[float(v) for v in row] for row in p_xgu])

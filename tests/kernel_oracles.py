@@ -34,8 +34,8 @@ from dmckit.partitioner import (EqualImagePartition, MessageRecord, SliceCell,
                                 UniformizingPartition, _lattice_point,
                                 _refine_against_witness, _subsets_of)
 from dmckit.reports import _format_float
-from dmckit.spectrum import (PartitioningIndex, UniformityReport,
-                             build_spectrum_partition, floor_on_grid)
+from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
+                             floor_on_grid)
 from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
                             TANGENT_POINTS, TANGENT_TOL, _lattice, _plogp,
                             _row_sums)
@@ -449,12 +449,10 @@ def difference(A: SequenceSet, B: SequenceSet) -> SequenceSet:
     return SequenceSet(A.n, A.base, np.setdiff1d(A.ids, B.ids, assume_unique=True))
 
 
-def uniformity(dist: SequenceDist, A: SequenceSet) -> UniformityReport:
+def uniformity(dist: SequenceDist, A: SequenceSet) -> float:
     """Max/min atom ratio read off the conditional distribution itself."""
     cond = dist.conditioned_on(A)
-    mx = float(np.max(cond.probs))
-    mn = float(np.min(cond.probs))
-    return UniformityReport(gamma=mx / mn, max_atom=mx, min_atom=mn)
+    return float(np.max(cond.probs)) / float(np.min(cond.probs))
 
 
 def restrict_index(pi: PartitioningIndex, A_sub: SequenceSet) -> PartitioningIndex:
@@ -532,20 +530,18 @@ def build_uniformizing_partition(dist: SequenceDist, message_index: Partitioning
             msg_mass = {m: dist.mass_of(inter) for m, inter in pairs}
             total = sum(msg_mass.values())
             shares = [msg_mass[m] / total for m, _ in pairs]
-            m_rep = UniformityReport(gamma=max(shares) / min(shares),
-                                     max_atom=max(shares), min_atom=min(shares))
             cells[(k, l)] = SliceCell(
                 density_bin=k, ratio_bin=l, members=merged,
                 messages=tuple(m for m, _ in pairs),
-                x_uniformity=uniformity(dist, merged),
-                m_uniformity=m_rep,
+                x_gamma=uniformity(dist, merged),
+                m_gamma=max(shares) / min(shares),
                 x_bound=2.0 ** (2.0 * ratio_width),
                 m_bound=2.0 ** (6.0 * ratio_width))
 
     remainder = SequenceSet(n, dist.base, np.concatenate(remainder_ids))
     return UniformizingPartition(
-        n=n, delta=delta, rho=rho, slice_width=slice_width,
-        ratio_width=ratio_width, K=K, cells=cells, remainder=remainder,
+        n=n, delta=delta, rho=rho, slice_width=slice_width, K=K,
+        cells=cells, remainder=remainder,
         remainder_mass=dist.mass_of(remainder) if remainder.size else 0.0,
         spectrum=sp, message_bins_by_slice=message_bins_by_slice, ground=ground)
 
@@ -628,7 +624,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
         raise CapacityError(f"delta_n = {delta_n:g} makes the entropy lattice "
                             "too large to represent; increase delta_n") from None
 
-    gamma = spectrum.uniformity(dist, A).gamma
+    gamma = spectrum.uniformity(dist, A)
     cap = max(1, math.ceil(2.0 * n * math.log2(dist.base))) if dist.base > 1 else 1
     gamma_cap = max(1, math.ceil((n * math.log2(max(dist.base, 2))
                                   + math.log2(max(gamma, 1.0)))
@@ -776,7 +772,7 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
                         messages=tuple(img_exp), messages_tilde=tuple(tilde),
                         messages_hat=tuple(hat), message_image_exponents=img_exp,
                         h_y_given_m=h_y_given, h_m_rate=h_m,
-                        aexp_messages=aexp_m, aexp_tilde=aexp_t,
+                        aexp_messages=aexp_m,
                         gap_image_vs_entropy=gap1, gap_tilde_vs_all=gap2,
                         gap_entropy_vs_tilde=gap3, gap_two_sided=gap4,
                         omega=tuple(omega))
@@ -800,6 +796,6 @@ def build_equal_image_partition(channels: list[Channel], dist: SequenceDist,
     eps_all = max(rec["epsilon_n"] for rec in cell_records.values())
     return EqualImagePartition(
         index=PartitioningIndex(A, cells), subsets=subsets, delta_n=delta_n,
-        eta=eta, epsilon_n=eps_all, lattice_dims=dims,
+        eta=eta, epsilon_n=eps_all,
         cell_records=cell_records, lambda_measured=lam, iterations=iteration,
-        iteration_cap=iteration_cap, lattice_size=v_space)
+        iteration_cap=iteration_cap)

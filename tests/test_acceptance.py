@@ -122,8 +122,8 @@ def test_criterion_4_constructive_partition_suite():
         bound_x = 2.0 ** (2.0 / n ** (rho + 1)) * (1 + 1e-9)
         bound_m = 2.0 ** (6.0 / n ** (rho + 1)) * (1 + 1e-9)
         for cell in up.cells.values():
-            assert cell.x_uniformity.gamma <= bound_x
-            assert cell.m_uniformity.gamma <= bound_m
+            assert cell.x_gamma <= bound_x
+            assert cell.m_gamma <= bound_m
     # quasi-image refinement certificate holds exactly
     for _ in range(50):
         n = int(rng.integers(1, 5))

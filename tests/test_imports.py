@@ -1,14 +1,14 @@
 """Every name a `dmckit` module imports is used in that module, every
 import sits at module level, every function reads each of its parameters,
 every module-level private name is read somewhere in the package, every
-public name is read in the package or named in README.md, every function
-the bench tracer wraps exists, no function takes a `tol`, and only `core`
-names the memory budget.
+public name is read in the package or named in README.md, every record
+field is read somewhere, every function the bench tracer wraps exists, no
+function takes a `tol`, and only `core` names the memory budget.
 
 No linter runs on this repository, so these stdlib checks stand in for an
 unused-import rule, a no-local-import rule, an unused-parameter rule, a
-dead-private-code rule and rules that keep the budget and the comparison
-tolerances in one place.  `__init__.py` is exempt from the first: its
+dead-private-code rule, a dead-field rule and rules that keep the budget and
+the comparison tolerances in one place.  `__init__.py` is exempt from the first: its
 imports are the public API.
 """
 
@@ -228,6 +228,59 @@ def test_every_public_name_is_read_or_documented():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     assert unreferenced_exports(init, sources, readme) == []
+
+
+def record_fields(source: str):
+    """(class, field, line) for every field of a dataclass or `NamedTuple`."""
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d
+                 for d in cls.decorator_list] + cls.bases
+        if {getattr(m, "id", getattr(m, "attr", None)) for m in marks} & {
+                "dataclass", "NamedTuple"}:
+            yield from ((cls.name, node.target.id, node.lineno) for node in cls.body
+                        if isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name))
+
+
+def unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Record fields of `sources` whose name no attribute load in `readers`
+    reads.  A read of the name on any object counts, so the rule misses a
+    field whose name another class also reads."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}: {cls}.{name} (line {line})"
+            for module, source in sorted(sources.items())
+            for cls, name, line in record_fields(source) if name not in read]
+
+
+def test_checker_flags_an_unread_field():
+    source = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+              "@dataclass(frozen=True)\nclass R:\n    kept: int\n    lost: int\n"
+              "    total: int = 0\n"
+              "class T(NamedTuple):\n    first: int\n    second: int\n"
+              "class Plain:\n    ignored: int\n")
+    readers = [source, "def f(r, t):\n    r.total = 1\n    return r.kept + t.first\n"]
+    assert unread_fields({"a.py": source}, readers) == [
+        "a.py: R.lost (line 6)", "a.py: R.total (line 7)", "a.py: T.second (line 10)"]
+
+
+def test_every_record_field_is_read():
+    # a field that no module, test or bench file reads only keeps its value
+    # alive
+    sources = {}
+    for module in ALL_MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    readers = []
+    for tree in ("src", "tests", "bench"):
+        for folder, _, files in os.walk(os.path.join(ROOT, tree)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                        readers.append(fh.read())
+    assert unread_fields(sources, readers) == []
 
 
 def test_every_traced_layer_resolves():

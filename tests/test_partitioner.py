@@ -42,8 +42,8 @@ def test_slices_single_message_uniform():
     assert len(up.cells) == 1
     ((k, l), cell), = up.cells.items()
     assert l == 0  # the only message has full share of its slice
-    assert cell.x_uniformity.gamma == pytest.approx(1.0)
-    assert cell.m_uniformity.gamma == pytest.approx(1.0)
+    assert cell.x_gamma == pytest.approx(1.0)
+    assert cell.m_gamma == pytest.approx(1.0)
     assert up.remainder_mass == 0.0
 
 
@@ -54,7 +54,7 @@ def test_slices_first_bit_message_gammas():
     assert len(up.cells) == 1
     cell = next(iter(up.cells.values()))
     assert set(cell.messages) == {0, 1}
-    assert cell.m_uniformity.gamma == 1.0
+    assert cell.m_gamma == 1.0
     assert up.partitions_ground()
     assert up.message_partition_ok([0, 1])
 
@@ -96,8 +96,7 @@ def same_float(a: float, b: float) -> bool:
 
 def assert_same_uniformizing(got, want):
     """Field for field, floats and ids bit for bit."""
-    for name in ("n", "delta", "rho", "slice_width", "ratio_width", "K",
-                 "remainder_mass"):
+    for name in ("n", "delta", "rho", "slice_width", "K", "remainder_mass"):
         assert same_float(getattr(got, name), getattr(want, name)), name
     assert_same_set(got.ground, want.ground)
     assert_same_set(got.remainder, want.remainder)
@@ -111,10 +110,8 @@ def assert_same_uniformizing(got, want):
         assert (mine.density_bin, mine.ratio_bin, mine.messages) == \
             (cell.density_bin, cell.ratio_bin, cell.messages)
         assert_same_set(mine.members, cell.members)
-        for rep in ("x_uniformity", "m_uniformity"):
-            for field in ("gamma", "max_atom", "min_atom"):
-                assert same_float(getattr(getattr(mine, rep), field),
-                                  getattr(getattr(cell, rep), field))
+        assert same_float(mine.x_gamma, cell.x_gamma)
+        assert same_float(mine.m_gamma, cell.m_gamma)
         assert same_float(mine.x_bound, cell.x_bound)
         assert same_float(mine.m_bound, cell.m_bound)
 
@@ -217,6 +214,21 @@ def test_extract_bsc_ratio():
     assert step.image_exact
 
 
+def record_steps(monkeypatch) -> list:
+    """The (channel, step) of every later `extract_equal_cell` call, in
+    call order."""
+    steps = []
+    extract = partitioner.extract_equal_cell
+
+    def recording(ch, *args):
+        result, step = extract(ch, *args)
+        steps.append((ch, step))
+        return result, step
+
+    monkeypatch.setattr(partitioner, "extract_equal_cell", recording)
+    return steps
+
+
 def test_extract_main_identity_pair():
     chs = [identity_channel(2), identity_channel(2)]
     A = SequenceSet.full_space(2, 2)
@@ -225,10 +237,11 @@ def test_extract_main_identity_pair():
     assert rec.members.ids_list() == A.ids_list()
     assert all(max(abs(h - lo), abs(h - hi)) == pytest.approx(0.0, abs=1e-12)
                for h, (lo, hi, _) in zip(rec.h_rates, rec.exps))
-    assert rec.trace.ratio >= rec.trace.ratio_floor
+    # the kept fraction of A against its floor mu/n
+    assert rec.members.size / A.size >= partitioner._mu(chs, 0.5) / A.n
 
 
-def test_extract_main_single_channel_reduces():
+def test_extract_main_single_channel_reduces(monkeypatch):
     # with one channel, the composition is exactly one extraction step
     from dmckit.partitioner import _width
     ch = bsc(0.15)
@@ -236,18 +249,22 @@ def test_extract_main_single_channel_reduces():
     d = SequenceDist.uniform_on(A)
     width = _width(0, 3, 1, None, None)
     direct, _ = extract_equal_cell(ch, d, A, width, 0.5, 0.5)
+    steps = record_steps(monkeypatch)
     composed = extract_main([ch], d, A, 0.5)
     assert composed.members.ids_list() == direct.ids_list()
-    assert len(composed.trace.steps) == 1
+    assert len(steps) == 1 and steps[0][0] is ch
+    assert steps[0][1].result.ids_list() == composed.members.ids_list()
 
 
-def test_extract_main_two_channels():
+def test_extract_main_two_channels(monkeypatch):
     chs = [bsc(0.1), bsc(0.2)]
     A = SequenceSet.full_space(2, 2)
     d = SequenceDist.uniform_on(A)
+    steps = record_steps(monkeypatch)
     rec = extract_main(chs, d, A, 0.5)
     assert rec.members.size > 0
-    assert len(rec.trace.steps) == 2
+    assert [c for c, _ in steps] == chs
+    assert steps[-1][1].result is rec.members
     assert len(rec.h_rates) == len(rec.exps) == 2
     for h, (lo, hi, exact) in zip(rec.h_rates, rec.exps):
         assert exact
@@ -267,15 +284,18 @@ def _extraction_instances():
     yield chs, random_dist_on(rng, A), A
 
 
-def test_extract_main_exponents_match_a_fresh_solve():
+def test_extract_main_exponents_match_a_fresh_solve(monkeypatch):
     # a channel's exponents come from its own extraction step when no later
     # step shrank the set, and from a new solve otherwise; either way they
     # must equal a fresh solve on the result
     read = set()
+    steps = record_steps(monkeypatch)
     for chs, d, A in _extraction_instances():
+        steps.clear()
         rec = extract_main(chs, d, A, 0.4)
         assert len(rec.exps) == len(chs)
-        for ch, step, exps in zip(chs, rec.trace.steps, rec.exps):
+        assert [c for c, _ in steps] == chs
+        for ch, (_, step), exps in zip(chs, steps, rec.exps):
             read.add(step.result.size == rec.members.size)
             assert exps == image_exponents(ch, rec.members, 0.4)
     assert read == {True, False}

@@ -22,7 +22,9 @@ import dmckit
 from dmckit import core, partitioner
 from dmckit.cli import main
 from dmckit.core import Alphabet, Channel, SequenceDist, SequenceSet, bsc
-from dmckit.errors import ConditioningError, DimensionMismatchError, DomainError
+from dmckit.errors import (ConditioningError, DimensionMismatchError, DomainError,
+                           ValidationError)
+from dmckit.fano import Code, Decoder, MessageSpace
 from dmckit.spectrum import PartitioningIndex
 
 import kernel_oracles
@@ -84,6 +86,9 @@ def test_fast_escape_exits_cleanly(name, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
 def _tiny_dist(n):
     return {"n": n, "alphabet_size": 2, "entries": [[0, 1.0]]}
 
@@ -93,7 +98,8 @@ IMAGE_B4 = ["image-size", "--channel", "bsc01.json", "--set", "set_b4.json",
 SPECTRUM_N6_RUN = SPECTRUM_N6 + ["--delta-n", "0.2", "--delta", "0.5"]
 # name: (argv, {golden file: the file that replaces it, or the (path, value)
 # of one entry to change in a copy}); each case once ended in a ValueError
-# or ZeroDivisionError traceback, or in a report on a blocklength below 1
+# or ZeroDivisionError traceback, or in a report on a blocklength below 1 or
+# on a NaN entry (Python's json reads NaN)
 MALFORMED = {
     "channel-input-size-text": (IMAGE_B4, {"bsc01.json": (["input_size"], "x")}),
     "channel-rows-ragged": (IMAGE_B4, {"bsc01.json": (["rows"], [[0.5, 0.5], [0.5]])}),
@@ -117,6 +123,12 @@ MALFORMED = {
         "dist6.json": _tiny_dist(0),
         "msg6a.json": {"n": 0, "alphabet_size": 2, "cells": [[0]]}}),
     "code-n-text": (FANO_MAX_N4, {"code4.json": (["n"], "x")}),
+    # once reported value 0.0
+    "channel-rows-nan": (WIRETAP_BSC, {"bsc01.json": (["rows"],
+                                                      [[NAN, NAN], [0.5, 0.5]])}),
+    # once reported the spectrum of word 1 alone
+    "dist-prob-nan": (SPECTRUM_N6_RUN, {"dist6.json": {
+        "n": 1, "alphabet_size": 2, "entries": [[0, NAN], [1, 1.0]]}}),
 }
 
 
@@ -141,6 +153,24 @@ def test_malformed_file_exits_2(name, tmp_path, capsys):
         argv = [str(edited) if a == source else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# NaN fails every comparison, so each of these once passed validation
+NAN_INPUTS = {
+    "channel": lambda: Channel(Alphabet(2), Alphabet(2), [[NAN, NAN], [0.5, 0.5]]),
+    "dist": lambda: SequenceDist(1, 2, [0, 1], [NAN, 1.0]),
+    "decoder": lambda: Decoder(S=(0,), m_values=((0,), (1,)),
+                               table=[[NAN, 1.0], [0.5, 0.5]]),
+    "message-space": lambda: MessageSpace((2,), ((0,), (1,)), (NAN, 1.0)),
+    "encoder": lambda: Code(messages=MessageSpace.uniform((1,)), n=1, base=2,
+                            encoder=(((0,), ((0, NAN), (1, 1.0))),), decoders=()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_nan_entries_are_rejected(name):
+    with pytest.raises(ValidationError):
+        NAN_INPUTS[name]()
 
 
 def test_one_word_partition_keeps_the_chain_errors():

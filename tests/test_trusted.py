@@ -5,6 +5,7 @@ from the sites listed here.
 """
 
 import ast
+import math
 import os
 from collections import Counter
 
@@ -14,12 +15,12 @@ import pytest
 import dmckit
 import kernel_oracles as old
 from dmckit.core import SequenceDist, SequenceSet, output_dist
-from dmckit import fano
-from dmckit.errors import ConditioningError
+from dmckit import fano, partitioner
+from dmckit.errors import ConditioningError, ToolkitError
 from dmckit.fano import Decoder, build_decoding_sets
 from dmckit.images import EXACT_SOLVER_CAP, min_image_bracket, min_image_exact
-from dmckit.partitioner import (_union, build_equal_image_partition,
-                                build_uniformizing_partition)
+from dmckit.partitioner import (build_equal_image_partition,
+                                build_uniformizing_partition, extract_equal_cell)
 from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
                              product_index, restrict_index)
 from dmckit.verify import (random_channel, random_dist_on, random_eta,
@@ -30,10 +31,10 @@ PACKAGE = os.path.dirname(dmckit.__file__)
 #: (module, function) -> number of `_trusted` calls in it.  Each builds from
 #: ids that are a mask or slice of an already sorted id array (an
 #: intersection or difference finds one set's ids in the other's), a support, a
-#: conditioning, a dense marginal, a stable sort by bin or by label code, a
-#: sort of distinct picks, of disjoint bins or of a cell's or a code's
-#: codewords, the nonzero positions of a decoder column, or a one-word set's
-#: one cell.
+#: conditioning, a dense marginal, a stable sort by bin or by label code
+#: (a labeling's first-seen ranks included), a support masked by bin, a
+#: sort of distinct picks or of a cell's or a code's codewords, the nonzero
+#: positions of a decoder column, or a one-word set's one cell.
 #: Loaders and public constructors validate, so none of them may appear here.
 TRUSTED_SITES = {
     ("core.py", "SequenceSet.intersect"): 1,
@@ -47,7 +48,7 @@ TRUSTED_SITES = {
     ("images.py", "min_image_bracket"): 1,
     ("partitioner.py", "build_uniformizing_partition"): 2,
     ("partitioner.py", "_refine_against_witness"): 1,
-    ("partitioner.py", "_union"): 1,
+    ("partitioner.py", "extract_equal_cell"): 2,
     ("partitioner.py", "build_equal_image_partition"): 4,
     ("fano.py", "_codeword_rows"): 1,
     ("fano.py", "build_decoding_sets"): 2,
@@ -126,8 +127,17 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
             made.append(SequenceSet._trusted(n, base, ids))
             return made[-1]
 
+    witnesses = []  # the quasi-image witnesses extract_equal_cell derives
+    refine = partitioner._refine_against_witness
+
+    def recording(ch, dist, A, alpha, witness):
+        witnesses.append(witness)
+        return refine(ch, dist, A, alpha, witness)
+
     monkeypatch.setattr(fano, "SequenceSet", Recording)
+    monkeypatch.setattr(partitioner, "_refine_against_witness", recording)
     codeword_sets = 0
+    witnessed = 0
     rng = np.random.default_rng(47)
     for trial in range(60):
         base = 2 if trial % 3 else 3
@@ -153,11 +163,23 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
         # from_dense validates the marginal built word by word
         assert_same_dist(output_dist(ch, d), old.output_dist(ch, d))
 
-        # unions of disjoint bins and image witnesses: sorted distinct ids
-        bins = sp.bins[:int(rng.integers(1, len(sp.bins) + 1))]
-        assert_same_set(_union(bins), SequenceSet.from_ids(
-            n, base, [i for b in bins for i in b.ids_list()]))
+        # an extraction's witnesses, each the words of the first bins of its
+        # output spectrum, and image witnesses: sorted distinct ids
         eta = random_eta(rng)
+        witnesses.clear()
+        try:
+            extract_equal_cell(ch, d, A, 0.3, 0.5, eta)
+        except ToolkitError:
+            pass
+        out = output_dist(ch, d.conditioned_on(A))
+        out_bins = build_spectrum_partition(
+            out, 0.3, 0.5, space_aexp=math.log2(ch.output.size)).bins
+        sizes = np.cumsum([b.size for b in out_bins]).tolist()
+        for witness in witnesses:
+            words = [i for b in out_bins[:sizes.index(witness.size) + 1]
+                     for i in b.ids_list()]
+            assert_same_set(witness, SequenceSet.from_ids(n, ch.output.size, words))
+        witnessed += len(witnesses)
         solvers = [min_image_bracket]
         if ch.output.size ** n <= EXACT_SOLVER_CAP:
             solvers.append(min_image_exact)
@@ -166,11 +188,14 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
             assert_same_set(witness, SequenceSet.from_ids(
                 n, ch.output.size, witness.ids_list()))
 
-        # label-code indices equal the validated index on the same cells
+        # label-code indices equal the validated index on the same cells,
+        # cells in the order their labels first occur
         pi = PartitioningIndex.from_labeling(A, lambda s: s % 3)
         pi2 = PartitioningIndex.from_labeling(A, lambda s: s // 2 % 2)
+        firsts = list(dict.fromkeys(int(s) % 3 for s in A.ids))
+        assert list(pi.cells) == firsts
         sub = A.intersect(B) if A.intersect(B).size else A
-        for got in (restrict_index(pi, sub), product_index(pi, pi2),
+        for got in (pi, pi2, restrict_index(pi, sub), product_index(pi, pi2),
                     product_index(restrict_index(pi2, sub), restrict_index(pi, sub))):
             assert_same_index(got, PartitioningIndex(got.ground, {
                 label: SequenceSet.from_ids(n, base, cell.ids_list())
@@ -213,7 +238,7 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
             assert len(made) == 1
             assert_same_set(made[0], SequenceSet.from_ids(
                 n, base, [x for _, x, _ in pairs]))
-    assert codeword_sets
+    assert codeword_sets and witnessed
 
 
 def test_conditioning_returns_the_law_only_on_its_support_at_mass_one():
