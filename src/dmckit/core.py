@@ -291,6 +291,8 @@ class SequenceDist:
             raise ValidationError("ids and probs must be aligned 1-d arrays")
         if not np.all(np.isfinite(probs)):
             raise ValidationError("probabilities must be finite")
+        if np.any(probs < 0.0):
+            raise ValidationError("probabilities must be non-negative")
         order = np.argsort(ids, kind="stable")
         ids, probs = ids[order], probs[order]
         keep = probs > 0.0
@@ -371,8 +373,7 @@ class SequenceDist:
         v = np.asarray(vector, dtype=np.float64)
         if v.size != base ** n:
             raise ValidationError("dense vector length must be base**n")
-        ids = np.nonzero(v > 0.0)[0].astype(np.int64)
-        return cls(n, base, ids, v[ids])
+        return cls(n, base, np.arange(v.size, dtype=np.int64), v)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "alphabet_size": self.base,
@@ -539,7 +540,8 @@ def entropy(dist) -> float:
     if isinstance(dist, SequenceDist):
         return dist.entropy()
     v = np.asarray(dist, dtype=np.float64)
-    if np.any(v < 0.0) or abs(float(v.sum()) - 1.0) > SUM_TOL:
+    # NaN fails every comparison, so the test asks for the good case
+    if not (np.all(v >= 0.0) and abs(float(v.sum()) - 1.0) <= SUM_TOL):
         raise ValidationError("entropy argument must be a normalized distribution")
     return entropy_bits(v)
 
@@ -553,7 +555,7 @@ def mutual_information(joint) -> float:
     J = np.asarray(joint, dtype=np.float64)
     if J.ndim != 2:
         raise ValidationError("joint must be a 2-d matrix")
-    if np.any(J < 0.0) or abs(float(J.sum()) - 1.0) > SUM_TOL:
+    if not (np.all(J >= 0.0) and abs(float(J.sum()) - 1.0) <= SUM_TOL):
         raise ValidationError("joint must be a normalized distribution")
     pm = J.sum(axis=1)
     qm = J.sum(axis=0)

@@ -656,8 +656,7 @@ def strong_fano_max(code: Code, channels, *, eta: float = 0.5,
 
 
 def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
-                    delta_n: float | None = None, rho: int = 1,
-                    alpha_n: float | None = None) -> FanoReport:
+                    delta_n: float | None = None, rho: int = 1) -> FanoReport:
     """Strong average-error report via the success-probability split.
 
     Pairs are grouped by which receivers decode them with probability at
@@ -670,12 +669,11 @@ def strong_fano_avg(code: Code, channels, *, eta: float = 0.5,
     errs = [_error_sum(view.pairs, table) for table in succ]
     if max(errs) >= 1.0:
         raise PreconditionError("strong Fano needs average error < 1")
-    if view.n < 2 and alpha_n is None:
+    if view.n < 2:
         raise PreconditionError("average-error split needs n >= 2 (log2 n > 0)")
-    err = max(errs)
-    if alpha_n is None:
-        alpha_n = (1.0 - err) / math.log2(view.n)
-    # at or below GRID a pair that always fails would pass the split test
+    alpha_n = (1.0 - max(errs)) / math.log2(view.n)
+    # at or below GRID a pair that always fails would pass the split test;
+    # an average error within GRID log2 n of 1 puts alpha_n there
     if not GRID < alpha_n <= 1.0:
         raise PreconditionError(f"alpha_n must lie in ({GRID}, 1]")
     K = len(view.decoders)

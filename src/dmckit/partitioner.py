@@ -223,17 +223,11 @@ class RefinementResult:
         return self.ratio > self.ratio_floor - SLACK
 
 
-def _refine_against_witness(ch: Channel, dist: SequenceDist, A: SequenceSet,
-                            alpha: float, witness: SequenceSet) -> RefinementResult:
+def _refine_against_witness(ch: Channel, A: SequenceSet, alpha: float,
+                            witness: SequenceSet) -> SequenceSet:
+    """The words of A whose output rows put mass >= alpha/n on the witness."""
     row_mass = output_rows(ch, A)[:, witness.ids].sum(axis=1)
-    threshold = alpha / A.n
-    keep = row_mass >= threshold - GRID
-    refined = SequenceSet._trusted(A.n, A.base, A.ids[keep])
-    return RefinementResult(
-        refined=refined, witness=witness, threshold=threshold,
-        min_row_mass=float(row_mass[keep].min()) if refined.size else float("nan"),
-        ratio=refined.size / A.size,
-        ratio_floor=(1.0 / uniformity(dist, A) - 1.0 / A.n) * alpha)
+    return SequenceSet._trusted(A.n, A.base, A.ids[row_mass >= alpha / A.n - GRID])
 
 
 def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
@@ -248,7 +242,13 @@ def refine_quasi_to_image(ch: Channel, dist: SequenceDist, A: SequenceSet,
         raise DomainError("alpha must lie in (0, 1]")
     cond = dist.conditioned_on(A)
     witness = min_quasi_image(ch, cond, A, alpha).witness
-    return _refine_against_witness(ch, cond, A, alpha, witness)
+    refined = _refine_against_witness(ch, A, alpha, witness)
+    row_mass = output_rows(ch, refined)[:, witness.ids].sum(axis=1)
+    return RefinementResult(
+        refined=refined, witness=witness, threshold=alpha / A.n,
+        min_row_mass=float(row_mass.min()) if refined.size else float("nan"),
+        ratio=refined.size / A.size,
+        ratio_floor=(1.0 / uniformity(cond, A) - 1.0 / A.n) * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,8 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
 
     # the words of bins 0..heavy, ascending as the support is
     a_prime = _refine_against_witness(
-        ch, cond, A, prefix_mass,
-        SequenceSet._trusted(n, out.base, out.ids[sp._bin_of <= heavy])).refined
+        ch, A, prefix_mass,
+        SequenceSet._trusted(n, out.base, out.ids[sp._bin_of <= heavy]))
 
     beta = max(eta, 1.0 - 1.0 / n ** 2)  # below 1, since eta < 1
     lo_level = max(min(prefix_mass / n, 1.0), GRID)
@@ -350,8 +350,8 @@ def extract_equal_cell(ch: Channel, dist: SequenceDist, A: SequenceSet,
         tilde_mass = float(masses[: drop_bin + 1].sum())
         if tilde_mass > 1.0 / n:
             dropped = _refine_against_witness(
-                ch, cond, A, tilde_mass,
-                SequenceSet._trusted(n, out.base, out.ids[sp._bin_of <= drop_bin])).refined
+                ch, A, tilde_mass,
+                SequenceSet._trusted(n, out.base, out.ids[sp._bin_of <= drop_bin]))
             diff = a_prime.difference(dropped)
             if diff.size:
                 branch = "deep-drop"

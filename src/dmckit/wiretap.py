@@ -215,65 +215,44 @@ def _secrecy_objective(p_u: np.ndarray, p_xgu: np.ndarray,
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=-1)`, bit for bit.  numpy adds a row of fewer than 8
-    entries left to right, which column adds repeat without one inner-loop
-    call per row; longer rows it sums pairwise, so those go to numpy."""
+    """`a.sum(axis=-1)`, bit for bit, on every row not of -0.0 alone.  Below
+    8 entries numpy adds a row left to right from +0.0, which column adds
+    from the first column repeat without one inner-loop call per row (0.0 +
+    t is t but for t = -0.0); longer rows numpy sums pairwise."""
     if a.shape[-1] >= 8:
         return a.sum(axis=-1)
-    total = np.zeros(a.shape[:-1])
-    for j in range(a.shape[-1]):
+    if a.shape[-1] == 1:
+        return a[..., 0]
+    total = a[..., 0] + a[..., 1]
+    for j in range(2, a.shape[-1]):
         total += a[..., j]
-    return total
-
-
-def _plogp(p: np.ndarray) -> np.ndarray:
-    terms = np.zeros(p.shape)
-    np.log2(p, out=terms, where=p > 0.0)
-    terms *= p
-    return terms
-
-
-def _sums_from_first(terms: np.ndarray) -> np.ndarray:
-    """`_row_sums` of terms none of which is -0.0, started from the first
-    column instead of a zeroed row: 0.0 + t is t for every other t."""
-    if terms.shape[-1] >= 8:
-        return terms.sum(axis=-1)
-    if terms.shape[-1] == 1:
-        return terms[..., 0]
-    total = terms[..., 0] + terms[..., 1]
-    for j in range(2, terms.shape[-1]):
-        total += terms[..., j]
     return total
 
 
 def _entropy_gap(wy: np.ndarray, wz: np.ndarray):
     """F(P) = H(P W_Y) - H(P W_Z) of each of two or more laws P along the
     last axis, by one product with [W_Y | W_Z] and one log2.  Equal bit for
-    bit to H(p @ wy) - H(p @ wz), each H the negated `_row_sums` of
-    `_plogp`: (-a) - (-b) rounds as b - a, and numpy's matrix product gives
+    bit to H(p @ wy) - H(p @ wz), each H the negated row sum of q log2 q over
+    q > 0: (-a) - (-b) rounds as b - a, and numpy's matrix product gives
     each entry the same bits whatever the other columns are.  A one-column
     product goes through a matrix-vector kernel with other bits, so such a
     channel keeps its own.
 
-    Where every output q is positive, the mask of `_plogp` keeps every
-    entry, so q log2 q is a plain log2 times q; no such term is -0.0 (it is
-    +0.0 only at q = 1), so its sums start from the first column.  Every
-    output of a law is positive when no channel entry is below |X| times the
+    Each term is q log2 q, with the log2 of 1.0 where q is 0.  No term is
+    -0.0 (q is a product accumulated from +0.0, and q log2 q is +0.0 only at
+    q = 0 or 1), so `_row_sums` is numpy's sum.  No output is 0, and the
+    np.where copy is skipped, when no channel entry is below |X| times the
     least normal double, since a law has an entry of about 1/|X| or more;
-    with a smaller entry each call checks its own outputs."""
+    otherwise each call checks its own outputs."""
     ny, nz = wy.shape[1], wz.shape[1]
     w = np.hstack([wy, wz])
     positive = w.min() >= wy.shape[0] * np.finfo(np.float64).tiny
 
     def f(p: np.ndarray) -> np.ndarray:
         q = p @ w if min(ny, nz) > 1 else np.hstack([p @ wy, p @ wz])
-        if positive or q.min() > 0.0:
-            terms = np.log2(q)
-            terms *= q
-            sums = _sums_from_first
-        else:
-            terms, sums = _plogp(q), _row_sums
-        return sums(terms[..., ny:]) - sums(terms[..., :ny])
+        terms = np.log2(q if positive or q.min() > 0.0 else np.where(q > 0.0, q, 1.0))
+        terms *= q
+        return _row_sums(terms[..., ny:]) - _row_sums(terms[..., :ny])
     return f
 
 
@@ -404,16 +383,17 @@ def _offsets(half: float, k: int) -> np.ndarray:
 def _local_grid(center: np.ndarray, half: float, budget: int):
     """About `budget` laws on an odd cube grid of half-width `half` around
     `center` (in the chart of its leading coordinates), pushed back onto the
-    simplex.  Returns the laws and the grid step."""
+    simplex.  Returns the laws and the grid step.  No offset is -0.0, so
+    neither is any sum of a center coordinate and an offset."""
     d = center.size - 1
     k = int(round(budget ** (1.0 / d))) | 1
     offsets = _offsets(half, k)
-    if d == 1:  # both columns directly: a row sum of one entry is that entry
+    if d == 1:  # both columns directly
         laws = np.empty((k, 2))
         np.add(offsets, center[0], out=laws[:, 0])
         np.subtract(1.0, laws[:, 0], out=laws[:, 1])
         np.maximum(laws, 0.0, out=laws)
-        laws /= (laws[:, 0] + laws[:, 1])[:, None]
+        laws /= _row_sums(laws)[:, None]
         return laws, 2.0 * half / (k - 1)
     laws = np.empty((k ** d, d + 1))
     # the grid in "ij" meshgrid order: coordinate j varies along axis j

@@ -37,8 +37,7 @@ from dmckit.reports import _format_float
 from dmckit.spectrum import (PartitioningIndex, build_spectrum_partition,
                              floor_on_grid)
 from dmckit.wiretap import (LATTICE_STEPS, PEAK_POINTS, PEAK_TOL,
-                            TANGENT_POINTS, TANGENT_TOL, _lattice, _plogp,
-                            _row_sums)
+                            TANGENT_POINTS, TANGENT_TOL, _lattice)
 
 
 def _digits_of(value: int, n: int, base: int) -> tuple[int, ...]:
@@ -291,9 +290,19 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """`entropy_rows` from the secrecy envelope's own terms and row sums:
-    the two-product form its fused F must match bit for bit."""
-    return -_row_sums(_plogp(p))
+    """`entropy_rows` by a log2 masked into a zeroed array and, below 8
+    entries, rows added left to right from a zeroed total (numpy's order
+    there): the two-product form the envelope's fused F must match bit for
+    bit, built without its helpers."""
+    terms = np.zeros(p.shape)
+    np.log2(p, out=terms, where=p > 0.0)
+    terms *= p
+    if p.shape[-1] >= 8:
+        return -terms.sum(axis=-1)
+    total = np.zeros(p.shape[:-1])
+    for j in range(p.shape[-1]):
+        total += terms[..., j]
+    return -total
 
 
 def local_grid(center: np.ndarray, half: float, budget: int):
@@ -402,7 +411,7 @@ def extract_equal_cell_eager(ch, dist: SequenceDist, A: SequenceSet,
 
     witness = SequenceSet(out.n, out.base,
                           np.concatenate([b.ids for b in sp.bins[:heavy + 1]]))
-    a_prime = _refine_against_witness(ch, cond, A, prefix_mass, witness).refined
+    a_prime = _refine_against_witness(ch, A, prefix_mass, witness)
 
     beta = max(eta, 1.0 - 1.0 / n ** 2)
     lo_level = max(min(prefix_mass / n, 1.0), GRID)
@@ -420,7 +429,7 @@ def extract_equal_cell_eager(ch, dist: SequenceDist, A: SequenceSet,
                             np.concatenate([b.ids for b in sp.bins[:drop_bin + 1]]))
         tilde_mass = float(masses[: drop_bin + 1].sum())
         if tilde_mass > 1.0 / n:
-            dropped = _refine_against_witness(ch, cond, A, tilde_mass, tilde).refined
+            dropped = _refine_against_witness(ch, A, tilde_mass, tilde)
             diff = a_prime.difference(dropped)
             if diff.size:
                 branch = "deep-drop"

@@ -347,19 +347,19 @@ def test_strong_fano_avg_needs_n_at_least_two():
         strong_fano_avg(code, [ch])
 
 
-@pytest.mark.parametrize("alpha_n", [0.0, -0.5, 1e-13, 1.5])
-def test_strong_fano_avg_alpha_n_outside_range(alpha_n):
-    # both messages on codeword 3 and message 1 is never decoded: its pairs
-    # have success 0, so an alpha_n at or below GRID would let them into
-    # a split whose alpha is 0
-    ms = MessageSpace.uniform([2])
-    table = np.zeros((4, 2))
-    table[:, 0] = 1.0
-    dec = Decoder(S=(0,), m_values=((0,), (1,)), table=table)
-    code = deterministic_code(ms, 2, 2, {(0,): 3, (1,): 3}, [dec])
+def test_strong_fano_avg_alpha_n_outside_range():
+    # messages (0,) and (1,) of a size-3 index, and a decoder that puts
+    # 1 - 2e-13 on (2,): the average error is within 1e-13 of 1, so
+    # alpha_n = (1 - err)/log2 n sits at or below GRID, where a pair that
+    # always fails would pass the split test
+    ms = MessageSpace(sizes=(3,), support=((0,), (1,)), probs=(0.5, 0.5))
+    table = np.full((4, 3), 1e-13)
+    table[:, 2] = 1.0 - 2e-13
+    dec = Decoder(S=(0,), m_values=((0,), (1,), (2,)), table=table)
+    code = deterministic_code(ms, 2, 2, {(0,): 0, (1,): 3}, [dec])
+    assert 0.0 < 1.0 - avg_error(code, [bsc(0.1)], 0) < core.GRID
     with pytest.raises(PreconditionError):
-        strong_fano_avg(code, [bsc(0.1)], alpha_n=alpha_n)
-    assert strong_fano_avg(code, [bsc(0.1)], alpha_n=0.3).passing_mass[0] >= 0.0
+        strong_fano_avg(code, [bsc(0.1)])
 
 
 def test_message_space_validation():

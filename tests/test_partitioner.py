@@ -307,9 +307,9 @@ def test_an_empty_extraction_raises_at_once(monkeypatch):
     # extraction, for one channel and for two
     refine = partitioner._refine_against_witness
 
-    def emptied(ch, dist, A, alpha, witness):
-        ref = refine(ch, dist, A, alpha, witness)
-        return dataclasses.replace(ref, refined=ref.refined.difference(ref.refined))
+    def emptied(ch, A, alpha, witness):
+        refined = refine(ch, A, alpha, witness)
+        return refined.difference(refined)
 
     extract = partitioner.extract_main
     calls = []

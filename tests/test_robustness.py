@@ -129,6 +129,10 @@ MALFORMED = {
     # once reported the spectrum of word 1 alone
     "dist-prob-nan": (SPECTRUM_N6_RUN, {"dist6.json": {
         "n": 1, "alphabet_size": 2, "entries": [[0, NAN], [1, 1.0]]}}),
+    # once reported the spectrum of word 1 alone: the negative entry was
+    # dropped with the zeros
+    "dist-prob-negative": (SPECTRUM_N6_RUN, {"dist6.json": {
+        "n": 1, "alphabet_size": 2, "entries": [[0, -1e-20], [1, 1.0]]}}),
 }
 
 
@@ -159,6 +163,9 @@ def test_malformed_file_exits_2(name, tmp_path, capsys):
 NAN_INPUTS = {
     "channel": lambda: Channel(Alphabet(2), Alphabet(2), [[NAN, NAN], [0.5, 0.5]]),
     "dist": lambda: SequenceDist(1, 2, [0, 1], [NAN, 1.0]),
+    "dense-dist": lambda: SequenceDist.from_dense(1, 2, [NAN, 1.0]),
+    "entropy": lambda: core.entropy([NAN, 1.0]),
+    "joint": lambda: core.mutual_information([[NAN, 0.5], [0.5, 0.0]]),
     "decoder": lambda: Decoder(S=(0,), m_values=((0,), (1,)),
                                table=[[NAN, 1.0], [0.5, 0.5]]),
     "message-space": lambda: MessageSpace((2,), ((0,), (1,)), (NAN, 1.0)),

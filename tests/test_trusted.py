@@ -130,9 +130,9 @@ def test_derived_objects_equal_validated_ones(monkeypatch):
     witnesses = []  # the quasi-image witnesses extract_equal_cell derives
     refine = partitioner._refine_against_witness
 
-    def recording(ch, dist, A, alpha, witness):
+    def recording(ch, A, alpha, witness):
         witnesses.append(witness)
-        return refine(ch, dist, A, alpha, witness)
+        return refine(ch, A, alpha, witness)
 
     monkeypatch.setattr(fano, "SequenceSet", Recording)
     monkeypatch.setattr(partitioner, "_refine_against_witness", recording)

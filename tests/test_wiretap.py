@@ -286,12 +286,23 @@ def spread_values(rng, shape, zero_share):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 5000), st.floats(0.0, 1.0),
-       st.integers(0, 2 ** 32 - 1))
-def test_row_sums_match_numpy_sum(width, rows, zero_share, seed):
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+# every entry -0.0
+@example(width=5, rows=3, zero_share=1.0, negative_share=1.0, seed=1)
+def test_row_sums_match_numpy_sum(width, rows, zero_share, negative_share, seed):
+    # zeros of both signs: only a row of -0.0 alone may differ, and below 8
+    # entries only in the sign of its zero
     rng = np.random.default_rng(seed)
     a = spread_values(rng, (rows, width + 3), zero_share)
+    a[(a == 0.0) & (rng.uniform(size=a.shape) < negative_share)] = -0.0
     for view in (a[:, :width], np.ascontiguousarray(a[:, 3:])):
-        assert same_bits(_row_sums(view), view.sum(axis=-1))
+        got, want = _row_sums(view), view.sum(axis=-1)
+        signed = np.all((view == 0.0) & np.signbit(view), axis=-1)
+        assert same_bits(got[~signed], want[~signed])
+        if width >= 8:
+            assert same_bits(got[signed], want[signed])
+        assert same_bits(np.abs(got[signed]), np.abs(want[signed]))
+        assert np.all(want[signed] == 0.0)
 
 
 @settings(max_examples=150, deadline=None)
