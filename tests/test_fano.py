@@ -347,19 +347,28 @@ def test_strong_fano_avg_needs_n_at_least_two():
         strong_fano_avg(code, [ch])
 
 
-def test_strong_fano_avg_alpha_n_outside_range():
-    # messages (0,) and (1,) of a size-3 index, and a decoder that puts
-    # 1 - 2e-13 on (2,): the average error is within 1e-13 of 1, so
-    # alpha_n = (1 - err)/log2 n sits at or below GRID, where a pair that
-    # always fails would pass the split test
+@pytest.mark.parametrize("alpha_n", [0.0, -0.5, 1e-13, 1.5])
+def test_strong_fano_avg_alpha_n_outside_range(alpha_n):
+    # messages (0,) and (1,) of a size-3 index on codewords 0 and 3 of a
+    # noiseless channel, each decoded with probability s and the rest put
+    # on (2,): with n = 2, alpha_n = (1 - err)/log2 n is s itself. A valid
+    # table holds s only within GRID/2 of [0, 1], so -0.5 and 1.5 become
+    # an error a rounding step above 1 or below 0; 1e-13 is an error within
+    # 1e-13 of 1, where a pair that always fails would pass the split test
+    s = min(max(alpha_n, -core.GRID / 2), 1.0 + core.GRID / 2)
     ms = MessageSpace(sizes=(3,), support=((0,), (1,)), probs=(0.5, 0.5))
-    table = np.full((4, 3), 1e-13)
-    table[:, 2] = 1.0 - 2e-13
+    table = np.zeros((4, 3))
+    table[:, 2] = 1.0
+    table[0] = [s, 0.0, 1.0 - s]
+    table[3] = [0.0, s, 1.0 - s]
     dec = Decoder(S=(0,), m_values=((0,), (1,), (2,)), table=table)
     code = deterministic_code(ms, 2, 2, {(0,): 0, (1,): 3}, [dec])
-    assert 0.0 < 1.0 - avg_error(code, [bsc(0.1)], 0) < core.GRID
+    ch = identity_channel(2)
+    success = 1.0 - avg_error(code, [ch], 0)
+    assert not core.GRID < success <= 1.0
+    assert (success <= 0.0, success > 1.0) == (alpha_n <= 0.0, alpha_n > 1.0)
     with pytest.raises(PreconditionError):
-        strong_fano_avg(code, [bsc(0.1)])
+        strong_fano_avg(code, [ch])
 
 
 def test_message_space_validation():
